@@ -73,7 +73,9 @@ if [[ "$run_tsan" == 1 ]]; then
   # Wal* is the durability layer (DESIGN.md §14): group-commit batching
   # means concurrent appenders hand frames to a leader thread, so the
   # WAL unit and WAL-backed ingest suites run race-checked as well.
-  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:AdmissionController*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*'
+  # AdTree* covers the parallel ADTree trainer: each round's split-search
+  # tasks run across the pool and write into per-task slots.
+  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:AdmissionController*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTree*'
 
   echo "==> tier-1: loopback serve/loadgen smoke (TSan binaries, record/replay)"
   # End-to-end over a real socket: a TSan-built server on an ephemeral
@@ -203,7 +205,9 @@ if [[ "$run_asan" == 1 ]]; then
   # fuzz walk raw offsets over deliberately corrupted segment bytes, which
   # is exactly what ASan+UBSan exist to pin down; Gazetteer* covers the
   # owned-resolver lifetime contract the serving path depends on.
-  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*'
+  # AdTree* adds the ADTree trainer, whose split search is raw index
+  # arithmetic over the transposed feature columns.
+  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:AdTree*'
 fi
 
 echo "==> all checks passed"

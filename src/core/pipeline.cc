@@ -113,10 +113,12 @@ PipelineResult UncertainErPipeline::Run(const PipelineConfig& config,
     result.training_instances = ml::ApplyMaybePolicy(
         MakeInstances(result.candidates, tagger, pool, &result.timings),
         ml::MaybePolicy::kOmit);
-    // Training itself is a serial reduction over identically-ordered
-    // instances, so the model is the same for every thread count.
+    // Training runs each round's (node, feature) split searches in
+    // parallel into per-task slots and reduces them serially in task
+    // order, so the model is bit-identical for every thread count.
     timer.Reset();
-    result.model = ml::TrainAdTree(result.training_instances, config.trainer);
+    result.model =
+        ml::TrainAdTree(result.training_instances, config.trainer, pool);
     result.timings.train_seconds = timer.ElapsedSeconds();
     // Re-extract and score the candidate set in parallel, then assemble
     // matches by a stable chunk-ordered reduction: fixed-size candidate

@@ -6,6 +6,7 @@
 
 #include "ml/adtree.h"
 #include "ml/instances.h"
+#include "util/thread_pool.h"
 
 namespace yver::ml {
 
@@ -15,8 +16,11 @@ struct AdTreeTrainerOptions {
   /// final models use 8-10 splitters.
   size_t num_rounds = 10;
 
-  /// Cap on candidate thresholds per numeric feature (quantile-spaced
-  /// midpoints of the observed values).
+  /// Target number of candidate thresholds per numeric feature. The m
+  /// midpoints between consecutive distinct observed values are thinned
+  /// with stride max(1, ⌊m/cap⌋), which keeps between min(m, cap) and
+  /// 2·cap−1 of them (every midpoint while m < 2·cap) — a target, not an
+  /// upper bound. Must be positive.
   size_t max_numeric_thresholds = 32;
 
   /// Laplace smoothing added inside the prediction-value logs (Weka's
@@ -34,8 +38,15 @@ struct AdTreeTrainerOptions {
 ///   - weights of affected instances are multiplied by exp(-y·prediction).
 /// Instances whose split feature is missing stay un-routed (counted in the
 /// residual W(¬p) term), matching the scorer's skip-on-missing semantics.
+///
+/// The split search runs over a feature-major copy of the instances, one
+/// pass per (prediction node, feature) task; with a pool the tasks of a
+/// round run in parallel into per-task slots and are reduced serially in
+/// (node, feature) order. The tree is bit-identical for every pool size,
+/// including none (DESIGN.md §7).
 AdTree TrainAdTree(const std::vector<Instance>& instances,
-                   const AdTreeTrainerOptions& options);
+                   const AdTreeTrainerOptions& options,
+                   util::ThreadPool* pool = nullptr);
 
 /// Three-class wrapper for the "Identify Maybe values" condition of
 /// Table 5: a binary match tree (Maybe treated as non-match) plus a

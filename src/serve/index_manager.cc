@@ -44,11 +44,17 @@ void IndexManager::PinnedIndex::Release() {
 
 void IndexManager::ReleasePin(size_t slot) const {
   Slot& s = slots_[slot];
-  uint64_t released = s.releases.fetch_add(1, std::memory_order_acq_rel) + 1;
+  // seq_cst, paired with Publish's retire: each side stores (releases
+  // here, limit there) and then loads the other's word. That is a
+  // store→load (Dekker) pattern; with acquire/release orders both loads
+  // may miss the other side's store, nobody reclaims, and the slot leaks
+  // for good. In the single total order of seq_cst operations one of the
+  // two loads must see the other store, so at least one side reclaims.
+  uint64_t released = s.releases.fetch_add(1, std::memory_order_seq_cst) + 1;
   // If the slot is retired and we were its last pinned reader, free it.
   // The publisher races this check from the retire side; MaybeReclaim is
   // idempotent under slots_mu_, so double reclaim attempts are benign.
-  if (released == s.limit.load(std::memory_order_acquire)) {
+  if (released == s.limit.load(std::memory_order_seq_cst)) {
     MaybeReclaim(slot);
   }
 }
@@ -114,10 +120,10 @@ util::StatusOr<uint64_t> IndexManager::Publish(
   publishes_.fetch_add(1, std::memory_order_relaxed);
   // Retire the old snapshot: fix its grant total so the release side
   // knows when it has fully drained, then reclaim right away if it
-  // already has.
+  // already has. Both operations are seq_cst; see ReleasePin.
   Slot& old_s = slots_[old_slot];
-  old_s.limit.store(granted, std::memory_order_release);
-  if (old_s.releases.load(std::memory_order_acquire) == granted) {
+  old_s.limit.store(granted, std::memory_order_seq_cst);
+  if (old_s.releases.load(std::memory_order_seq_cst) == granted) {
     MaybeReclaim(old_slot);
   }
   return new_generation;

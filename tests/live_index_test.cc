@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <thread>
@@ -174,22 +175,31 @@ TEST(IndexManagerTest, ReadersNeverBlockAcrossConcurrentPublishes) {
   // generations. Wait-freedom can't be asserted directly, but the
   // monotonicity contract can: each reader's observed generation never
   // decreases, and every pin is internally consistent.
+  constexpr int kReaders = 4;
   IndexManager manager(MakeIndex(32, 64, 1));
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> acquired{0};
+  std::atomic<int> started{0};
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
       uint64_t last = 0;
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         PinnedIndex pin = manager.Acquire();
         EXPECT_GE(pin.generation(), last);
         last = pin.generation();
         EXPECT_EQ(pin->num_records(), 32u);
         acquired.fetch_add(1, std::memory_order_relaxed);
+        if (first) started.fetch_add(1);
+        first = false;
       }
     });
   }
+  // Publish only once every reader has pinned: otherwise a slow thread
+  // start can let all 200 publishes finish before any reader runs, and
+  // the test would not be publishing "across" readers at all.
+  while (started.load() < kReaders) std::this_thread::yield();
   for (uint64_t i = 0; i < 200; ++i) {
     ASSERT_TRUE(manager.Publish(MakeIndex(32, 64, i + 2)).ok());
   }
@@ -199,6 +209,43 @@ TEST(IndexManagerTest, ReadersNeverBlockAcrossConcurrentPublishes) {
   EXPECT_EQ(manager.pinned_readers(), 0u);
   EXPECT_EQ(manager.retained_snapshots(), 1u)
       << "all retired generations must be reclaimed once readers drain";
+}
+
+TEST(IndexManagerTest, RetiredSlotsReclaimUnderPinningReaders) {
+  // Each batch publishes more generations than the ring has slots while
+  // readers pin and release in a tight loop, so the last release of a
+  // retired generation races its retire in Publish over and over. Every
+  // lost race leaks a slot for good (and after kNumSlots - 1 leaks Publish
+  // would wait forever); once readers drain, exactly the current snapshot
+  // must be left.
+  constexpr int kReaders = 4;
+  constexpr int kBatches = 6;
+  IndexManager manager(MakeIndex(16, 16, 1));
+  uint64_t seed = 2;
+  for (int batch = 0; batch < kBatches; ++batch) {
+    std::atomic<bool> stop{false};
+    std::atomic<int> started{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&] {
+        bool first = true;
+        while (!stop.load(std::memory_order_relaxed)) {
+          PinnedIndex pin = manager.Acquire();
+          if (first) started.fetch_add(1);
+          first = false;
+        }
+      });
+    }
+    while (started.load() < kReaders) std::this_thread::yield();
+    for (size_t i = 0; i < IndexManager::kNumSlots + 8; ++i) {
+      ASSERT_TRUE(manager.Publish(MakeIndex(16, 16, seed++)).ok());
+    }
+    stop.store(true);
+    for (auto& t : readers) t.join();
+    EXPECT_EQ(manager.pinned_readers(), 0u) << "batch " << batch;
+    ASSERT_EQ(manager.retained_snapshots(), 1u)
+        << "batch " << batch << " leaked a retired snapshot";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -206,6 +206,17 @@ TEST(AdTreeTrainerTest, ScoresRankPositivesAboveNegatives) {
   EXPECT_LT(clear_neg, 0.0);
 }
 
+TEST(AdTreeTrainerDeathTest, RejectsZeroThresholdCap) {
+  // The numeric threshold stride divides by the cap; zero must be a
+  // checked precondition, not a SIGFPE.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  util::Rng rng(10);
+  auto train = SeparableInstances(20, rng);
+  AdTreeTrainerOptions options;
+  options.max_numeric_thresholds = 0;
+  EXPECT_DEATH(TrainAdTree(train, options), "max_numeric_thresholds");
+}
+
 // ---------------------------------------------------------------------------
 // Instances / policies / metrics
 
