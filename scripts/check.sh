@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + the tier1-labeled ctest suite,
-# then a ThreadSanitizer build that race-checks the concurrent paths — the
+# a check that the CLI rejects numeric flags that do not fit their field
+# (exit 2 naming the flag, never a wrapped value or a crash), then a
+# ThreadSanitizer build that race-checks the concurrent paths — the
 # query-serving layer (serve::ResolutionService and friends) and the
 # parallel resolve pipeline's determinism harness
 # (tests/determinism_test.cc) — then an Address+UndefinedBehaviorSanitizer
@@ -53,6 +55,20 @@ echo "==> tier-1: standard build + ctest (-L tier1)"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build -L tier1 --output-on-failure -j "$(nproc)"
+
+echo "==> tier-1: CLI numeric flags are parsed strictly"
+# An out-of-range port must not wrap (70000 once listened on 4464) and a
+# negative thread count must not crash (-1 once aborted with exit 134).
+# The missing --in file would exit 1, so exit 2 proves the flag check ran.
+expect_flag_rejected() {
+  local flag="$1" rc=0 err
+  shift
+  err="$("$@" 2>&1 >/dev/null)" || rc=$?
+  [[ "$rc" == 2 && "$err" == *"--$flag"* ]] || {
+    echo "expected exit 2 naming --$flag, got $rc: $err" >&2; exit 1; }
+}
+expect_flag_rejected port ./build/tools/yver_cli serve --in missing.csv --port 70000
+expect_flag_rejected threads ./build/tools/yver_cli serve --in missing.csv --threads -1
 
 if [[ "$run_tsan" == 1 ]]; then
   echo "==> tier-1: ThreadSanitizer race check (serve layer + pipeline/blocking determinism)"

@@ -1,5 +1,7 @@
 #include "serve/ingest.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <utility>
@@ -11,6 +13,48 @@
 #include "util/check.h"
 
 namespace yver::serve {
+
+std::string WalSnapshotPath(const std::string& wal_dir) {
+  return wal_dir + "/snapshot-appends.csv";
+}
+
+util::StatusOr<WalRecovery> RecoverWal(const std::string& dir,
+                                       const WalOptions& options,
+                                       core::IncrementalResolver* resolver) {
+  WalRecovery recovery;
+  // Replay order is the determinism contract: snapshot rows first (they
+  // ARE the first appends, in arrival order), then every log record beyond
+  // what the snapshot covers.
+  std::string snapshot_path = WalSnapshotPath(dir);
+  if (::access(snapshot_path.c_str(), F_OK) == 0) {
+    auto snapshot = data::LoadDatasetCsvLenient(snapshot_path);
+    if (!snapshot.ok()) {
+      return util::Status(snapshot.status().code(),
+                          "wal snapshot " + snapshot_path + ": " +
+                              snapshot.status().message());
+    }
+    for (const data::Record& record : snapshot->records()) {
+      resolver->AddRecord(record);
+    }
+    recovery.snapshot_records = snapshot->size();
+  }
+  std::vector<WalRecoveredRecord> recovered;
+  auto opened = WriteAheadLog::Open(dir, options, &recovered);
+  if (!opened.ok()) {
+    return util::Status(opened.status().code(),
+                        "wal recovery in " + dir + ": " +
+                            opened.status().message());
+  }
+  recovery.wal = std::move(opened).value();
+  for (WalRecoveredRecord& record : recovered) {
+    // Sequences the snapshot covers are already in (their segments just
+    // have not been retired yet).
+    if (record.sequence <= recovery.snapshot_records) continue;
+    resolver->AddRecord(std::move(record.record));
+    ++recovery.log_records;
+  }
+  return recovery;
+}
 
 LiveIndexBuilder::LiveIndexBuilder(
     std::shared_ptr<ResolutionService> service,
@@ -186,10 +230,7 @@ void LiveIndexBuilder::Run() {
 }
 
 void LiveIndexBuilder::MaybeSnapshot() {
-  if (options_.wal == nullptr || options_.snapshot_every == 0 ||
-      options_.snapshot_path.empty()) {
-    return;
-  }
+  if (options_.wal == nullptr || options_.snapshot_every == 0) return;
   size_t appended = resolver_->dataset().size() - options_.wal_base_records;
   if (appended < last_snapshot_count_ + options_.snapshot_every) return;
   // Persist the appended suffix crash-atomically (stream the CSV to a tmp
@@ -202,10 +243,11 @@ void LiveIndexBuilder::MaybeSnapshot() {
        ++i) {
     suffix.Add(resolver_->dataset()[static_cast<data::RecordIdx>(i)]);
   }
-  std::string tmp = options_.snapshot_path + ".tmp";
+  std::string path = WalSnapshotPath(options_.wal->dir());
+  std::string tmp = path + ".tmp";
   util::Status persisted =
       data::SaveDatasetCsv(suffix, tmp)
-          ? util::PromoteFileAtomic(tmp, options_.snapshot_path)
+          ? util::PromoteFileAtomic(tmp, path)
           : util::Status::Unavailable("cannot write " + tmp);
   if (persisted.ok()) {
     persisted = options_.wal->Retire(static_cast<uint64_t>(appended));

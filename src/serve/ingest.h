@@ -6,6 +6,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "core/incremental.h"
@@ -37,11 +38,37 @@ struct IngestOptions {
   /// wal_base_records + s - 1. Only meaningful with `wal`.
   size_t wal_base_records = 0;
   /// Every this many applied records the builder persists the appended
-  /// suffix as a crash-atomic CSV snapshot at `snapshot_path` and retires
-  /// WAL segments the snapshot covers (0 = never snapshot).
+  /// suffix as a crash-atomic CSV snapshot at WalSnapshotPath(wal->dir())
+  /// and retires WAL segments the snapshot covers (0 = never snapshot).
   size_t snapshot_every = 0;
-  std::string snapshot_path;
 };
+
+/// The appended-suffix snapshot a LiveIndexBuilder keeps inside the WAL
+/// directory `wal_dir`: a CSV of the first N appends, in arrival order,
+/// which covers WAL sequences 1..N.
+std::string WalSnapshotPath(const std::string& wal_dir);
+
+/// What RecoverWal replayed, plus the log it reopened for appending.
+struct WalRecovery {
+  std::unique_ptr<WriteAheadLog> wal;
+  size_t snapshot_records = 0;  // appends replayed from the snapshot CSV
+  size_t log_records = 0;       // appends replayed from the log past it
+};
+
+/// Crash recovery for durable live ingest (DESIGN.md §14). `resolver` must
+/// be seeded with exactly the corpus the log's first record lands after
+/// (the builder's IngestOptions::wal_base_records). Replays the snapshot
+/// CSV in `dir`, if there is one, and then every log record it does not
+/// cover (sequence > snapshot size) into `resolver`, in sequence order —
+/// the order the records were acked in. Afterwards the resolver holds the
+/// seed corpus plus the acked prefix at the corpus indices the acks
+/// promised, so an index built from it equals the one served before the
+/// crash. Returns the reopened log, ready to back IngestOptions::wal.
+/// Errors are typed: the snapshot's load status, or WriteAheadLog::Open's
+/// (DATA_LOSS on mid-log corruption, UNAVAILABLE on I/O failure).
+util::StatusOr<WalRecovery> RecoverWal(const std::string& dir,
+                                       const WalOptions& options,
+                                       core::IncrementalResolver* resolver);
 
 /// Point-in-time ingest counters.
 struct IngestStats {

@@ -59,7 +59,7 @@ util::StatusOr<std::vector<std::string>> LoadCapture(
     return util::Status::InvalidArgument("not a capture file: " + path);
   }
   uint8_t version = static_cast<uint8_t>(data[4]);
-  if (version == 0 || version > wire::kVersion) {
+  if (version != wire::kVersion) {
     return util::Status::InvalidArgument(
         "unsupported capture version " + std::to_string(version) + ": " +
         path);

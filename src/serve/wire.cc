@@ -134,16 +134,6 @@ bool StatusCodeFromWire(uint8_t byte, util::StatusCode* code) {
   }
 }
 
-// Frame types are versioned: v1 defined kQuery..kInfo, v2 added the
-// append pair (v3/v4 added no types, only trailing payload fields). A frame
-// whose version predates its own type is a protocol violation, not a
-// forward-compat case.
-bool KnownFrameType(uint8_t byte, uint8_t version) {
-  uint8_t last = static_cast<uint8_t>(version >= 2 ? FrameType::kAppendAck
-                                                   : FrameType::kInfo);
-  return byte >= static_cast<uint8_t>(FrameType::kQuery) && byte <= last;
-}
-
 void PutQueryEcho(std::string* out, const Query& query) {
   PutU32(out, query.record);
   PutF64(out, query.certainty);
@@ -151,21 +141,23 @@ void PutQueryEcho(std::string* out, const Query& query) {
   PutU8(out, static_cast<uint8_t>(query.granularity));
 }
 
-bool ReadQueryEcho(PayloadReader* r, Query* query, bool* bad_granularity) {
+// Reads the query fields a kQuery payload and a kResult echo share.
+// False on truncation; the granularity byte is stored as read, so callers
+// reject an unknown one with KnownGranularity.
+bool ReadQueryEcho(PayloadReader* r, Query* query) {
   uint64_t k = 0;
   uint8_t granularity = 0;
-  *bad_granularity = false;
   if (!r->ReadU32(&query->record) || !r->ReadF64(&query->certainty) ||
       !r->ReadU64(&k) || !r->ReadU8(&granularity)) {
     return false;
   }
   query->k = static_cast<size_t>(k);
-  if (granularity > static_cast<uint8_t>(Granularity::kEntity)) {
-    *bad_granularity = true;
-    return true;
-  }
   query->granularity = static_cast<Granularity>(granularity);
   return true;
+}
+
+bool KnownGranularity(Granularity granularity) {
+  return granularity <= Granularity::kEntity;
 }
 
 }  // namespace
@@ -187,16 +179,15 @@ util::StatusOr<size_t> PeekFrameHeader(std::string_view buffer,
   if (p[0] != kMagic0 || p[1] != kMagic1) {
     return util::Status::DataLoss("bad frame magic");
   }
-  uint8_t version = p[2];
-  if (version == 0 || version > kVersion) {
+  if (p[2] != kVersion) {
     return util::Status::InvalidArgument(
-        "unsupported wire version " + std::to_string(version) +
-        " (this binary speaks <= " + std::to_string(kVersion) + ")");
+        "unsupported wire version " + std::to_string(p[2]) +
+        " (this binary speaks " + std::to_string(kVersion) + ")");
   }
-  if (!KnownFrameType(p[3], version)) {
-    return util::Status::InvalidArgument(
-        "unknown frame type " + std::to_string(p[3]) + " for version " +
-        std::to_string(version));
+  if (p[3] < static_cast<uint8_t>(FrameType::kQuery) ||
+      p[3] > static_cast<uint8_t>(FrameType::kAppendAck)) {
+    return util::Status::InvalidArgument("unknown frame type " +
+                                         std::to_string(p[3]));
   }
   uint32_t length = 0;
   for (int i = 0; i < 4; ++i) {
@@ -207,7 +198,6 @@ util::StatusOr<size_t> PeekFrameHeader(std::string_view buffer,
                                   std::to_string(length) +
                                   " exceeds the protocol maximum");
   }
-  header->version = version;
   header->type = static_cast<FrameType>(p[3]);
   header->payload_length = length;
   return kHeaderSize;
@@ -220,7 +210,6 @@ util::StatusOr<size_t> ExtractFrame(std::string_view buffer, Frame* frame) {
   if (*peeked == 0) return size_t{0};
   if (buffer.size() < kHeaderSize + header.payload_length) return size_t{0};
   frame->type = header.type;
-  frame->version = header.version;
   frame->payload.assign(buffer.data() + kHeaderSize, header.payload_length);
   return kHeaderSize + header.payload_length;
 }
@@ -231,10 +220,7 @@ util::StatusOr<size_t> ExtractFrame(std::string_view buffer, Frame* frame) {
 void EncodeQuery(const Query& query, double deadline_ms, std::string* out) {
   std::string payload;
   payload.reserve(29);
-  PutU32(&payload, query.record);
-  PutF64(&payload, query.certainty);
-  PutU64(&payload, query.k);
-  PutU8(&payload, static_cast<uint8_t>(query.granularity));
+  PutQueryEcho(&payload, query);
   PutF64(&payload, deadline_ms);
   AppendFrame(FrameType::kQuery, payload, out);
 }
@@ -245,24 +231,15 @@ util::StatusOr<DecodedQuery> DecodeQuery(const Frame& frame) {
   }
   PayloadReader r(frame.payload);
   DecodedQuery decoded;
-  bool bad_granularity = false;
-  uint64_t k = 0;
-  uint8_t granularity = 0;
-  if (!r.ReadU32(&decoded.query.record) ||
-      !r.ReadF64(&decoded.query.certainty) || !r.ReadU64(&k) ||
-      !r.ReadU8(&granularity) || !r.ReadF64(&decoded.deadline_ms)) {
+  if (!ReadQueryEcho(&r, &decoded.query) ||
+      !r.ReadF64(&decoded.deadline_ms)) {
     return Truncated("query");
   }
   if (!r.Done()) return TrailingBytes("query");
-  decoded.query.k = static_cast<size_t>(k);
-  if (granularity > static_cast<uint8_t>(Granularity::kEntity)) {
-    bad_granularity = true;
-  } else {
-    decoded.query.granularity = static_cast<Granularity>(granularity);
-  }
-  if (bad_granularity) {
-    return util::Status::InvalidArgument("unknown granularity " +
-                                         std::to_string(granularity));
+  if (!KnownGranularity(decoded.query.granularity)) {
+    return util::Status::InvalidArgument(
+        "unknown granularity " +
+        std::to_string(static_cast<int>(decoded.query.granularity)));
   }
   if (std::isnan(decoded.deadline_ms)) {
     return util::Status::InvalidArgument("query deadline is NaN");
@@ -305,7 +282,7 @@ void EncodeResult(const util::StatusOr<QueryResult>& result,
   }
   PutU32(&payload, static_cast<uint32_t>(r.entity.size()));
   for (data::RecordIdx member : r.entity) PutU32(&payload, member);
-  PutU64(&payload, r.generation);  // v2: which snapshot answered
+  PutU64(&payload, r.generation);  // which snapshot answered
   AppendFrame(FrameType::kResult, payload, out);
 }
 
@@ -335,12 +312,10 @@ util::StatusOr<QueryResult> DecodeResult(const Frame& frame) {
   PayloadReader r(frame.payload);
   QueryResult result;
   uint8_t flags = 0;
-  bool bad_granularity = false;
-  if (!r.ReadU8(&flags) ||
-      !ReadQueryEcho(&r, &result.query, &bad_granularity)) {
+  if (!r.ReadU8(&flags) || !ReadQueryEcho(&r, &result.query)) {
     return Truncated("result");
   }
-  if (bad_granularity) {
+  if (!KnownGranularity(result.query.granularity)) {
     return util::Status::InvalidArgument(
         "unknown granularity in result echo");
   }
@@ -378,11 +353,7 @@ util::StatusOr<QueryResult> DecodeResult(const Frame& frame) {
     if (!r.ReadU32(&member)) return Truncated("result entity list");
     result.entity.push_back(member);
   }
-  if (frame.version >= 2) {
-    if (!r.ReadU64(&result.generation)) return Truncated("result");
-  } else {
-    result.generation = 1;  // a v1 server only ever serves generation 1
-  }
+  if (!r.ReadU64(&result.generation)) return Truncated("result");
   if (!r.Done()) return TrailingBytes("result");
   return result;
 }
@@ -413,13 +384,10 @@ void EncodeInfo(const ServerInfo& info, std::string* out) {
   for (uint64_t bucket : info.metrics.latency_histogram_ns) {
     PutU64(&payload, bucket);
   }
-  // v2: live-index gauges, appended so a v1 decoder's layout is a prefix.
   PutU64(&payload, info.metrics.generation);
   PutU64(&payload, info.metrics.publishes);
   PutU64(&payload, info.metrics.pinned_readers);
-  // v3: staleness-bound eviction counter, appended likewise.
   PutU64(&payload, info.metrics.evicted_stale);
-  // v4: connection-lifecycle gauges (DESIGN.md §15), appended likewise.
   PutU64(&payload, info.net.open_connections);
   PutU64(&payload, info.net.paused_reads);
   PutU64(&payload, info.net.disconnects_idle);
@@ -458,42 +426,26 @@ util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame) {
     if (!r.ReadU64(&bucket)) return Truncated("info histogram");
     info.metrics.latency_histogram_ns.push_back(bucket);
   }
-  if (frame.version >= 2) {
-    if (!r.ReadU64(&info.metrics.generation) ||
-        !r.ReadU64(&info.metrics.publishes) ||
-        !r.ReadU64(&info.metrics.pinned_readers)) {
-      return Truncated("info");
-    }
-  } else {
-    info.metrics.generation = 1;
-    info.metrics.publishes = 0;
-    info.metrics.pinned_readers = 0;
-  }
-  if (frame.version >= 3) {
-    if (!r.ReadU64(&info.metrics.evicted_stale)) return Truncated("info");
-  } else {
-    info.metrics.evicted_stale = 0;
-  }
-  if (frame.version >= 4) {
-    if (!r.ReadU64(&info.net.open_connections) ||
-        !r.ReadU64(&info.net.paused_reads) ||
-        !r.ReadU64(&info.net.disconnects_idle) ||
-        !r.ReadU64(&info.net.disconnects_slowloris) ||
-        !r.ReadU64(&info.net.disconnects_oversize) ||
-        !r.ReadU64(&info.net.disconnects_rate_limited) ||
-        !r.ReadU64(&info.net.disconnects_write_stall) ||
-        !r.ReadU64(&info.net.rate_limited_frames)) {
-      return Truncated("info");
-    }
-  } else {
-    info.net = NetGauges{};
+  if (!r.ReadU64(&info.metrics.generation) ||
+      !r.ReadU64(&info.metrics.publishes) ||
+      !r.ReadU64(&info.metrics.pinned_readers) ||
+      !r.ReadU64(&info.metrics.evicted_stale) ||
+      !r.ReadU64(&info.net.open_connections) ||
+      !r.ReadU64(&info.net.paused_reads) ||
+      !r.ReadU64(&info.net.disconnects_idle) ||
+      !r.ReadU64(&info.net.disconnects_slowloris) ||
+      !r.ReadU64(&info.net.disconnects_oversize) ||
+      !r.ReadU64(&info.net.disconnects_rate_limited) ||
+      !r.ReadU64(&info.net.disconnects_write_stall) ||
+      !r.ReadU64(&info.net.rate_limited_frames)) {
+    return Truncated("info");
   }
   if (!r.Done()) return TrailingBytes("info");
   return info;
 }
 
 // ---------------------------------------------------------------------------
-// Live ingest (v2)
+// Live ingest
 
 void EncodeAppend(const data::Record& record, std::string* out) {
   std::string payload;
@@ -565,8 +517,6 @@ void EncodeAppendAck(const AppendAck& ack, std::string* out) {
   payload.reserve(25);
   PutU64(&payload, ack.record_idx);
   PutU64(&payload, ack.generation);
-  // v3: durability of the ack, appended so a v2 decoder's layout is a
-  // prefix.
   PutU8(&payload, ack.durable ? 1 : 0);
   PutU64(&payload, ack.wal_sequence);
   AppendFrame(FrameType::kAppendAck, payload, out);
@@ -578,23 +528,16 @@ util::StatusOr<AppendAck> DecodeAppendAck(const Frame& frame) {
   }
   PayloadReader r(frame.payload);
   AppendAck ack;
-  if (!r.ReadU64(&ack.record_idx) || !r.ReadU64(&ack.generation)) {
+  uint8_t durable = 0;
+  if (!r.ReadU64(&ack.record_idx) || !r.ReadU64(&ack.generation) ||
+      !r.ReadU8(&durable) || !r.ReadU64(&ack.wal_sequence)) {
     return Truncated("append ack");
   }
-  if (frame.version >= 3) {
-    uint8_t durable = 0;
-    if (!r.ReadU8(&durable) || !r.ReadU64(&ack.wal_sequence)) {
-      return Truncated("append ack");
-    }
-    if (durable > 1) {
-      return util::Status::InvalidArgument("unknown durable flag " +
-                                           std::to_string(durable));
-    }
-    ack.durable = durable != 0;
-  } else {
-    ack.durable = false;
-    ack.wal_sequence = 0;
+  if (durable > 1) {
+    return util::Status::InvalidArgument("unknown durable flag " +
+                                         std::to_string(durable));
   }
+  ack.durable = durable != 0;
   if (!r.Done()) return TrailingBytes("append ack");
   return ack;
 }

@@ -19,7 +19,7 @@ namespace yver::serve::wire {
 ///
 ///   offset 0  magic      0x59 'Y'
 ///   offset 1  magic      0x57 'W'
-///   offset 2  version    kVersion (compat rules below)
+///   offset 2  version    kVersion (the only dialect, see below)
 ///   offset 3  frame type FrameType
 ///   offset 4  payload length, uint32 little-endian
 ///   offset 8  payload (length bytes)
@@ -29,29 +29,10 @@ namespace yver::serve::wire {
 /// always yields a typed util::Status — the decoder never crashes, never
 /// over-reads, and never allocates more than kMaxFramePayload.
 ///
-/// Version/compat rules: a decoder accepts frames with version in
-/// [1, kVersion] (payload layouts are append-only within a frame type, so
-/// an old capture stays replayable against a newer binary); versions
-/// beyond kVersion are rejected with INVALID_ARGUMENT ("speak an older
-/// dialect, never guess a newer one").
-///
-/// Version history:
-///   v1 — queries, results, errors, info.
-///   v2 — live index updates: kResult gains a trailing generation field,
-///        kInfo gains generation/publishes/pinned_readers, and the
-///        kAppendRequest/kAppendAck frames (record ingest) are added.
-///        v1 payloads decode with generation defaulted to 1 (the only
-///        generation a v1 server ever serves).
-///   v3 — durable ingest: kAppendAck gains trailing durable/wal_sequence
-///        fields (an ack from a WAL-backed server means the record is
-///        fsync'd, DESIGN.md §14), kInfo gains evicted_stale (the
-///        serve-stale degradation bound). No new frame types; v2 payloads
-///        decode with durable = false and evicted_stale = 0.
-///   v4 — connection-lifecycle defense (DESIGN.md §15): kInfo gains the
-///        NetGauges block — open connections, paused reads, disconnect
-///        counts by reason (idle, slowloris, oversize, rate-limited,
-///        write-stall), and rate-limited frame count. No new frame types;
-///        pre-v4 payloads decode with all gauges zero.
+/// One dialect: a decoder accepts exactly kVersion and rejects every
+/// other version byte with INVALID_ARGUMENT. Every peer, capture and WAL
+/// segment is written by a binary that speaks this dialect, so there is no
+/// older layout to decode with defaults and no newer one to guess at.
 
 inline constexpr uint8_t kMagic0 = 0x59;  // 'Y'
 inline constexpr uint8_t kMagic1 = 0x57;  // 'W'
@@ -67,15 +48,14 @@ enum class FrameType : uint8_t {
   kError = 3,          // server -> client: a typed non-OK util::Status
   kInfoRequest = 4,    // client -> server: corpus + metrics snapshot request
   kInfo = 5,           // server -> client: ServerInfo
-  kAppendRequest = 6,  // client -> server: one data::Record to ingest (v2)
-  kAppendAck = 7,      // server -> client: assigned index + generation (v2)
+  kAppendRequest = 6,  // client -> server: one data::Record to ingest
+  kAppendAck = 7,      // server -> client: assigned index + generation
 };
 
 /// One decoded frame: the type plus the raw payload bytes. The payload is
 /// owned so a frame outlives the connection buffer it was parsed from.
 struct Frame {
   FrameType type = FrameType::kQuery;
-  uint8_t version = kVersion;
   std::string payload;
 };
 
@@ -84,7 +64,6 @@ void AppendFrame(FrameType type, std::string_view payload, std::string* out);
 
 /// The fixed fields of one frame header, parsed without touching payload.
 struct FrameHeader {
-  uint8_t version = kVersion;
   FrameType type = FrameType::kQuery;
   uint32_t payload_length = 0;
 };
@@ -155,7 +134,7 @@ util::StatusOr<QueryResult> DecodeResult(const Frame& frame);
 // ---------------------------------------------------------------------------
 // Server info
 
-/// v4: connection-lifecycle gauges from the TCP front end (DESIGN.md §15)
+/// Connection-lifecycle gauges from the TCP front end (DESIGN.md §15)
 /// — how many peers are connected, how many have reads paused for
 /// backpressure, and why hostile ones were disconnected. The disconnect
 /// counters are the observable half of the defense layer's typed-reason
@@ -180,7 +159,7 @@ struct ServerInfo {
   uint64_t num_matches = 0;
   uint64_t checksum = 0;
   ServiceMetrics metrics;
-  NetGauges net;  // v4; zero when decoded from a pre-v4 frame
+  NetGauges net;
 };
 
 /// Appends a kInfoRequest frame (empty payload).
@@ -189,14 +168,11 @@ void EncodeInfoRequest(std::string* out);
 /// Appends a kInfo frame for `info`.
 void EncodeInfo(const ServerInfo& info, std::string* out);
 
-/// Decodes a kInfo frame. DATA_LOSS on size mismatch. A v1 payload
-/// decodes with metrics.generation = 1 and publishes/pinned_readers = 0;
-/// a pre-v3 payload decodes with metrics.evicted_stale = 0; a pre-v4
-/// payload decodes with every NetGauges field zero.
+/// Decodes a kInfo frame. DATA_LOSS on size mismatch.
 util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame);
 
 // ---------------------------------------------------------------------------
-// Live ingest (v2)
+// Live ingest
 
 /// The server's answer to a kAppendRequest: the record index the appended
 /// report was assigned (it becomes queryable at that index once the
@@ -206,12 +182,12 @@ util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame);
 struct AppendAck {
   uint64_t record_idx = 0;
   uint64_t generation = 0;
-  /// v3: true when the server wrote the record through a write-ahead log
-  /// before acking — this ack survives a server crash (DESIGN.md §14). A
-  /// v2 ack (or a server running without --wal-dir) decodes as false:
-  /// the record is enqueued but a crash before the next snapshot loses it.
+  /// True when the server wrote the record through a write-ahead log
+  /// before acking — this ack survives a server crash (DESIGN.md §14).
+  /// False from a server running without a WAL: the record is enqueued
+  /// but a crash before the next snapshot loses it.
   bool durable = false;
-  /// v3: the WAL sequence the record occupies when durable (1-based;
+  /// The WAL sequence the record occupies when durable (1-based;
   /// 0 when not durable). Mostly diagnostic — the record_idx is the
   /// queryable identity — but lets a client correlate acks with WAL
   /// segment files during recovery drills.
@@ -233,8 +209,8 @@ util::StatusOr<data::Record> DecodeAppend(const Frame& frame);
 /// Appends a kAppendAck frame.
 void EncodeAppendAck(const AppendAck& ack, std::string* out);
 
-/// Decodes a kAppendAck frame. DATA_LOSS on size mismatch. A v2 payload
-/// decodes with durable = false and wal_sequence = 0.
+/// Decodes a kAppendAck frame. DATA_LOSS on size mismatch,
+/// INVALID_ARGUMENT on a durable flag other than 0 or 1.
 util::StatusOr<AppendAck> DecodeAppendAck(const Frame& frame);
 
 }  // namespace yver::serve::wire

@@ -13,6 +13,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -28,6 +30,7 @@
 #include "serve/resolution_index.h"
 #include "serve/resolution_service.h"
 #include "serve/wal.h"
+#include "util/deadline.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
 
@@ -617,7 +620,6 @@ TEST(WalIngestTest, AckedRecordsSurviveAndReplayDeterministically) {
 // sequences, and replays only the suffix — landing on the same index.
 TEST(WalIngestTest, SnapshotRetiresSegmentsAndRestartReplays) {
   std::string dir = FreshDir("wal_ingest_snapshot");
-  std::string snapshot_path = dir + "/snapshot-appends.csv";
   std::vector<WalRecoveredRecord> recovered;
   auto wal = OpenWal(dir, &recovered, /*segment_bytes=*/1);
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
@@ -626,7 +628,6 @@ TEST(WalIngestTest, SnapshotRetiresSegmentsAndRestartReplays) {
   {
     IngestOptions options;
     options.snapshot_every = 8;
-    options.snapshot_path = snapshot_path;
     LiveServing live = MakeWalServing(wal->get(), options);
     for (uint64_t i = 0; i < 20; ++i) {
       auto idx = live.builder->Submit(
@@ -645,33 +646,203 @@ TEST(WalIngestTest, SnapshotRetiresSegmentsAndRestartReplays) {
   // The snapshot exists and the segments it covers are gone (20 one-record
   // segments were written; at most the post-snapshot suffix plus the
   // always-kept newest segment remain).
-  EXPECT_EQ(::access(snapshot_path.c_str(), F_OK), 0);
+  EXPECT_EQ(::access(WalSnapshotPath(dir).c_str(), F_OK), 0);
   EXPECT_LE((*wal)->stats().segments, 6u);
   wal->reset();
 
-  // Restart exactly the way `yver_cli serve --live --wal-dir` does: load
-  // the snapshot, replay WAL records past it, rebuild.
-  auto snapshot = data::LoadDatasetCsvLenient(snapshot_path);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  ASSERT_EQ(snapshot->size(), 16u);  // two snapshots of 8 appends each
-  auto resolver = std::make_unique<core::IncrementalResolver>(
-      MakeSeedCorpus(), core::RankedResolution(), ml::AdTree());
-  for (const auto& rec : snapshot->records()) resolver->AddRecord(rec);
-
-  auto reopened = OpenWal(dir, &recovered, /*segment_bytes=*/1);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ASSERT_FALSE(recovered.empty());
-  size_t replayed = 0;
-  for (const auto& rec : recovered) {
-    if (rec.sequence <= snapshot->size()) continue;  // covered by snapshot
-    resolver->AddRecord(rec.record);
-    ++replayed;
-  }
-  EXPECT_EQ(replayed, 4u);
-  ASSERT_EQ(resolver->dataset().size(), 24u);
-  ResolutionIndex rebuilt(resolver->Resolution(), resolver->dataset().size());
+  // Restart: load the snapshot, replay the WAL records past it, rebuild.
+  core::IncrementalResolver resolver(MakeSeedCorpus(),
+                                     core::RankedResolution(), ml::AdTree());
+  auto recovered_wal = RecoverWal(dir, WalOptions{.segment_bytes = 1},
+                                  &resolver);
+  ASSERT_TRUE(recovered_wal.ok()) << recovered_wal.status().ToString();
+  EXPECT_EQ(recovered_wal->snapshot_records, 16u);  // two snapshots of 8
+  EXPECT_EQ(recovered_wal->log_records, 4u);
+  ASSERT_EQ(resolver.dataset().size(), 24u);
+  ResolutionIndex rebuilt(resolver.Resolution(), resolver.dataset().size());
   EXPECT_EQ(rebuilt.Checksum(), served_checksum)
       << "snapshot + suffix replay diverged from the served index";
+}
+
+// ---------------------------------------------------------------------------
+// RecoverWal: the restart path of durable live ingest, in process. Every
+// case checks the recovered corpus against the reference — the seed corpus
+// plus the acked records applied one at a time, in ack order, through a
+// fresh resolver — by book id order and by index checksum.
+
+// Reports that share names and towns with each other and with the seed
+// corpus, so where each one lands changes the matches.
+std::vector<data::Record> AppendStream(size_t n) {
+  static const char* const kFirst[] = {"chaim", "sara", "dvora", "moshe"};
+  static const char* const kTown[] = {"vilna", "lodz", "warsaw"};
+  std::vector<data::Record> records;
+  for (size_t i = 0; i < n; ++i) {
+    records.push_back(MakeReport(7000 + i, kFirst[i % 4],
+                                 i % 3 == 0 ? "levi" : "cohen",
+                                 kTown[(i / 2) % 3]));
+  }
+  return records;
+}
+
+struct RecoveryCheck {
+  WalRecovery recovery;
+  std::vector<uint64_t> appended_book_ids;  // corpus order, past the seed
+  uint64_t checksum = 0;
+};
+
+util::StatusOr<RecoveryCheck> Recover(const std::string& dir,
+                                      WalOptions options = {}) {
+  core::IncrementalResolver resolver(MakeSeedCorpus(),
+                                     core::RankedResolution(), ml::AdTree());
+  size_t seed_size = resolver.dataset().size();
+  auto recovered = RecoverWal(dir, options, &resolver);
+  if (!recovered.ok()) return recovered.status();
+  RecoveryCheck check;
+  check.recovery = std::move(recovered).value();
+  for (size_t i = seed_size; i < resolver.dataset().size(); ++i) {
+    check.appended_book_ids.push_back(
+        resolver.dataset()[static_cast<data::RecordIdx>(i)].book_id);
+  }
+  check.checksum =
+      ResolutionIndex(resolver.Resolution(), resolver.dataset().size())
+          .Checksum();
+  return check;
+}
+
+void ExpectRecoveredExactly(const RecoveryCheck& check,
+                            const std::vector<data::Record>& acked) {
+  core::IncrementalResolver serial(MakeSeedCorpus(), core::RankedResolution(),
+                                   ml::AdTree());
+  std::vector<uint64_t> acked_book_ids;
+  for (const data::Record& record : acked) {
+    serial.AddRecord(record);
+    acked_book_ids.push_back(record.book_id);
+  }
+  EXPECT_EQ(check.appended_book_ids, acked_book_ids)
+      << "recovery changed which records were appended, or their order";
+  EXPECT_EQ(check.checksum,
+            ResolutionIndex(serial.Resolution(), serial.dataset().size())
+                .Checksum())
+      << "recovered index diverged from the serial replay of the acks";
+}
+
+// Submits `records` through a WAL-backed builder in `dir` and stops it;
+// every Submit must be acked.
+void IngestAndStop(const std::string& dir, const WalOptions& wal_options,
+                   IngestOptions options,
+                   const std::vector<data::Record>& records) {
+  std::vector<WalRecoveredRecord> recovered;
+  auto wal = WriteAheadLog::Open(dir, wal_options, &recovered);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  LiveServing live = MakeWalServing(wal->get(), options);
+  for (const data::Record& record : records) {
+    auto idx = live.builder->Submit(record);
+    ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  }
+  live.builder->Stop();
+}
+
+TEST(WalRecoveryTest, EmptyDirectoryRecoversNothing) {
+  std::string dir = FreshDir("wal_recover_empty");
+  auto check = Recover(dir);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_EQ(check->recovery.snapshot_records, 0u);
+  EXPECT_EQ(check->recovery.log_records, 0u);
+  ASSERT_NE(check->recovery.wal, nullptr);
+  EXPECT_EQ(check->recovery.wal->durable_sequence(), 0u);
+  ExpectRecoveredExactly(*check, {});
+}
+
+TEST(WalRecoveryTest, LogOnlyReplaysEveryRecord) {
+  std::string dir = FreshDir("wal_recover_log_only");
+  std::vector<data::Record> acked = AppendStream(11);
+  IngestAndStop(dir, WalOptions{}, IngestOptions{}, acked);
+  EXPECT_NE(::access(WalSnapshotPath(dir).c_str(), F_OK), 0);
+
+  auto check = Recover(dir);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_EQ(check->recovery.snapshot_records, 0u);
+  EXPECT_EQ(check->recovery.log_records, 11u);
+  EXPECT_EQ(check->recovery.wal->durable_sequence(), 11u);
+  ExpectRecoveredExactly(*check, acked);
+}
+
+// The snapshot covers every sequence still in the log: the newest segment
+// is never retired, so its record is on disk twice — once in the snapshot,
+// once in the log — and must be replayed once.
+TEST(WalRecoveryTest, SnapshotCoveringEveryLogSequenceReplaysNoLog) {
+  std::string dir = FreshDir("wal_recover_snapshot_only");
+  WalOptions wal_options{.segment_bytes = 1};
+  IngestOptions options;
+  options.snapshot_every = 8;
+  std::vector<data::Record> acked = AppendStream(16);
+  IngestAndStop(dir, wal_options, options, acked);
+  ASSERT_FALSE(SegmentPaths(dir).empty());
+
+  auto check = Recover(dir, wal_options);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_EQ(check->recovery.snapshot_records, 16u);
+  EXPECT_EQ(check->recovery.log_records, 0u);
+  EXPECT_EQ(check->recovery.wal->durable_sequence(), 16u);
+  ExpectRecoveredExactly(*check, acked);
+}
+
+// One segment holds every sequence, so none is retired: recovery must take
+// 1..16 from the snapshot only and 17..20 from the log only, in that order.
+TEST(WalRecoveryTest, SnapshotPlusSuffixReplaysSnapshotThenSuffix) {
+  std::string dir = FreshDir("wal_recover_snapshot_suffix");
+  IngestOptions options;
+  options.snapshot_every = 8;
+  std::vector<data::Record> acked = AppendStream(20);
+  IngestAndStop(dir, WalOptions{}, options, acked);
+  ASSERT_EQ(SegmentPaths(dir).size(), 1u);
+
+  auto check = Recover(dir);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_EQ(check->recovery.snapshot_records, 16u);
+  EXPECT_EQ(check->recovery.log_records, 4u);
+  EXPECT_EQ(check->recovery.wal->durable_sequence(), 20u);
+  ExpectRecoveredExactly(*check, acked);
+}
+
+// A crash image taken while the builder is still running: every Submit
+// returned (so every record is acked and fsync'd), one snapshot is on
+// disk, and the builder may not have applied the rest. No Stop runs
+// before the image is copied; recovery from the copy must still hold
+// exactly the acked records.
+TEST(WalRecoveryTest, BuilderAbandonedMidStreamRecoversEveryAck) {
+  std::string dir = FreshDir("wal_recover_abandoned");
+  std::string image = FreshDir("wal_recover_abandoned_image");
+  WalOptions wal_options{.segment_bytes = 1};
+  std::vector<WalRecoveredRecord> recovered;
+  auto wal = WriteAheadLog::Open(dir, wal_options, &recovered);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  IngestOptions options;
+  options.snapshot_every = 8;
+  LiveServing live = MakeWalServing(wal->get(), options);
+  std::vector<data::Record> acked = AppendStream(12);
+  for (const data::Record& record : acked) {
+    ASSERT_TRUE(live.builder->Submit(record).ok());
+  }
+  // The builder writes to the directory only when it snapshots, and the
+  // next snapshot needs 16 applied records: once the first has landed the
+  // directory is quiescent and can be copied as a consistent image.
+  util::Deadline deadline = util::Deadline::AfterMillis(30000);
+  while (live.builder->stats().snapshots < 1) {
+    ASSERT_FALSE(deadline.HasExpired()) << "no snapshot was written";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::filesystem::create_directories(image);
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::filesystem::copy_file(entry.path(),
+                               image + "/" + entry.path().filename().string());
+  }
+
+  auto check = Recover(image, wal_options);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_EQ(check->recovery.snapshot_records, 8u);
+  EXPECT_EQ(check->recovery.log_records, 4u);
+  ExpectRecoveredExactly(*check, acked);
 }
 
 }  // namespace

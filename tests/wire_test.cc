@@ -268,21 +268,31 @@ TEST(WireCodecTest, HeaderRejectionsAreTyped) {
     ASSERT_FALSE(consumed.ok());
     EXPECT_EQ(consumed.status().code(), StatusCode::kDataLoss);
   }
-  {
-    std::string bad = bytes;
-    bad[2] = 0;  // version 0: never valid
-    wire::Frame frame;
-    auto consumed = wire::ExtractFrame(bad, &frame);
-    ASSERT_FALSE(consumed.ok());
-    EXPECT_EQ(consumed.status().code(), StatusCode::kInvalidArgument);
-  }
-  {
-    std::string bad = bytes;
-    bad[2] = wire::kVersion + 1;  // newer dialect: reject, never guess
-    wire::Frame frame;
-    auto consumed = wire::ExtractFrame(bad, &frame);
-    ASSERT_FALSE(consumed.ok());
-    EXPECT_EQ(consumed.status().code(), StatusCode::kInvalidArgument);
+  // One dialect: version 0, every older version, and a newer one are all
+  // rejected from the header alone, for every frame type — an append frame
+  // claiming an old version included.
+  std::vector<std::string> frames = {bytes};
+  data::Record record;
+  record.book_id = 1;
+  record.Add(data::AttributeId::kFirstName, "x");
+  wire::EncodeAppend(record, &frames.emplace_back());
+  wire::EncodeInfoRequest(&frames.emplace_back());
+  for (const std::string& good : frames) {
+    for (int version = 0; version <= wire::kVersion + 1; ++version) {
+      if (version == wire::kVersion) continue;
+      std::string bad = good;
+      bad[2] = static_cast<char>(version);
+      wire::FrameHeader header;
+      auto peeked = wire::PeekFrameHeader(bad, &header);
+      ASSERT_FALSE(peeked.ok()) << "version " << version;
+      EXPECT_EQ(peeked.status().code(), StatusCode::kInvalidArgument)
+          << "version " << version;
+      wire::Frame frame;
+      auto consumed = wire::ExtractFrame(bad, &frame);
+      ASSERT_FALSE(consumed.ok()) << "version " << version;
+      EXPECT_EQ(consumed.status().code(), StatusCode::kInvalidArgument)
+          << "version " << version;
+    }
   }
   {
     std::string bad = bytes;
@@ -534,116 +544,6 @@ TEST(WireCodecTest, InfoCarriesLiveIndexGauges) {
   EXPECT_EQ(decoded->metrics.pinned_readers, 2u);
 }
 
-// Rewrites an encoded frame as an older `version` with `chop` trailing
-// payload bytes removed — a byte-faithful old frame as an old binary
-// would have written it (payload additions are strictly trailing).
-std::string AsOlderFrame(std::string bytes, uint8_t version, size_t chop) {
-  bytes[2] = static_cast<char>(version);
-  bytes.resize(bytes.size() - chop);
-  uint32_t len = static_cast<uint32_t>(bytes.size() - wire::kHeaderSize);
-  for (int i = 0; i < 4; ++i) {
-    bytes[4 + static_cast<size_t>(i)] =
-        static_cast<char>((len >> (8 * i)) & 0xff);
-  }
-  return bytes;
-}
-
-std::string AsV1Frame(std::string bytes, size_t chop) {
-  return AsOlderFrame(std::move(bytes), 1, chop);
-}
-
-TEST(WireCodecTest, V1ResultDecodesWithGenerationOne) {
-  util::Rng rng(53);
-  QueryResult result = RandomResult(rng);
-  result.generation = 9;  // must NOT survive a v1 round trip
-  std::string bytes;
-  wire::EncodeResult(result, &bytes);
-  // v1 kResult = v2 minus the trailing 8-byte generation.
-  std::string v1 = AsV1Frame(bytes, 8);
-  wire::Frame frame;
-  auto consumed = wire::ExtractFrame(v1, &frame);
-  ASSERT_TRUE(consumed.ok()) << consumed.status().ToString();
-  EXPECT_EQ(frame.version, 1);
-  auto decoded = wire::DecodeResult(frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->generation, 1u)
-      << "a v1 server only ever serves generation 1";
-  EXPECT_EQ(decoded->entity, result.entity);
-}
-
-TEST(WireCodecTest, V1InfoDecodesWithDefaultGauges) {
-  wire::ServerInfo info;
-  info.num_records = 77;
-  info.metrics.latency_histogram_ns.assign(kServiceLatencyBuckets, 3);
-  info.metrics.generation = 6;
-  info.metrics.publishes = 5;
-  info.metrics.pinned_readers = 4;
-  std::string bytes;
-  wire::EncodeInfo(info, &bytes);
-  // v1 kInfo = v4 minus the trailing v2 gauges (24 bytes), the v3
-  // evicted_stale counter (8 bytes), and the v4 net gauges (64 bytes).
-  std::string v1 = AsV1Frame(bytes, 96);
-  wire::Frame frame;
-  ASSERT_TRUE(wire::ExtractFrame(v1, &frame).ok());
-  auto decoded = wire::DecodeInfo(frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->num_records, 77u);
-  EXPECT_EQ(decoded->metrics.generation, 1u);
-  EXPECT_EQ(decoded->metrics.publishes, 0u);
-  EXPECT_EQ(decoded->metrics.pinned_readers, 0u);
-  EXPECT_EQ(decoded->metrics.evicted_stale, 0u);
-}
-
-TEST(WireCodecTest, V2InfoDecodesWithZeroEvictedStale) {
-  wire::ServerInfo info;
-  info.num_records = 31;
-  info.metrics.latency_histogram_ns.assign(kServiceLatencyBuckets, 1);
-  info.metrics.generation = 8;
-  info.metrics.publishes = 7;
-  info.metrics.pinned_readers = 2;
-  info.metrics.evicted_stale = 99;  // must NOT survive a v2 round trip
-  std::string bytes;
-  wire::EncodeInfo(info, &bytes);
-  // v2 kInfo = v4 minus the trailing 8-byte evicted_stale counter and the
-  // 64 bytes of v4 net gauges.
-  std::string v2 = AsOlderFrame(bytes, 2, 72);
-  wire::Frame frame;
-  ASSERT_TRUE(wire::ExtractFrame(v2, &frame).ok());
-  EXPECT_EQ(frame.version, 2);
-  auto decoded = wire::DecodeInfo(frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->metrics.generation, 8u);
-  EXPECT_EQ(decoded->metrics.publishes, 7u);
-  EXPECT_EQ(decoded->metrics.pinned_readers, 2u);
-  EXPECT_EQ(decoded->metrics.evicted_stale, 0u)
-      << "a v2 server never reported evicted_stale";
-}
-
-TEST(WireCodecTest, V3InfoDecodesWithZeroNetGauges) {
-  wire::ServerInfo info;
-  info.num_records = 12;
-  info.metrics.latency_histogram_ns.assign(kServiceLatencyBuckets, 2);
-  info.metrics.generation = 3;
-  info.metrics.evicted_stale = 5;
-  info.net.open_connections = 7;  // must NOT survive a v3 round trip
-  info.net.disconnects_slowloris = 9;
-  std::string bytes;
-  wire::EncodeInfo(info, &bytes);
-  // v3 kInfo = v4 minus the trailing 64 bytes of net gauges.
-  std::string v3 = AsOlderFrame(bytes, 3, 64);
-  wire::Frame frame;
-  ASSERT_TRUE(wire::ExtractFrame(v3, &frame).ok());
-  EXPECT_EQ(frame.version, 3);
-  auto decoded = wire::DecodeInfo(frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->metrics.generation, 3u);
-  EXPECT_EQ(decoded->metrics.evicted_stale, 5u);
-  EXPECT_EQ(decoded->net.open_connections, 0u)
-      << "a v3 server never reported net gauges";
-  EXPECT_EQ(decoded->net.disconnects_slowloris, 0u);
-  EXPECT_EQ(decoded->net.rate_limited_frames, 0u);
-}
-
 TEST(WireCodecTest, V4InfoRoundTripsNetGauges) {
   wire::ServerInfo info;
   info.metrics.latency_histogram_ns.assign(kServiceLatencyBuckets, 0);
@@ -658,8 +558,8 @@ TEST(WireCodecTest, V4InfoRoundTripsNetGauges) {
   std::string bytes;
   wire::EncodeInfo(info, &bytes);
   wire::Frame frame;
+  EXPECT_EQ(static_cast<uint8_t>(bytes[2]), wire::kVersion);
   ASSERT_TRUE(wire::ExtractFrame(bytes, &frame).ok());
-  EXPECT_EQ(frame.version, wire::kVersion);
   auto decoded = wire::DecodeInfo(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->net.open_connections, 3u);
@@ -685,7 +585,6 @@ TEST(WireCodecTest, PeekFrameHeaderReportsDeclaredLengthBeforePayload) {
   ASSERT_TRUE(peeked.ok()) << peeked.status().ToString();
   EXPECT_EQ(*peeked, wire::kHeaderSize);
   EXPECT_EQ(header.type, wire::FrameType::kQuery);
-  EXPECT_EQ(header.version, wire::kVersion);
   EXPECT_EQ(header.payload_length, bytes.size() - wire::kHeaderSize);
   // Under kHeaderSize bytes: incomplete (0), never an error.
   for (size_t n = 0; n < wire::kHeaderSize; ++n) {
@@ -730,28 +629,6 @@ TEST(WireCodecTest, GiantDeclaredLengthIsRejectedFromHeaderAlone) {
   }
 }
 
-TEST(WireCodecTest, V2AppendAckDecodesAsNotDurable) {
-  wire::AppendAck ack;
-  ack.record_idx = 512;
-  ack.generation = 3;
-  ack.durable = true;  // must NOT survive a v2 round trip
-  ack.wal_sequence = 12;
-  std::string bytes;
-  wire::EncodeAppendAck(ack, &bytes);
-  // v2 kAppendAck = v3 minus the trailing durable u8 + wal_sequence u64.
-  std::string v2 = AsOlderFrame(bytes, 2, 9);
-  wire::Frame frame;
-  ASSERT_TRUE(wire::ExtractFrame(v2, &frame).ok());
-  EXPECT_EQ(frame.version, 2);
-  auto decoded = wire::DecodeAppendAck(frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->record_idx, 512u);
-  EXPECT_EQ(decoded->generation, 3u);
-  EXPECT_FALSE(decoded->durable)
-      << "a v2 server never promised durability";
-  EXPECT_EQ(decoded->wal_sequence, 0u);
-}
-
 TEST(WireCodecTest, AppendAckRejectsUnknownDurableFlag) {
   wire::AppendAck ack;
   ack.record_idx = 1;
@@ -764,22 +641,6 @@ TEST(WireCodecTest, AppendAckRejectsUnknownDurableFlag) {
   frame.payload[16] = 2;
   EXPECT_EQ(wire::DecodeAppendAck(frame).status().code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(WireCodecTest, AppendFramesAreVersionTwoOnly) {
-  // An append frame claiming version 1 is a protocol violation: the frame
-  // type did not exist in v1. ExtractFrame's per-version type range check
-  // must reject it.
-  data::Record record;
-  record.book_id = 1;
-  record.Add(data::AttributeId::kFirstName, "x");
-  std::string bytes;
-  wire::EncodeAppend(record, &bytes);
-  bytes[2] = 1;  // lie about the version
-  wire::Frame frame;
-  auto consumed = wire::ExtractFrame(bytes, &frame);
-  ASSERT_FALSE(consumed.ok());
-  EXPECT_EQ(consumed.status().code(), StatusCode::kInvalidArgument);
 }
 
 // The status-code map is wire ABI: these bytes are frozen forever. A new
@@ -863,15 +724,25 @@ TEST(CaptureFileTest, BadMagicAndVersionAreTypedErrors) {
   auto loaded = net::LoadCapture(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    const char header[8] = {0x59, 0x57, 0x52, 0x43,
-                            wire::kVersion + 1, 0, 0, 0};
-    out.write(header, sizeof(header));
+  // A capture speaks the single wire dialect: every other version byte in
+  // the header — 0, each older version, a newer one — is refused, even
+  // when the frames that follow are well-formed.
+  std::string frame;
+  wire::EncodeQuery(Query{}, 0, &frame);
+  for (int version = 0; version <= wire::kVersion + 1; ++version) {
+    if (version == wire::kVersion) continue;
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      const char header[8] = {0x59, 0x57, 0x52, 0x43,
+                              static_cast<char>(version), 0, 0, 0};
+      out.write(header, sizeof(header));
+      out << frame;
+    }
+    loaded = net::LoadCapture(path);
+    ASSERT_FALSE(loaded.ok()) << "version " << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << "version " << version;
   }
-  loaded = net::LoadCapture(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 
