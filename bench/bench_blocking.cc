@@ -4,18 +4,24 @@
 // sweep asserts output identity between the serial and every parallel run
 // (the blocking determinism contract) before reporting any number, and
 // writes a JSON record (--out) so the repo can track the perf trajectory
-// (BENCH_blocking.json).
+// (BENCH_blocking.json). --before embeds an earlier record of this bench
+// (say, one written by the previous commit's build on the same host)
+// verbatim under "before", so one committed file holds a before/after
+// pair.
 //
 //   bench_blocking [--persons N] [--maxminsup K] [--ng G]
 //                  [--threads T1,T2,...] [--out bench.json]
+//                  [--before earlier.json]
 //
 // On a single-core host the speedup is ~1.0x by construction; the
 // identity assertion is the part that must hold everywhere.
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,6 +42,7 @@ struct Options {
   double ng = 3.5;
   std::vector<size_t> threads = {1, 2, 4, 8};
   std::string out;
+  std::string before;
 };
 
 std::vector<size_t> ParseThreadList(const char* arg) {
@@ -70,6 +77,8 @@ Options ParseOptions(int argc, char** argv) {
       options.threads = ParseThreadList(next("--threads"));
     } else if (std::strcmp(argv[i], "--out") == 0) {
       options.out = next("--out");
+    } else if (std::strcmp(argv[i], "--before") == 0) {
+      options.before = next("--before");
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       std::exit(2);
@@ -85,6 +94,25 @@ struct SweepPoint {
   blocking::BlockingTimings timings;
 };
 
+// The JSON object in `path` (an earlier --out of this bench), trailing
+// whitespace trimmed; exits 2 when it is unreadable or not an object.
+std::string ReadRecord(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string record = text.str();
+  while (!record.empty() &&
+         std::isspace(static_cast<unsigned char>(record.back()))) {
+    record.pop_back();
+  }
+  if (record.empty() || record.front() != '{' || record.back() != '}') {
+    std::fprintf(stderr, "--before %s is not a bench_blocking record\n",
+                 path.c_str());
+    std::exit(2);
+  }
+  return record;
+}
+
 bool SameResult(const blocking::MfiBlocksResult& a,
                 const blocking::MfiBlocksResult& b) {
   return a.blocks == b.blocks && a.pairs == b.pairs &&
@@ -97,6 +125,9 @@ bool SameResult(const blocking::MfiBlocksResult& a,
 
 int main(int argc, char** argv) {
   Options options = ParseOptions(argc, argv);
+  // Read before writing: --before and --out may name the same file.
+  const std::string before =
+      options.before.empty() ? "" : ReadRecord(options.before);
 
   auto config = synth::ItalyConfig();
   config.num_persons = options.persons;
@@ -191,8 +222,10 @@ int main(int argc, char** argv) {
       out << buf;
     }
     char tail[64];
-    std::snprintf(tail, sizeof(tail), "  \"speedup\": %.2f\n", speedup);
-    out << "  ],\n" << tail << "}\n";
+    std::snprintf(tail, sizeof(tail), "  \"speedup\": %.2f", speedup);
+    out << "  ],\n" << tail;
+    if (!before.empty()) out << ",\n  \"before\": " << before;
+    out << "\n}\n";
     std::printf("wrote %s\n", options.out.c_str());
   }
   return 0;

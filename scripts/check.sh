@@ -9,7 +9,9 @@
 # build over the feature path: the columnar comparison corpus is all raw
 # span arithmetic into CSR arrays, so the feature/equivalence/golden/
 # determinism suites run under ASan+UBSan to pin down any out-of-bounds
-# view or UB the byte-identity tests alone would miss.
+# view or UB the byte-identity tests alone would miss. The blocking
+# miner, maximality filter and grouped-bitset supports run under both
+# sanitizers as well.
 #
 # Both sanitizer stages also run the fault-injection suites (the chaos
 # harness plus the robustness units): concurrent queries with faults armed
@@ -91,7 +93,11 @@ if [[ "$run_tsan" == 1 ]]; then
   # WAL unit and WAL-backed ingest suites run race-checked as well.
   # AdTree* covers the parallel ADTree trainer: each round's split-search
   # tasks run across the pool and write into per-task slots.
-  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:AdmissionController*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTree*'
+  # FpGrowth*/FpTree* and the blocking equivalence suites cover the
+  # parallel miner (rank tasks claimed dynamically), the parallel
+  # maximality filter and the grouped-bitset supports, each checked
+  # against the serial code it replaced at several pool sizes.
+  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:AdmissionController*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTree*:FpGrowth*:FpTree*:MaximalFilterEquivalence*:GroupedSupportsEquivalence*:MinThresholdEquivalence*'
 
   echo "==> tier-1: loopback serve/loadgen smoke (TSan binaries, record/replay)"
   # End-to-end over a real socket: a TSan-built server on an ephemeral
@@ -222,8 +228,11 @@ if [[ "$run_asan" == 1 ]]; then
   # is exactly what ASan+UBSan exist to pin down; Gazetteer* covers the
   # owned-resolver lifetime contract the serving path depends on.
   # AdTree* adds the ADTree trainer, whose split search is raw index
-  # arithmetic over the transposed feature columns.
-  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:AdTree*'
+  # arithmetic over the transposed feature columns. FpGrowth*/FpTree* and
+  # the blocking equivalence suites add the miner's node arena and flat
+  # postings and the grouped-bitset supports, which are raw word
+  # arithmetic over bitset rows.
+  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:AdTree*:FpGrowth*:FpTree*:MaximalFilterEquivalence*:GroupedSupportsEquivalence*:MinThresholdEquivalence*'
 fi
 
 echo "==> all checks passed"

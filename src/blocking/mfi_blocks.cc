@@ -6,6 +6,7 @@
 
 #include "blocking/block_scoring.h"
 #include "blocking/neighborhood.h"
+#include "blocking/support_sets.h"
 #include "data/inverted_index.h"
 #include "mining/fp_growth.h"
 #include "util/check.h"
@@ -15,15 +16,23 @@ namespace yver::blocking {
 
 namespace {
 
-// Hashes a sorted record set for block deduplication.
-struct RecordSetHash {
-  size_t operator()(const std::vector<data::RecordIdx>& v) const {
+// Hash and equality over the record sets of blocks, given by index: the
+// block deduplication set holds indices into the block list.
+struct BlockRecordsHash {
+  const std::vector<Block>* blocks;
+  size_t operator()(size_t b) const {
     uint64_t h = 0xcbf29ce484222325ULL;
-    for (data::RecordIdx r : v) {
+    for (data::RecordIdx r : (*blocks)[b].records) {
       h ^= r;
       h *= 0x100000001b3ULL;
     }
     return static_cast<size_t>(h);
+  }
+};
+struct BlockRecordsEq {
+  const std::vector<Block>* blocks;
+  bool operator()(size_t a, size_t b) const {
+    return (*blocks)[a].records == (*blocks)[b].records;
   }
 };
 
@@ -62,10 +71,12 @@ MfiBlocksResult RunMfiBlocks(const data::EncodedDataset& encoded,
 
   // Optional frequent-item pruning applies to the mining input only; the
   // scores still see full bags.
-  std::vector<data::ItemBag> mining_bags =
-      config.prune_frequent_fraction > 0.0
-          ? encoded.PruneMostFrequent(config.prune_frequent_fraction)
-          : encoded.bags;
+  std::vector<data::ItemBag> pruned_bags;
+  if (config.prune_frequent_fraction > 0.0) {
+    pruned_bags = encoded.PruneMostFrequent(config.prune_frequent_fraction);
+  }
+  const std::vector<data::ItemBag>& mining_bags =
+      config.prune_frequent_fraction > 0.0 ? pruned_bags : encoded.bags;
 
   std::vector<bool> covered(n, false);
   PairMap pair_map;
@@ -95,48 +106,41 @@ MfiBlocksResult RunMfiBlocks(const data::EncodedDataset& encoded,
     result.timings.mine_seconds += timer.ElapsedSeconds();
 
     // FindSupport: support sets are exactly the mined supports; recompute
-    // membership via a local inverted index to obtain the record lists.
-    // One independent intersection per MFI, written into its own slot and
-    // remapped to global record indices in place.
+    // membership over a local inverted index to obtain the record lists
+    // (grouped bitset intersections, one slot per MFI).
     timer.Reset();
     data::InvertedIndex index(local_bags, encoded.dictionary.size());
-    std::vector<std::vector<data::RecordIdx>> supports(mfis.size());
-    auto support_one = [&](size_t i) {
-      std::vector<data::RecordIdx> support = index.Support(mfis[i].items);
-      for (auto& r : support) r = local_to_global[r];
-      supports[i] = std::move(support);
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(mfis.size(), support_one);
-    } else {
-      for (size_t i = 0; i < mfis.size(); ++i) support_one(i);
-    }
+    std::vector<std::vector<data::RecordIdx>> supports =
+        GroupedSupports(index, local_bags, mfis, pool);
 
     // Filter by block size: 2 <= |B| <= NgCap(ng, minsup) — the same cap
     // the sparse-neighborhood condition uses. Dedup stays serial in MFI
     // order so the kept key per record set is deterministic.
     const size_t max_block_size = NgCap(config.ng, minsup);
     std::vector<Block> blocks;
-    std::unordered_map<std::vector<data::RecordIdx>, size_t, RecordSetHash>
-        dedup;
+    // A support set moves into its block; a duplicate is detected after
+    // the fact and popped again.
+    std::unordered_set<size_t, BlockRecordsHash, BlockRecordsEq> dedup(
+        0, BlockRecordsHash{&blocks}, BlockRecordsEq{&blocks});
     for (size_t i = 0; i < mfis.size(); ++i) {
       std::vector<data::RecordIdx>& support = supports[i];
       if (support.size() < 2 || support.size() > max_block_size) continue;
-      auto [it, inserted] = dedup.try_emplace(std::move(support), blocks.size());
+      // Local ids map to global ones monotonically, so order is kept.
+      for (auto& r : support) r = local_to_global[r];
+      Block& block = blocks.emplace_back();
+      block.key = std::move(mfis[i].items);
+      block.records = std::move(support);
+      block.minsup_level = minsup;
+      auto [it, inserted] = dedup.insert(blocks.size() - 1);
       if (!inserted) {
         // Same record set reachable via several keys: keep the longer key
         // (more shared content; scores higher under ClusterJaccard).
-        Block& existing = blocks[it->second];
-        if (mfis[i].items.size() > existing.key.size()) {
-          existing.key = std::move(mfis[i].items);
+        Block& existing = blocks[*it];
+        if (blocks.back().key.size() > existing.key.size()) {
+          existing.key = std::move(blocks.back().key);
         }
-        continue;
+        blocks.pop_back();
       }
-      Block block;
-      block.key = std::move(mfis[i].items);
-      block.records = it->first;
-      block.minsup_level = minsup;
-      blocks.push_back(std::move(block));
     }
     result.num_blocks_considered += blocks.size();
     result.timings.support_seconds += timer.ElapsedSeconds();

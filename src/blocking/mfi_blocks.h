@@ -57,7 +57,8 @@ struct MfiBlocksConfig {
 struct BlockingTimings {
   /// FP-Growth itemset mining (MineMaximalItemsets / MineClosedItemsets).
   double mine_seconds = 0.0;
-  /// Support recomputation via the inverted index + block build/dedup.
+  /// Support recomputation (the local inverted index plus grouped-bitset
+  /// intersections, GroupedSupports) + block build/dedup.
   double support_seconds = 0.0;
   /// Block scoring (ClusterJaccard / ExpertSim).
   double score_seconds = 0.0;
@@ -98,13 +99,14 @@ struct MfiBlocksResult {
 ///
 /// `pool` parallelizes the whole stage (it stands in for the paper's
 /// Spark cluster): MFI mining runs per conditional-tree rank, support
-/// recomputation and block scoring run per block, and candidate-pair
-/// emission builds per-chunk local pair maps that are merged in chunk
-/// order. Per-minsup iterations stay serial, as Algorithm 1's coverage
-/// loop requires. Determinism contract: the returned MfiBlocksResult is
-/// byte-identical for every pool size including nullptr — every parallel
-/// substage writes into index-addressed slots or merges in a
-/// scheduling-invariant order (tests/determinism_test.cc enforces this).
+/// recomputation per group of MFIs sharing their rarest item, block
+/// scoring per block, and candidate-pair emission builds per-chunk local
+/// pair maps that are merged in chunk order. Per-minsup iterations stay
+/// serial, as Algorithm 1's coverage loop requires. Determinism contract:
+/// the returned MfiBlocksResult is byte-identical for every pool size
+/// including nullptr — every parallel substage writes into
+/// index-addressed slots or merges in a scheduling-invariant order
+/// (tests/determinism_test.cc enforces this).
 MfiBlocksResult RunMfiBlocks(const data::EncodedDataset& encoded,
                              const MfiBlocksConfig& config,
                              util::ThreadPool* pool = nullptr);

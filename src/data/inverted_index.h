@@ -9,8 +9,8 @@ namespace yver::data {
 
 /// Item -> sorted record postings, built from an encoded dataset. This is
 /// the index created by the preprocessing step of the system architecture
-/// (paper Fig. 9) and is what MFIBlocks uses to find the support set of a
-/// mined itemset by postings intersection.
+/// (paper Fig. 9); MFIBlocks reads its postings to find the support sets
+/// of mined itemsets (blocking::GroupedSupports).
 class InvertedIndex {
  public:
   /// Builds the index over the given bags; `num_items` is the dictionary
@@ -23,7 +23,8 @@ class InvertedIndex {
   }
 
   /// Records containing every item of `itemset` (sorted ascending). The
-  /// intersection is evaluated smallest-posting-first.
+  /// intersection is evaluated smallest-posting-first. One itemset at a
+  /// time; the reference blocking::GroupedSupports is tested against.
   std::vector<RecordIdx> Support(const std::vector<ItemId>& itemset) const;
 
   size_t num_items() const { return postings_.size(); }

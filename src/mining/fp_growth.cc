@@ -35,18 +35,22 @@ std::vector<data::ItemId> RankItems(
 
 RankedTree BuildInitialTree(const std::vector<data::ItemBag>& transactions,
                             uint32_t minsup) {
-  std::unordered_map<data::ItemId, uint32_t> counts;
+  // Dictionary ids are dense, so per-item state is a flat array.
+  data::ItemId max_item = 0;
+  for (const auto& bag : transactions) {
+    for (data::ItemId item : bag) max_item = std::max(max_item, item);
+  }
+  std::vector<uint32_t> counts(static_cast<size_t>(max_item) + 1, 0);
   for (const auto& bag : transactions) {
     for (data::ItemId item : bag) ++counts[item];
   }
   std::vector<std::pair<data::ItemId, uint32_t>> freq;
-  freq.reserve(counts.size());
-  for (const auto& [item, count] : counts) {
-    if (count >= minsup) freq.emplace_back(item, count);
+  for (data::ItemId item = 0; item < counts.size(); ++item) {
+    if (counts[item] >= minsup) freq.emplace_back(item, counts[item]);
   }
   std::vector<data::ItemId> rank_to_item = RankItems(freq);
-  std::unordered_map<data::ItemId, uint32_t> item_to_rank;
-  item_to_rank.reserve(rank_to_item.size());
+  constexpr uint32_t kInfrequent = UINT32_MAX;
+  std::vector<uint32_t> item_to_rank(counts.size(), kInfrequent);
   for (uint32_t r = 0; r < rank_to_item.size(); ++r) {
     item_to_rank[rank_to_item[r]] = r;
   }
@@ -56,8 +60,7 @@ RankedTree BuildInitialTree(const std::vector<data::ItemBag>& transactions,
   for (const auto& bag : transactions) {
     ranks.clear();
     for (data::ItemId item : bag) {
-      auto it = item_to_rank.find(item);
-      if (it != item_to_rank.end()) ranks.push_back(it->second);
+      if (item_to_rank[item] != kInfrequent) ranks.push_back(item_to_rank[item]);
     }
     if (ranks.empty()) continue;
     std::sort(ranks.begin(), ranks.end());
@@ -66,52 +69,80 @@ RankedTree BuildInitialTree(const std::vector<data::ItemBag>& transactions,
   return ranked;
 }
 
+// Buffers BuildConditional reuses from call to call. A conditional tree is
+// complete before the miner recurses into it, so one scratch serves a
+// whole depth-first walk.
+struct ConditionalScratch {
+  std::vector<uint32_t> cond_counts;
+  std::vector<uint32_t> by_new_rank;
+  std::vector<uint32_t> old_rank_to_new;
+  // The pattern base, flat: path k is path_ranks[ends[k - 1], ends[k])
+  // with multiplicity counts[k].
+  std::vector<uint32_t> path_ranks;
+  std::vector<uint32_t> path_ends;
+  std::vector<uint32_t> path_counts;
+  std::vector<uint32_t> ranks;
+};
+
 // Builds the conditional tree for `rank` within `parent`: collect the
 // prefix path of every node in rank's header chain, recount, filter by
 // minsup, re-rank, and insert.
 RankedTree BuildConditional(const RankedTree& parent, uint32_t rank,
-                            uint32_t minsup) {
-  // Conditional pattern base: (path of parent-ranks, count).
-  std::vector<std::pair<std::vector<uint32_t>, uint32_t>> base;
-  std::vector<uint32_t> cond_counts(rank, 0);  // only ranks < rank can occur
+                            uint32_t minsup, ConditionalScratch& scratch) {
+  // Only ranks < rank can occur on a prefix path.
+  std::vector<uint32_t>& cond_counts = scratch.cond_counts;
+  cond_counts.assign(rank, 0);
+  scratch.path_ranks.clear();
+  scratch.path_ends.clear();
+  scratch.path_counts.clear();
   for (const FpTree::Node* n = parent.tree.Header(rank); n != nullptr;
        n = n->next_in_header) {
-    std::vector<uint32_t> path;
+    const size_t begin = scratch.path_ranks.size();
     for (const FpTree::Node* p = n->parent;
          p != nullptr && p->rank != FpTree::kRootRank; p = p->parent) {
-      path.push_back(p->rank);
+      scratch.path_ranks.push_back(p->rank);
       cond_counts[p->rank] += n->count;
     }
-    if (!path.empty()) base.emplace_back(std::move(path), n->count);
+    if (scratch.path_ranks.size() == begin) continue;
+    scratch.path_ends.push_back(
+        static_cast<uint32_t>(scratch.path_ranks.size()));
+    scratch.path_counts.push_back(n->count);
   }
-  std::vector<std::pair<data::ItemId, uint32_t>> freq;
-  std::vector<uint32_t> old_rank_to_new(rank, UINT32_MAX);
+  // Same order as RankItems: frequency descending, item id ascending.
+  std::vector<uint32_t>& by_new_rank = scratch.by_new_rank;
+  by_new_rank.clear();
   for (uint32_t r = 0; r < rank; ++r) {
-    if (cond_counts[r] >= minsup) {
-      freq.emplace_back(parent.rank_to_item[r], cond_counts[r]);
-    }
+    if (cond_counts[r] >= minsup) by_new_rank.push_back(r);
   }
-  std::vector<data::ItemId> rank_to_item = RankItems(freq);
-  std::unordered_map<data::ItemId, uint32_t> item_to_new_rank;
-  for (uint32_t r = 0; r < rank_to_item.size(); ++r) {
-    item_to_new_rank[rank_to_item[r]] = r;
+  std::sort(by_new_rank.begin(), by_new_rank.end(),
+            [&](uint32_t a, uint32_t b) {
+              if (cond_counts[a] != cond_counts[b]) {
+                return cond_counts[a] > cond_counts[b];
+              }
+              return parent.rank_to_item[a] < parent.rank_to_item[b];
+            });
+  RankedTree cond(static_cast<uint32_t>(by_new_rank.size()));
+  if (by_new_rank.empty()) return cond;
+  constexpr uint32_t kDropped = UINT32_MAX;
+  std::vector<uint32_t>& old_rank_to_new = scratch.old_rank_to_new;
+  old_rank_to_new.assign(rank, kDropped);
+  cond.rank_to_item.reserve(by_new_rank.size());
+  for (uint32_t nr = 0; nr < by_new_rank.size(); ++nr) {
+    old_rank_to_new[by_new_rank[nr]] = nr;
+    cond.rank_to_item.push_back(parent.rank_to_item[by_new_rank[nr]]);
   }
-  for (uint32_t r = 0; r < rank; ++r) {
-    auto it = item_to_new_rank.find(parent.rank_to_item[r]);
-    if (it != item_to_new_rank.end()) old_rank_to_new[r] = it->second;
-  }
-  RankedTree cond(static_cast<uint32_t>(rank_to_item.size()));
-  cond.rank_to_item = std::move(rank_to_item);
-  std::vector<uint32_t> ranks;
-  for (const auto& [path, count] : base) {
+  std::vector<uint32_t>& ranks = scratch.ranks;
+  uint32_t begin = 0;
+  for (size_t k = 0; k < scratch.path_ends.size(); ++k) {
     ranks.clear();
-    for (uint32_t old : path) {
-      uint32_t nr = old_rank_to_new[old];
-      if (nr != UINT32_MAX) ranks.push_back(nr);
+    for (uint32_t i = begin; i < scratch.path_ends[k]; ++i) {
+      uint32_t nr = old_rank_to_new[scratch.path_ranks[i]];
+      if (nr != kDropped) ranks.push_back(nr);
     }
+    begin = scratch.path_ends[k];
     if (ranks.empty()) continue;
     std::sort(ranks.begin(), ranks.end());
-    cond.tree.Insert(ranks, count);
+    cond.tree.Insert(ranks, scratch.path_counts[k]);
   }
   return cond;
 }
@@ -129,6 +160,7 @@ struct AllMiner {
   const MinerOptions& options;
   std::vector<FrequentItemset> out;
   bool capped = false;
+  ConditionalScratch scratch;
 
   bool AtCap() const {
     return options.max_itemsets != 0 && out.size() >= options.max_itemsets;
@@ -147,7 +179,8 @@ struct AllMiner {
         return;
       }
       if (options.max_length == 0 || prefix.size() < options.max_length) {
-        RankedTree cond = BuildConditional(ranked, rank, options.minsup);
+        RankedTree cond =
+            BuildConditional(ranked, rank, options.minsup, scratch);
         if (cond.tree.num_ranks() > 0) Mine(cond, prefix);
       }
       prefix.pop_back();
@@ -231,6 +264,8 @@ struct MaxMiner {
   const MinerOptions& options;
   MfiStore store;
   bool capped = false;
+  ConditionalScratch scratch;
+  std::vector<data::ItemId> head_tail;
 
   explicit MaxMiner(const MinerOptions& opts) : options(opts), store(0) {}
 
@@ -248,13 +283,11 @@ struct MaxMiner {
       return;
     }
     // FPMax pruning: if head ∪ tail is already covered, nothing new here.
-    {
-      std::vector<data::ItemId> head_tail = prefix;
-      head_tail.insert(head_tail.end(), ranked.rank_to_item.begin(),
-                       ranked.rank_to_item.end());
-      std::sort(head_tail.begin(), head_tail.end());
-      if (store.IsSubsumed(head_tail)) return;
-    }
+    head_tail.assign(prefix.begin(), prefix.end());
+    head_tail.insert(head_tail.end(), ranked.rank_to_item.begin(),
+                     ranked.rank_to_item.end());
+    std::sort(head_tail.begin(), head_tail.end());
+    if (store.IsSubsumed(head_tail)) return;
     if (ranked.tree.IsSinglePath()) {
       // The whole path joined with the prefix is the unique maximal set of
       // this branch; its support is the count at the path's deepest node.
@@ -276,7 +309,8 @@ struct MaxMiner {
       uint32_t support = ranked.tree.RankSupport(rank);
       if (support < options.minsup) continue;
       prefix.push_back(ranked.rank_to_item[rank]);
-      RankedTree cond = BuildConditional(ranked, rank, options.minsup);
+      RankedTree cond =
+          BuildConditional(ranked, rank, options.minsup, scratch);
       Mine(cond, prefix, support);
       prefix.pop_back();
     }
@@ -290,7 +324,7 @@ std::vector<FrequentItemset> MineFrequentItemsets(
     const MinerOptions& options) {
   YVER_CHECK(options.minsup >= 1);
   RankedTree ranked = BuildInitialTree(transactions, options.minsup);
-  AllMiner miner{options, {}, false};
+  AllMiner miner{options, {}, false, {}};
   std::vector<data::ItemId> prefix;
   miner.Mine(ranked, prefix);
   return std::move(miner.out);
@@ -322,7 +356,8 @@ class ClosedMiner {
       if (in_prefix[item]) continue;
       uint32_t support = ranked.tree.RankSupport(rank);
       if (support < options_.minsup) continue;
-      RankedTree cond = BuildConditional(ranked, rank, options_.minsup);
+      RankedTree cond =
+          BuildConditional(ranked, rank, options_.minsup, scratch_);
       // Closure jump: conditional items occurring in every supporting
       // transaction extend the prefix at the same support.
       std::vector<data::ItemId> added = {item};
@@ -383,6 +418,7 @@ class ClosedMiner {
   }
 
   const MinerOptions& options_;
+  ConditionalScratch scratch_;
   std::vector<FrequentItemset> cfis_;
   // support -> item -> CFI indices containing it at that support.
   std::unordered_map<uint32_t,
@@ -431,8 +467,10 @@ std::vector<FrequentItemset> MineMaximalItemsets(
   // One task per frequent-item rank, walked in the serial FPMax order
   // (least frequent rank first). Each task mines rank's conditional
   // projection with a task-local store; projections only read the shared
-  // initial tree, so tasks are independent. Task t's output lands in
-  // per_rank[t], making the merge order scheduling-invariant.
+  // initial tree, so tasks are independent. Task costs are very uneven,
+  // so workers claim tasks one at a time; task t's output lands in
+  // per_rank[t] whichever worker ran it, making the merge order
+  // scheduling-invariant.
   std::vector<std::vector<FrequentItemset>> per_rank(num_ranks);
   auto mine_rank = [&](size_t task) {
     uint32_t rank = num_ranks - 1 - static_cast<uint32_t>(task);
@@ -440,27 +478,23 @@ std::vector<FrequentItemset> MineMaximalItemsets(
     if (support < options.minsup) return;
     MaxMiner miner(options);
     std::vector<data::ItemId> prefix = {ranked.rank_to_item[rank]};
-    RankedTree cond = BuildConditional(ranked, rank, options.minsup);
+    RankedTree cond =
+        BuildConditional(ranked, rank, options.minsup, miner.scratch);
     miner.Mine(cond, prefix, support);
     per_rank[task] = miner.store.Harvest();
   };
   if (pool != nullptr && pool->num_threads() > 1) {
-    pool->ParallelFor(num_ranks, mine_rank);
+    pool->ParallelForDynamic(num_ranks, mine_rank);
   } else {
     for (size_t task = 0; task < num_ranks; ++task) mine_rank(task);
   }
 
-  // Cross-rank maximality filter over the rank-ordered concatenation. A
-  // superset always has a max-rank >= its subsets' and therefore lives in
-  // an earlier (or the same) task, so the insert-time subsumption check of
-  // MfiStore sees every potential subsumer before its victims; the final
-  // Harvest keeps the surviving sets in insertion order — exactly the
-  // serial FPMax discovery order.
-  MfiStore store(0);
-  for (auto& rank_mfis : per_rank) {
-    for (auto& mfi : rank_mfis) store.Insert(std::move(mfi));
-  }
-  std::vector<FrequentItemset> out = store.Harvest();
+  // Every itemset of task t holds t's rank as its largest rank, so a
+  // superset always lives in the same or an earlier task: per_rank is
+  // exactly the rank-ordered input FilterRankOrderedMaximal requires, and
+  // its survivors, in order, are the serial FPMax discovery sequence.
+  std::vector<FrequentItemset> out =
+      FilterRankOrderedMaximal(std::move(per_rank), pool);
   if (options.max_itemsets != 0 && out.size() > options.max_itemsets) {
     out.resize(options.max_itemsets);
   }

@@ -37,17 +37,21 @@ std::vector<FrequentItemset> MineFrequentItemsets(
 /// FPMax-style subsumption pruning: a branch whose head ∪ tail is contained
 /// in a known MFI cannot yield a new maximal set and is skipped.
 ///
-/// When `pool` is non-null, the conditional FP-trees of the initial tree's
-/// frequent-item ranks are mined in parallel (each rank's projection is
-/// independent), per-rank itemset vectors are concatenated in the serial
-/// rank order, and a maximality filter removes cross-rank subsumed sets.
-/// The returned vector — contents AND order — is identical for every pool
-/// size including nullptr: it equals the serial FPMax output (the filter
-/// discards exactly the candidates the serial global store would have
-/// pruned). One caveat: with a non-zero `max_itemsets` cap the parallel
-/// decomposition applies the cap per rank and then truncates the merged
-/// list, so a capped run may return a different (still deterministic)
-/// subset than the pre-parallel serial implementation did.
+/// The conditional FP-tree of each frequent-item rank of the initial tree
+/// is mined as its own task (with a task-local FPMax store), and the
+/// per-rank itemset vectors are concatenated in the serial rank order,
+/// least frequent rank first. Candidate i of that concatenation survives
+/// unless some earlier candidate j has items_i ⊆ items_j or some
+/// candidate j anywhere has items_i ⊊ items_j; survivors keep their
+/// order (FilterRankOrderedMaximal). When `pool` is non-null, workers
+/// claim rank tasks one at a time and the survivor rule is decided per
+/// candidate in parallel. The returned vector — contents AND order — is
+/// identical for every pool size including nullptr: it equals the serial
+/// FPMax output, whose global store inserts in exactly this order and
+/// keeps exactly these sets. One caveat: with a non-zero `max_itemsets`
+/// cap the decomposition applies the cap per rank and then truncates the
+/// merged list, so a capped run may return a different (still
+/// deterministic) subset than a single global FPMax store would.
 std::vector<FrequentItemset> MineMaximalItemsets(
     const std::vector<data::ItemBag>& transactions,
     const MinerOptions& options, util::ThreadPool* pool = nullptr);

@@ -10,11 +10,10 @@ FpTree::FpTree(uint32_t num_ranks)
 }
 
 FpTree::Node* FpTree::NewNode(uint32_t rank, Node* parent) {
-  nodes_.push_back(std::make_unique<Node>());
-  Node* n = nodes_.back().get();
-  n->rank = rank;
-  n->parent = parent;
-  return n;
+  Node& n = nodes_.emplace_back();
+  n.rank = rank;
+  n.parent = parent;
+  return &n;
 }
 
 void FpTree::Insert(const std::vector<uint32_t>& ranks, uint32_t count) {
@@ -22,9 +21,15 @@ void FpTree::Insert(const std::vector<uint32_t>& ranks, uint32_t count) {
   for (uint32_t rank : ranks) {
     YVER_CHECK(rank < headers_.size());
     rank_support_[rank] += count;
-    // Find a child with this rank.
+    // Find a child with this rank. A found child moves to the front of
+    // its sibling list: item frequencies are skewed, so the children a
+    // path walk needs cluster near the front. Sibling order carries no
+    // meaning — the tree's paths, counts and single-path shape do not
+    // depend on it.
+    Node* prev = nullptr;
     Node* child = cur->first_child;
     while (child != nullptr && child->rank != rank) {
+      prev = child;
       child = child->next_sibling;
     }
     if (child == nullptr) {
@@ -33,6 +38,10 @@ void FpTree::Insert(const std::vector<uint32_t>& ranks, uint32_t count) {
       cur->first_child = child;
       child->next_in_header = headers_[rank];
       headers_[rank] = child;
+    } else if (prev != nullptr) {
+      prev->next_sibling = child->next_sibling;
+      child->next_sibling = cur->first_child;
+      cur->first_child = child;
     }
     child->count += count;
     cur = child;

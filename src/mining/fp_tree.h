@@ -2,7 +2,7 @@
 #define YVER_MINING_FP_TREE_H_
 
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <vector>
 
 #include "data/item_dictionary.h"
@@ -16,6 +16,11 @@ namespace yver::mining {
 /// Items inside the tree are *ranks*: dense indices assigned by descending
 /// frequency of the frequent items of the underlying transaction set. The
 /// owner (FP-Growth) keeps the rank -> ItemId mapping.
+///
+/// Nodes live in an arena (a deque, so growing it never moves a node and
+/// the links stay valid) instead of one heap allocation each; FP-Growth
+/// builds one conditional tree per explored branch, so node allocation
+/// is the tree's dominant cost.
 class FpTree {
  public:
   struct Node {
@@ -34,6 +39,8 @@ class FpTree {
 
   FpTree(const FpTree&) = delete;
   FpTree& operator=(const FpTree&) = delete;
+  // Moving a deque keeps its elements in place, so root_ and every link
+  // stay valid in the moved-to tree.
   FpTree(FpTree&&) = default;
   FpTree& operator=(FpTree&&) = default;
 
@@ -66,7 +73,7 @@ class FpTree {
  private:
   Node* NewNode(uint32_t rank, Node* parent);
 
-  std::vector<std::unique_ptr<Node>> nodes_;  // owns all nodes incl. root
+  std::deque<Node> nodes_;  // owns all nodes incl. root
   Node* root_ = nullptr;
   std::vector<Node*> headers_;
   std::vector<uint32_t> rank_support_;

@@ -58,6 +58,21 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   });
 }
 
+void ThreadPool::ParallelForDynamic(size_t n,
+                                    const std::function<void(size_t)>& fn) {
+  if (n == 0) return;
+  std::atomic<size_t> next{0};
+  size_t workers = std::min(n, num_threads());
+  for (size_t w = 0; w < workers; ++w) {
+    Submit([n, &next, &fn] {
+      for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+        fn(i);
+      }
+    });
+  }
+  Wait();
+}
+
 void ThreadPool::ParallelForChunked(
     size_t n, const std::function<void(size_t, size_t)>& fn) {
   ParallelForChunkedIndexed(

@@ -58,6 +58,17 @@ class ThreadPool {
   /// Work is chunked to keep per-task overhead low.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
+  /// Runs fn(i) for i in [0, n) across the pool and waits, but instead of
+  /// fixed chunks every worker claims the next unclaimed index from a
+  /// shared atomic counter. Use it when per-index costs are skewed (one
+  /// expensive index would otherwise hold back a whole chunk); callers
+  /// still write index-addressed slots, so which worker ran an index never
+  /// shows in the result. Indices are claimed in ascending order, so
+  /// placing the costliest indices first shortens the tail. Exceptions
+  /// propagate as in ParallelFor: the first one is rethrown after every
+  /// worker has stopped, and the pool stays usable.
+  void ParallelForDynamic(size_t n, const std::function<void(size_t)>& fn);
+
   /// Splits [0, n) into contiguous chunks and runs fn(begin, end) for each
   /// across the pool, then waits. One fn call per task, so callers can
   /// amortize per-task state (scratch buffers) over a whole chunk. Chunk

@@ -361,6 +361,43 @@ TEST(ThreadPoolTest, ParallelForPropagatesTaskException) {
   EXPECT_EQ(hits.load(), 64);
 }
 
+TEST(ThreadPoolTest, ParallelForDynamicRunsEveryIndexOnce) {
+  for (size_t num_threads : {size_t{1}, size_t{3}}) {
+    ThreadPool pool(num_threads);
+    for (size_t n : {size_t{0}, size_t{1}, 4 * num_threads + 7}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.ParallelForDynamic(n, [&hits](size_t i) { hits[i].fetch_add(1); });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "index " << i << " of " << n << " at " << num_threads
+            << " threads";
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForDynamicRethrowsFirstException) {
+  ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.ParallelForDynamic(64,
+                                       [&ran](size_t i) {
+                                         ran.fetch_add(1);
+                                         if (i == 5) {
+                                           throw std::logic_error("i5");
+                                         }
+                                       }),
+               std::logic_error);
+  EXPECT_GE(ran.load(), 6);  // indices are claimed in ascending order
+  // Pool unharmed: the next loop runs every index and nothing stale is
+  // rethrown.
+  std::vector<std::atomic<int>> hits(50);
+  pool.ParallelForDynamic(hits.size(),
+                          [&hits](size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  pool.Submit([] {});
+  pool.Wait();
+}
+
 TEST(ThreadPoolTest, WaitIsReusable) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
