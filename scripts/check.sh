@@ -97,6 +97,8 @@ if [[ "$run_tsan" == 1 ]]; then
   # parallel miner (rank tasks claimed dynamically), the parallel
   # maximality filter and the grouped-bitset supports, each checked
   # against the serial code it replaced at several pool sizes.
+  # *ResolutionIndex* also picks up the Extend equivalence suites, and
+  # LiveIndexBuilder* the builder's extend-and-publish rounds.
   ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:AdmissionController*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTree*:FpGrowth*:FpTree*:MaximalFilterEquivalence*:GroupedSupportsEquivalence*:MinThresholdEquivalence*'
 
   echo "==> tier-1: loopback serve/loadgen smoke (TSan binaries, record/replay)"
@@ -231,8 +233,12 @@ if [[ "$run_asan" == 1 ]]; then
   # arithmetic over the transposed feature columns. FpGrowth*/FpTree* and
   # the blocking equivalence suites add the miner's node arena and flat
   # postings and the grouped-bitset supports, which are raw word
-  # arithmetic over bitset rows.
-  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:AdTree*:FpGrowth*:FpTree*:MaximalFilterEquivalence*:GroupedSupportsEquivalence*:MinThresholdEquivalence*'
+  # arithmetic over bitset rows. *ResolutionIndex* and
+  # IncrementalCandidateEquivalence* add the live-append path: Extend's
+  # merge and the adjacency it rebuilds are span and offset arithmetic
+  # over the match arena, and the dense candidate counter indexes a
+  # per-record array by posting entries.
+  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:AdTree*:FpGrowth*:FpTree*:MaximalFilterEquivalence*:GroupedSupportsEquivalence*:MinThresholdEquivalence*:*ResolutionIndex*:IncrementalCandidateEquivalence*'
 fi
 
 echo "==> all checks passed"

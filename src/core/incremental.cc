@@ -1,7 +1,7 @@
 #include "core/incremental.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <functional>
 
 #include "util/check.h"
 
@@ -24,6 +24,30 @@ IncrementalResolver::IncrementalResolver(
     }
   }
   matches_ = initial_resolution.matches();
+}
+
+void IncrementalResolver::SelectCandidates(const data::ItemBag& bag,
+                                           std::vector<Candidate>* out) {
+  out->clear();
+  // Every posting holds an existing record (< the new record's index).
+  if (shared_counts_.size() < dataset_.size()) {
+    shared_counts_.resize(dataset_.size(), 0);
+  }
+  touched_.clear();
+  for (data::ItemId item : bag) {
+    for (data::RecordIdx other : postings_[item]) {
+      if (shared_counts_[other]++ == 0) touched_.push_back(other);
+    }
+  }
+  for (data::RecordIdx other : touched_) {
+    uint32_t count = shared_counts_[other];
+    shared_counts_[other] = 0;
+    if (count >= options_.min_shared_items) out->emplace_back(count, other);
+  }
+  size_t keep = std::min(out->size(), options_.max_candidates);
+  std::partial_sort(out->begin(), out->begin() + keep, out->end(),
+                    std::greater<>());
+  out->resize(keep);
 }
 
 data::RecordIdx IncrementalResolver::AddRecord(data::Record record) {
@@ -53,22 +77,7 @@ data::RecordIdx IncrementalResolver::AddRecord(data::Record record) {
   if (postings_.size() < encoded_.dictionary.size()) {
     postings_.resize(encoded_.dictionary.size());
   }
-  std::unordered_map<data::RecordIdx, size_t> shared_counts;
-  for (data::ItemId item : bag) {
-    for (data::RecordIdx other : postings_[item]) {
-      ++shared_counts[other];
-    }
-  }
-  std::vector<std::pair<size_t, data::RecordIdx>> candidates;
-  for (const auto& [other, count] : shared_counts) {
-    if (count >= options_.min_shared_items) {
-      candidates.emplace_back(count, other);
-    }
-  }
-  std::sort(candidates.rbegin(), candidates.rend());
-  if (candidates.size() > options_.max_candidates) {
-    candidates.resize(options_.max_candidates);
-  }
+  SelectCandidates(bag, &candidates_);
 
   // Index the new record (after candidate generation: no self-pairs).
   encoded_.bags.push_back(bag);
@@ -83,7 +92,7 @@ data::RecordIdx IncrementalResolver::AddRecord(data::Record record) {
   // evidence alone: the shared-item fraction is in (0, 1] for every
   // candidate, deterministic, and keeps the ingest path usable instead
   // of aborting inside AdTree::Score.
-  for (const auto& [count, other] : candidates) {
+  for (const auto& [count, other] : candidates_) {
     double block_score = bag.empty() ? 0.0
                                      : static_cast<double>(count) /
                                            static_cast<double>(bag.size());

@@ -1,7 +1,9 @@
 #ifndef YVER_CORE_INCREMENTAL_H_
 #define YVER_CORE_INCREMENTAL_H_
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/ranked_resolution.h"
@@ -23,6 +25,17 @@ namespace yver::core {
 /// This trades MFIBlocks' sparse-neighborhood control for a simple
 /// shared-item candidate rule — appropriate for the trickle of new
 /// reports, with periodic full re-blocking as the batch path.
+///
+/// Candidate contract: an existing record is a candidate when it shares
+/// at least `min_shared_items` items with the new one; candidates are
+/// ordered by (shared count, record index), both descending, and the
+/// first `max_candidates` are scored in that order. The pair is a total
+/// order (indices are distinct), so which candidates are kept, and the
+/// order they are scored in, never depends on how the counts were
+/// gathered. They are gathered in a dense per-record counter sized to
+/// the corpus plus a list of the records it touched: a record's count
+/// is read and reset through that list, so a call allocates nothing and
+/// clears nothing beyond the records its items actually reach.
 class IncrementalResolver {
  public:
   struct Options {
@@ -44,6 +57,10 @@ class IncrementalResolver {
                       ml::AdTree model, data::GeoResolver geo_resolver = {})
       : IncrementalResolver(initial, initial_resolution, std::move(model),
                             std::move(geo_resolver), Options()) {}
+  virtual ~IncrementalResolver() = default;
+
+  IncrementalResolver(const IncrementalResolver&) = delete;
+  IncrementalResolver& operator=(const IncrementalResolver&) = delete;
 
   /// Ingests one report: indexes it and matches it against the corpus.
   /// Returns the record's index and appends any new matches.
@@ -60,7 +77,33 @@ class IncrementalResolver {
   /// All matches (initial + incremental), as a ranked resolution.
   RankedResolution Resolution() const;
 
+  /// All matches in the order they were found: the initial resolution's
+  /// matches, then each AddRecord's matches in scoring order. A suffix of
+  /// this list is exactly what the calls since some point added, which is
+  /// what lets a live index extend its last generation instead of
+  /// re-sorting everything (serve::ResolutionIndex::Extend).
+  const std::vector<RankedMatch>& matches() const { return matches_; }
+
   size_t num_matches() const { return matches_.size(); }
+
+ protected:
+  /// (shared-item count, existing record index); candidates are ranked
+  /// descending on the pair.
+  using Candidate = std::pair<uint32_t, data::RecordIdx>;
+
+  /// The candidate rule (see the class comment): fills `out` with the
+  /// kept candidates for a new record whose deduplicated, sorted item bag
+  /// is `bag`, best first. Runs before the new record is indexed, so it
+  /// never sees itself. Virtual only so that tests can substitute the
+  /// reference rule the dense counter must match.
+  virtual void SelectCandidates(const data::ItemBag& bag,
+                                std::vector<Candidate>* out);
+
+  const Options& options() const { return options_; }
+  /// item -> existing records containing it, ascending.
+  const std::vector<std::vector<data::RecordIdx>>& postings() const {
+    return postings_;
+  }
 
  private:
   Options options_;
@@ -73,6 +116,11 @@ class IncrementalResolver {
   std::vector<std::vector<data::RecordIdx>> postings_;
   std::vector<RankedMatch> matches_;
   std::vector<RankedMatch> last_matches_;
+  // SelectCandidates scratch: shared-item count per existing record (all
+  // zero between calls) and the records with a non-zero count.
+  std::vector<uint32_t> shared_counts_;
+  std::vector<data::RecordIdx> touched_;
+  std::vector<Candidate> candidates_;
 };
 
 }  // namespace yver::core

@@ -38,13 +38,7 @@ RankedResolution::RankedResolution(std::vector<RankedMatch> matches)
   // documented in the header. stable_sort keeps the result well-defined
   // even if a future RankedMatch field makes the comparator a partial
   // order over equal-confidence, equal-pair entries.
-  std::stable_sort(matches_.begin(), matches_.end(),
-                   [](const RankedMatch& a, const RankedMatch& b) {
-                     if (a.confidence != b.confidence) {
-                       return a.confidence > b.confidence;
-                     }
-                     return a.pair < b.pair;
-                   });
+  std::stable_sort(matches_.begin(), matches_.end(), RankedBefore);
   adjacency_ = MatchAdjacency(matches_);
 }
 

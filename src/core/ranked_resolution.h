@@ -20,6 +20,16 @@ struct RankedMatch {
   friend bool operator==(const RankedMatch&, const RankedMatch&) = default;
 };
 
+/// The RankedResolution ordering contract as a comparator: confidence
+/// descending, ties broken by ascending (pair.a, pair.b). A strict total
+/// order over matches with distinct pairs and non-NaN confidences. A
+/// function object, not a function, so the sorts that take it inline it.
+inline constexpr auto RankedBefore = [](const RankedMatch& a,
+                                        const RankedMatch& b) {
+  if (a.confidence != b.confidence) return a.confidence > b.confidence;
+  return a.pair < b.pair;
+};
+
 /// Record-keyed CSR adjacency over a confidence-sorted match list: for each
 /// record, the indices (into that list) of the matches it participates in.
 /// Because the underlying list is sorted best-first and each per-record

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -205,12 +206,28 @@ void LiveIndexBuilder::Run() {
     for (data::Record& record : batch) {
       resolver_->AddRecord(std::move(record));
     }
-    // Snapshot the cumulative resolution and try to install it. The
-    // snapshot is rebuilt from scratch per publish: generations are
-    // immutable, so the previous one must not be mutated in place.
-    auto snapshot = std::make_shared<const ResolutionIndex>(
-        resolver_->Resolution(), resolver_->dataset().size());
-    auto published = service_->PublishIndex(std::move(snapshot));
+    // Snapshot the cumulative resolution and try to install it.
+    // Generations are immutable, so the next one is a new index: the last
+    // one this builder built, extended by the matches found since — a
+    // merge of the few new matches, not a re-sort of all of them. It
+    // becomes the next base whether or not the publish succeeds, so a
+    // retry republishes it as is. The first one is built whole, here
+    // rather than at startup, so an idle builder holds no second copy of
+    // the served index. It comes from the resolver alone, never from the
+    // service: what another writer installed there must not leak into
+    // this builder's generations.
+    if (built_ == nullptr) {
+      built_ = std::make_shared<const ResolutionIndex>(
+          resolver_->Resolution(), resolver_->dataset().size());
+      built_matches_ = resolver_->num_matches();
+    } else if (!batch.empty()) {
+      std::span<const core::RankedMatch> added(resolver_->matches());
+      built_ = std::make_shared<const ResolutionIndex>(ResolutionIndex::Extend(
+          *built_, added.subspan(built_matches_),
+          resolver_->dataset().size()));
+      built_matches_ = added.size();
+    }
+    auto published = service_->PublishIndex(built_);
     {
       std::lock_guard<std::mutex> lock(mu_);
       applied_ += batch.size();

@@ -86,9 +86,10 @@ struct IngestStats {
 /// time (base corpus size + arrival position) and returns immediately;
 /// the builder drains the queue in arrival order, feeds each record
 /// through core::IncrementalResolver (item interning, candidate
-/// generation, scoring — the paper's trickle-ingest path), snapshots the
-/// cumulative resolution into an immutable ResolutionIndex, and installs
-/// it via ResolutionService::PublishIndex.
+/// generation, scoring — the paper's trickle-ingest path), extends the
+/// last generation it built by the new matches (ResolutionIndex::Extend)
+/// into an immutable ResolutionIndex, and installs it via
+/// ResolutionService::PublishIndex.
 ///
 /// Determinism contract: the final published index is a pure function of
 /// (seed corpus, submission order) — batch boundaries and publish
@@ -98,12 +99,14 @@ struct IngestStats {
 ///
 /// Failure model: a publish that fails (fault injection at
 /// serve.index.publish) leaves the resolver state intact and the builder
-/// dirty; the next round republishes the cumulative snapshot, so a
-/// transiently failing publish delays visibility but never loses or
-/// reorders records.
+/// dirty; the built snapshot stays the base, and the next round publishes
+/// it (extended by whatever was applied meanwhile), so a transiently
+/// failing publish delays visibility but never loses or reorders records.
 class LiveIndexBuilder {
  public:
   /// Takes ownership of a seeded resolver and starts the builder thread.
+  /// Its first publish builds a whole index from the resolver's
+  /// resolution; later ones extend the last index it built.
   /// The resolver must be seeded with exactly the corpus the service's
   /// current index was built over.
   LiveIndexBuilder(std::shared_ptr<ResolutionService> service,
@@ -163,6 +166,12 @@ class LiveIndexBuilder {
 
   std::shared_ptr<ResolutionService> service_;
   std::unique_ptr<core::IncrementalResolver> resolver_;  // builder thread only
+  /// The last generation this builder built (published or not; null
+  /// before the first publish) and how many of the resolver's matches()
+  /// it holds; the next publish extends it by the rest. Builder thread
+  /// only.
+  std::shared_ptr<const ResolutionIndex> built_;
+  size_t built_matches_ = 0;
   IngestOptions options_;
   size_t base_records_ = 0;
   uint64_t last_snapshot_count_ = 0;  // appended records covered (builder thread)

@@ -85,15 +85,52 @@ ResolutionIndex::ResolutionIndex(const core::RankedResolution& resolution,
 
 util::StatusOr<ResolutionIndex> ResolutionIndex::Build(
     const core::RankedResolution& resolution, size_t num_records) {
-  for (const auto& m : resolution.matches()) {
-    if (m.pair.b >= num_records) {
-      return util::Status::DataLoss(
-          "match (" + std::to_string(m.pair.a) + ", " +
-          std::to_string(m.pair.b) + ") references a record beyond the " +
-          std::to_string(num_records) + "-record corpus");
+  const auto& matches = resolution.matches();
+  for (size_t row = 0; row < matches.size(); ++row) {
+    const core::RankedMatch& m = matches[row];
+    std::string what;
+    if (m.pair.a >= m.pair.b) {
+      what = "is not a pair of two distinct records";
+    } else if (m.pair.b >= num_records) {
+      what = "references a record beyond the " +
+             std::to_string(num_records) + "-record corpus";
+    } else if (std::isnan(m.confidence)) {
+      what = "has a NaN confidence";
+    } else {
+      continue;
     }
+    return util::Status::DataLoss("match row " + std::to_string(row) + " (" +
+                                  std::to_string(m.pair.a) + ", " +
+                                  std::to_string(m.pair.b) + ") " + what);
   }
   return ResolutionIndex(resolution, num_records);
+}
+
+ResolutionIndex ResolutionIndex::Extend(
+    const ResolutionIndex& base, std::span<const core::RankedMatch> added,
+    size_t num_records) {
+  YVER_CHECK_MSG(num_records >= base.num_records_,
+                 "an extended index cannot shrink the corpus");
+  std::vector<core::RankedMatch> sorted(added.begin(), added.end());
+  std::stable_sort(sorted.begin(), sorted.end(), core::RankedBefore);
+  ResolutionIndex next;
+  next.num_records_ = num_records;
+  next.arena_.reserve(base.arena_.size() + sorted.size());
+  // std::merge, with the long runs of base between insertion points
+  // copied in bulk: each added match goes after every base match that is
+  // not ranked strictly below it (upper_bound), so base wins ties.
+  auto from = base.arena_.begin();
+  for (const core::RankedMatch& m : sorted) {
+    YVER_CHECK_MSG(m.pair.b < num_records,
+                   "match references record beyond the corpus");
+    auto to = std::upper_bound(from, base.arena_.end(), m, core::RankedBefore);
+    next.arena_.insert(next.arena_.end(), from, to);
+    next.arena_.push_back(m);
+    from = to;
+  }
+  next.arena_.insert(next.arena_.end(), from, base.arena_.end());
+  next.adjacency_ = core::MatchAdjacency(next.arena_, num_records);
+  return next;
 }
 
 std::vector<core::RankedMatch> ResolutionIndex::ForRecord(data::RecordIdx r,

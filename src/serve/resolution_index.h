@@ -37,10 +37,26 @@ class ResolutionIndex {
                   size_t num_records);
 
   /// Validating factory for untrusted resolutions (e.g. matches loaded
-  /// from a CSV): DATA_LOSS when a match references a record beyond the
-  /// corpus, instead of aborting the process.
+  /// from a CSV): DATA_LOSS, naming the offending row, for exactly what
+  /// Load rejects in an artifact — a self-pair, a match referencing a
+  /// record beyond the corpus, or a NaN confidence — instead of aborting
+  /// the process or serving a match twice.
   static util::StatusOr<ResolutionIndex> Build(
       const core::RankedResolution& resolution, size_t num_records);
+
+  /// The next generation of `base`: its matches plus `added`, over a
+  /// corpus grown to `num_records` (>= base.num_records()). Only `added`
+  /// is sorted (under the RankedResolution ordering contract); it is then
+  /// merged into base's already-sorted arena, with base's matches first
+  /// among equals, and the adjacency is built once. That is exactly the
+  /// arena `stable_sort(base matches ++ added)` gives, so the result
+  /// equals — Checksum() and all — ResolutionIndex(RankedResolution(all
+  /// matches), num_records), at O(M + k log k) instead of O(M log M).
+  /// Trusted like the constructor: CHECK-fails when an added match
+  /// references a record beyond num_records.
+  static ResolutionIndex Extend(const ResolutionIndex& base,
+                                std::span<const core::RankedMatch> added,
+                                size_t num_records);
 
   /// Records in the indexed corpus.
   size_t num_records() const { return num_records_; }

@@ -360,6 +360,18 @@ data::Dataset MakeSeedCorpus() {
   return dataset;
 }
 
+// The index a serial IncrementalResolver replay of `appended` over the
+// seed corpus resolves to: what the served generation must equal, byte
+// for byte, however publishes were batched or failed along the way.
+uint64_t SerialReplayChecksum(const std::vector<data::Record>& appended) {
+  core::IncrementalResolver replay(MakeSeedCorpus(), core::RankedResolution(),
+                                   ml::AdTree());
+  for (const data::Record& record : appended) replay.AddRecord(record);
+  EXPECT_GT(replay.num_matches(), 0u) << "the replay has nothing to compare";
+  return ResolutionIndex(replay.Resolution(), replay.dataset().size())
+      .Checksum();
+}
+
 struct LiveServing {
   std::shared_ptr<ResolutionService> service;
   std::shared_ptr<LiveIndexBuilder> builder;
@@ -442,9 +454,11 @@ TEST(LiveIndexBuilderTest, PublishFaultsDelayButNeverLoseRecords) {
   ScopedFaultInjection arm(config);
 
   std::vector<data::RecordIdx> indices;
+  std::vector<data::Record> appended;
   for (uint64_t i = 0; i < 4; ++i) {
-    auto idx = live.builder->Submit(
+    appended.push_back(
         MakeReport(200 + i, "rivka" + std::to_string(i), "gold", "krakow"));
+    auto idx = live.builder->Submit(appended.back());
     ASSERT_TRUE(idx.ok());
     indices.push_back(*idx);
   }
@@ -459,17 +473,20 @@ TEST(LiveIndexBuilderTest, PublishFaultsDelayButNeverLoseRecords) {
   for (size_t i = 0; i < indices.size(); ++i) {
     EXPECT_EQ(indices[i], 4u + i);
   }
+  // Retries republish the snapshot built before the failure, extended by
+  // what was applied since: the result is still the serial replay.
+  EXPECT_EQ(live.service->PinIndex()->Checksum(),
+            SerialReplayChecksum(appended));
 }
 
 TEST(LiveIndexBuilderTest, BatchedPublishesCoalesceGenerations) {
   IngestOptions options;
   options.publish_batch = 8;
   LiveServing live = MakeLiveServing(options);
+  std::vector<data::Record> appended;
   for (uint64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(
-        live.builder->Submit(MakeReport(300 + i, "m" + std::to_string(i),
-                                        "n", "o"))
-            .ok());
+    appended.push_back(MakeReport(300 + i, "m" + std::to_string(i), "n", "o"));
+    ASSERT_TRUE(live.builder->Submit(appended.back()).ok());
   }
   ASSERT_TRUE(live.builder->WaitForIdle().ok());
   auto stats = live.builder->stats();
@@ -479,6 +496,8 @@ TEST(LiveIndexBuilderTest, BatchedPublishesCoalesceGenerations) {
   EXPECT_GE(stats.published, 1u);
   EXPECT_LE(stats.published, 8u);
   EXPECT_EQ(live.service->PinIndex()->num_records(), 12u);
+  EXPECT_EQ(live.service->PinIndex()->Checksum(),
+            SerialReplayChecksum(appended));
 }
 
 }  // namespace

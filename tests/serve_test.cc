@@ -197,6 +197,41 @@ TEST_F(ResolutionIndexTest, LoadRejectsMissingCorruptAndTruncated) {
   std::remove(truncated.c_str());
 }
 
+// Build is the validating factory for untrusted matches: it must refuse
+// what Load refuses in an artifact, naming the row, rather than build an
+// index that, for a self-pair, answers the same match twice.
+TEST_F(ResolutionIndexTest, BuildRejectsWhatLoadRejects) {
+  auto built = ResolutionIndex::Build(resolution_, kRecords);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(built->Checksum(), index_.Checksum());
+
+  auto rejected = [](std::vector<RankedMatch> matches, size_t num_records) {
+    auto result = ResolutionIndex::Build(RankedResolution(std::move(matches)),
+                                         num_records);
+    EXPECT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kDataLoss);
+    return result.status().message();
+  };
+  RankedMatch good{RecordPair(0, 1), 0.9, 0.5};
+  RankedMatch self{RecordPair(2, 2), 0.5, 0.5};
+  RankedMatch nan{RecordPair(1, 3),
+                  std::numeric_limits<double>::quiet_NaN(), 0.5};
+  RankedMatch beyond{RecordPair(1, 4), 0.7, 0.5};
+  EXPECT_NE(rejected({good, self}, 4).find("row 1 (2, 2)"), std::string::npos);
+  EXPECT_NE(rejected({nan}, 4).find("row 0 (1, 3) has a NaN confidence"),
+            std::string::npos);
+  EXPECT_NE(rejected({good, beyond}, 4).find("row 1 (1, 4) references"),
+            std::string::npos);
+
+  // The same self-pair written into an artifact is refused by Load.
+  std::string path = TempPath("self-pair.yvx");
+  ASSERT_TRUE(
+      ResolutionIndex(RankedResolution({good, self}), 4).Save(path).ok());
+  EXPECT_EQ(ResolutionIndex::Load(path).status().code(),
+            util::StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
 TEST_F(ResolutionIndexTest, ClustersMatchEntityClusters) {
   core::EntityClusters direct(resolution_, kRecords, 0.4);
   core::EntityClusters sliced = index_.ClustersAt(0.4);
