@@ -59,9 +59,11 @@ cmake --build build -j "$(nproc)"
 ctest --test-dir build -L tier1 --output-on-failure -j "$(nproc)"
 
 echo "==> tier-1: CLI numeric flags are parsed strictly"
-# An out-of-range port must not wrap (70000 once listened on 4464) and a
-# negative thread count must not crash (-1 once aborted with exit 134).
-# The missing --in file would exit 1, so exit 2 proves the flag check ran.
+# An out-of-range port must not wrap (70000 once listened on 4464), a
+# negative count must not wrap either, and a negative thread count must
+# not crash (-1 once aborted `serve` with exit 134; `serve` has no
+# --threads now, `resolve` still does). The missing --in file would exit
+# 1, so exit 2 proves the flag check ran.
 expect_flag_rejected() {
   local flag="$1" rc=0 err
   shift
@@ -70,7 +72,8 @@ expect_flag_rejected() {
     echo "expected exit 2 naming --$flag, got $rc: $err" >&2; exit 1; }
 }
 expect_flag_rejected port ./build/tools/yver_cli serve --in missing.csv --port 70000
-expect_flag_rejected threads ./build/tools/yver_cli serve --in missing.csv --threads -1
+expect_flag_rejected max-batch ./build/tools/yver_cli serve --in missing.csv --max-batch -1
+expect_flag_rejected threads ./build/tools/yver_cli resolve --in missing.csv --out missing-out.csv --threads -1
 
 if [[ "$run_tsan" == 1 ]]; then
   echo "==> tier-1: ThreadSanitizer race check (serve layer + pipeline/blocking determinism)"
@@ -80,9 +83,10 @@ if [[ "$run_tsan" == 1 ]]; then
   # per-rank miner; MfiBlocks*/ThreadPool* add the direct blocking and
   # chunked-merge primitives; ChaosTest*/the robustness suites drive the
   # failure model (deadlines, shedding, fault injection) concurrently.
-  # Wire*/Net* add the TCP front end: the epoll loop, dispatchers, and
-  # loadgen threads all share connection state, so the loopback
-  # integration and socket-fault chaos suites run race-checked too.
+  # Wire*/Net* add the TCP front end: the epoll loop answers queries
+  # through the same service that in-process callers and the loadgen
+  # threads hit concurrently, so the loopback integration, fairness,
+  # admission and socket-fault chaos suites run race-checked too.
   # IndexManager*/LiveIndexBuilder* are the live-update layer (DESIGN.md
   # §13): the RCU snapshot swap and the ingest builder are exactly the
   # code TSan exists for — readers pin generations wait-free while a
@@ -115,7 +119,7 @@ if [[ "$run_tsan" == 1 ]]; then
   # knobs so the adversarial smoke below trips them in seconds, while
   # well-behaved loadgen traffic never notices.
   ./build-tsan/tools/yver_cli serve --in "$smoke_dir/data.csv" --index "$smoke_dir/idx.yvx" \
-      --live --port-file "$smoke_dir/port" --dispatch-threads 2 \
+      --live --port-file "$smoke_dir/port" \
       --min-read-rate 256 --progress-window-ms 1000 \
       --max-out-buffer 65536 --sndbuf 65536 \
       --write-stall-timeout-ms 2000 >"$smoke_dir/serve.log" 2>&1 &

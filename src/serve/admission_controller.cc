@@ -4,13 +4,20 @@
 
 namespace yver::serve {
 
-util::Status AdmissionController::Admit(const util::Deadline& deadline) {
+util::Status AdmissionController::Admit(const util::Deadline& deadline,
+                                        AdmissionWait wait) {
   if (unlimited()) return util::Status::Ok();
   std::unique_lock<std::mutex> lock(mu_);
   if (in_flight_ < options_.max_in_flight) {
     ++in_flight_;
     ++admitted_;
     return util::Status::Ok();
+  }
+  if (wait == AdmissionWait::kNever) {
+    ++shed_;
+    return util::Status::ResourceExhausted(
+        "in-flight budget (" + std::to_string(options_.max_in_flight) +
+        ") is full and the caller may not wait");
   }
   if (queued_ >= options_.max_queue_depth) {
     ++shed_;

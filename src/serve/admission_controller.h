@@ -22,6 +22,13 @@ struct AdmissionOptions {
   size_t max_queue_depth = 0;
 };
 
+/// Whether a caller may queue for an in-flight slot.
+enum class AdmissionWait : uint8_t {
+  kQueue,  // wait in the bounded queue, up to the caller's deadline
+  kNever,  // no free slot sheds at once, as a full queue does (callers
+           // that must never block, like the wire server's event loop)
+};
+
 /// Point-in-time admission counters.
 struct AdmissionSnapshot {
   uint64_t admitted = 0;
@@ -49,11 +56,12 @@ class AdmissionController {
 
   /// Takes one in-flight slot. Returns OK immediately when a slot is free;
   /// otherwise waits — bounded by `deadline` and by the queue depth:
-  ///  - queue already holds max_queue_depth waiters -> RESOURCE_EXHAUSTED
-  ///    without waiting (the shed path);
+  ///  - queue already holds max_queue_depth waiters, or `wait` is kNever
+  ///    -> RESOURCE_EXHAUSTED without waiting (the shed path);
   ///  - `deadline` expires while queued -> DEADLINE_EXCEEDED.
   /// Every OK must be paired with exactly one Release().
-  util::Status Admit(const util::Deadline& deadline);
+  util::Status Admit(const util::Deadline& deadline,
+                     AdmissionWait wait = AdmissionWait::kQueue);
 
   /// Returns the slot taken by a successful Admit.
   void Release();

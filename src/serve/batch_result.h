@@ -10,9 +10,9 @@
 namespace yver::serve {
 
 /// The typed answer to a batch of queries: per-query statuses in request
-/// order plus the aggregate counters every batch consumer was recomputing
-/// by hand (the load generator, the net dispatcher). Replaces
-/// the bare std::vector<StatusOr<QueryResult>> QueryBatch used to return.
+/// order plus the aggregate counters an in-process batch caller would
+/// otherwise recompute by hand. Replaces the bare
+/// std::vector<StatusOr<QueryResult>> QueryBatch used to return.
 ///
 /// The vector interface (size / operator[] / iteration) is preserved so a
 /// BatchResult reads like the list it contains; the counters are derived

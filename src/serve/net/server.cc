@@ -72,7 +72,6 @@ Server::Server(std::shared_ptr<ResolutionService> service,
       options_(options),
       builder_(std::move(builder)) {
   YVER_CHECK_MSG(service_ != nullptr, "Server needs a ResolutionService");
-  if (options_.dispatch_threads == 0) options_.dispatch_threads = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.timer_tick_ms <= 0) options_.timer_tick_ms = 20;
 }
@@ -121,8 +120,6 @@ util::Status Server::Start() {
       MillisDuration(options_.timer_tick_ms), kWheelSlots);
   global_bucket_ = TokenBucket{};
   admission_saturated_ = false;
-  dispatchers_ =
-      std::make_unique<util::ThreadPool>(options_.dispatch_threads);
   stop_requested_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   loop_ = std::thread([this] { Loop(); });
@@ -135,10 +132,9 @@ void Server::Shutdown() {
   uint64_t one = 1;
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   loop_.join();
-  // The loop has exited: it drained the dispatchers before leaving and
-  // every connection is closed. Tear down the fds.
-  dispatchers_.reset();
+  // The loop has exited and every connection is closed. Tear down the fds.
   conns_.clear();
+  ready_.clear();
   wheel_.reset();
   listener_.Close();
   if (epoll_fd_ >= 0) {
@@ -215,7 +211,7 @@ void Server::Loop() {
   for (;;) {
     if (!draining && stop_requested_.load(std::memory_order_acquire)) {
       // Graceful shutdown begins: no new connections, no new reads; every
-      // already-decoded query still gets dispatched, answered, flushed.
+      // already-decoded query still gets answered and flushed.
       draining = true;
       drain_deadline = Clock::now() + MillisDuration(options_.drain_timeout_ms);
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener_.fd(), nullptr);
@@ -237,12 +233,12 @@ void Server::Loop() {
                                     : 0u;  // reads off
         ev.data.u64 = id;
         ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.sock.fd(), &ev);
-        MaybeDispatch(id, conn);
+        if (!conn.pending.empty()) MarkReady(id, conn);
       }
     }
     if (draining) {
       for (auto& [id, conn] : conns_) {
-        if (!conn.dead && !conn.in_flight && conn.pending.empty() &&
+        if (!conn.dead && conn.pending.empty() &&
             conn.out_off >= conn.out.size()) {
           MarkDead(id, conn);
         }
@@ -254,8 +250,17 @@ void Server::Loop() {
       break;
     }
 
-    int timeout_ms =
-        draining ? 10 : wheel_->MillisUntilNext(Clock::now());
+    // A non-empty ready list means answers are owed: poll without
+    // blocking so they go out this turn, after any new readiness.
+    int timeout_ms = !ready_.empty() ? 0
+                     : draining      ? 10
+                                     : wheel_->MillisUntilNext(Clock::now());
+    if (admission_saturated_) {
+      // In-process callers release slots without waking the loop; re-read
+      // the gate at least once a tick while reads are paused on it.
+      int tick_ms = std::max(1, static_cast<int>(options_.timer_tick_ms));
+      timeout_ms = timeout_ms < 0 ? tick_ms : std::min(timeout_ms, tick_ms);
+    }
     int n = ::epoll_wait(epoll_fd_, events.data(),
                          static_cast<int>(events.size()), timeout_ms);
     if (n < 0) {
@@ -270,17 +275,16 @@ void Server::Loop() {
         continue;
       }
       if (id == kWakeId) {
+        // Shutdown's wakeup; stop_requested_ is read at the top of the turn.
         uint64_t drained = 0;
         [[maybe_unused]] ssize_t r =
             ::read(wake_fd_, &drained, sizeof(drained));
-        DrainCompletions();
         continue;
       }
       auto it = conns_.find(id);
       if (it == conns_.end() || it->second.dead) continue;
       Connection& conn = it->second;
-      if ((mask & (EPOLLHUP | EPOLLERR)) != 0 && !conn.in_flight &&
-          conn.pending.empty()) {
+      if ((mask & (EPOLLHUP | EPOLLERR)) != 0 && conn.pending.empty()) {
         MarkDead(id, conn);
         continue;
       }
@@ -291,8 +295,8 @@ void Server::Loop() {
       }
       if (!conn.dead && (mask & EPOLLOUT) != 0) HandleWritable(id, conn);
     }
-    // Completions can land between epoll wakeups; always sweep.
-    DrainCompletions();
+    ServeReady();
+    RefreshAdmission();
     if (!draining) {
       for (uint64_t id : wheel_->ExpireUntil(Clock::now())) {
         auto it = conns_.find(id);
@@ -307,10 +311,6 @@ void Server::Loop() {
     if (!conn.dead) MarkDead(id, conn);
   }
   ReapDead();
-  // Dispatched batches may still be running; their completions go to a
-  // queue nobody reads past this point, which is fine — but the tasks
-  // must finish before the dispatcher pool is destroyed in Shutdown().
-  dispatchers_->Wait();
 }
 
 void Server::AcceptAll() {
@@ -391,14 +391,16 @@ void Server::HandleReadable(uint64_t id, Connection& conn) {
   }
   DecodeFrames(id, conn);
   if (conn.dead) return;
-  MaybeDispatch(id, conn);
-  // EOF with nothing outstanding: close now.
-  if (!conn.dead && conn.closing && !conn.in_flight && conn.in.empty() &&
-      conn.pending.empty() && conn.out_off >= conn.out.size()) {
-    MarkDead(id, conn);
+  if (!conn.pending.empty()) {
+    // Answered after this turn's events; ServeReady updates its state.
+    MarkReady(id, conn);
     return;
   }
-  if (!conn.dead) UpdateConnState(id, conn);
+  if (conn.closing && conn.in.empty() && conn.out_off >= conn.out.size()) {
+    MarkDead(id, conn);  // EOF with nothing outstanding: close now
+    return;
+  }
+  UpdateConnState(id, conn);
 }
 
 void Server::DecodeFrames(uint64_t id, Connection& conn) {
@@ -410,6 +412,10 @@ void Server::DecodeFrames(uint64_t id, Connection& conn) {
   // buffered (per-frame front erases on a large `in` are quadratic).
   bool partial = false;
   size_t off = 0;
+  // With both limits off the buckets admit unconditionally, so the gate
+  // (and the clock read that feeds it) is skipped.
+  const bool rate_limited =
+      options_.conn_rate_limit > 0 || options_.global_rate_limit > 0;
   // `closing` does not stop the loop: after a clean half-close (EOF with
   // buffered frames) every complete frame already received is decoded and
   // answered. The paths that must NOT decode further — poisoned framing
@@ -457,8 +463,8 @@ void Server::DecodeFrames(uint64_t id, Connection& conn) {
     }
     // A whole frame is present. Rate-gate queries/appends before paying
     // for the payload decode; info requests are exempt (observability).
-    if (header.type == wire::FrameType::kQuery ||
-        header.type == wire::FrameType::kAppendRequest) {
+    if (rate_limited && (header.type == wire::FrameType::kQuery ||
+                         header.type == wire::FrameType::kAppendRequest)) {
       Clock::time_point now = Clock::now();
       bool admitted = conn.bucket.TryTake(options_.conn_rate_limit,
                                           options_.conn_rate_burst, now) &&
@@ -475,9 +481,9 @@ void Server::DecodeFrames(uint64_t id, Connection& conn) {
         if (options_.rate_limit_disconnect_streak > 0 &&
             conn.rate_limited_streak >=
                 options_.rate_limit_disconnect_streak) {
-          // A sustained flood: answer the queued typed errors in order,
-          // then drop the connection.
-          MaybeDispatch(id, conn);
+          // A sustained flood: answer everything queued in order, then
+          // drop the connection.
+          AnswerPending(id, conn, conn.pending.size());
           if (!conn.dead) {
             Disconnect(id, conn, DisconnectReason::kRateLimited);
           }
@@ -560,23 +566,62 @@ void Server::DecodeFrames(uint64_t id, Connection& conn) {
   }
 }
 
-void Server::MaybeDispatch(uint64_t id, Connection& conn) {
-  if (conn.dead || conn.in_flight) return;
-  // Markers at the head of the line (decode errors / info requests /
-  // rate-limited frames that queued behind queries) are answered inline,
-  // in arrival order.
-  while (!conn.dead && !conn.pending.empty() &&
-         conn.pending.front().kind != PendingEntry::Kind::kQuery) {
+void Server::MarkReady(uint64_t id, Connection& conn) {
+  if (conn.ready) return;
+  conn.ready = true;
+  ready_.push_back(id);
+}
+
+void Server::ServeReady() {
+  // Connections re-listed below land on the fresh ready_ and wait for the
+  // next turn: one quantum per connection per turn.
+  serving_.swap(ready_);
+  for (uint64_t id : serving_) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) continue;
+    Connection& conn = it->second;
+    conn.ready = false;
+    if (conn.dead) continue;
+    AnswerPending(id, conn, options_.max_batch);
+    if (conn.dead) continue;
+    // Answering made room in the pending queue: decode frames already
+    // buffered in `in` (level-triggered epoll only fires on new kernel
+    // bytes, so a paused connection resumes here, not on readiness).
+    DecodeFrames(id, conn);
+    if (conn.dead) continue;
+    if (!conn.pending.empty()) {
+      MarkReady(id, conn);
+    } else if (conn.closing && conn.in.empty() &&
+               conn.out_off >= conn.out.size()) {
+      MarkDead(id, conn);
+      continue;
+    }
+    UpdateConnState(id, conn);
+  }
+  serving_.clear();
+}
+
+void Server::AnswerPending(uint64_t id, Connection& conn, size_t limit) {
+  std::string bytes;
+  size_t answered = 0;
+  for (; answered < limit && !conn.pending.empty(); ++answered) {
     PendingEntry entry = std::move(conn.pending.front());
     conn.pending.pop_front();
-    std::string bytes;
     switch (entry.kind) {
+      case PendingEntry::Kind::kQuery:
+        // Never wait for an admission slot here: a wait on the loop
+        // would freeze every connection.
+        wire::EncodeResult(
+            service_->QueryRecord(entry.query, AdmissionWait::kNever),
+            &bytes);
+        queries_dispatched_.fetch_add(1, std::memory_order_relaxed);
+        break;
       case PendingEntry::Kind::kInfoRequest:
         wire::EncodeInfo(MakeInfo(), &bytes);
         break;
       case PendingEntry::Kind::kAppend: {
-        // Ingest is answered inline, in line: the ack (or typed error)
-        // keeps its place among the connection's responses.
+        // The ack (or typed error) keeps its place among the
+        // connection's responses.
         if (builder_ == nullptr) {
           wire::EncodeResult(
               util::Status::Unavailable("live ingest disabled"), &bytes);
@@ -591,8 +636,8 @@ void Server::MaybeDispatch(uint64_t id, Connection& conn) {
         wire::AppendAck ack;
         ack.record_idx = *submitted;
         ack.generation = service_->index_manager().generation();
-        // v3: with a WAL behind the builder, Submit returned only after
-        // the fsync — tell the client this ack survives a crash.
+        // With a WAL behind the builder, Submit returned only after the
+        // fsync — tell the client this ack survives a crash.
         ack.durable = builder_->durable();
         ack.wal_sequence =
             ack.durable ? builder_->WalSequenceFor(
@@ -611,88 +656,25 @@ void Server::MaybeDispatch(uint64_t id, Connection& conn) {
             util::Status::ResourceExhausted("rate limited"), &bytes);
         break;
       case PendingEntry::Kind::kDecodeError:
-      default:
         wire::EncodeResult(
             util::Status::InvalidArgument("malformed query payload"),
             &bytes);
         break;
     }
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    QueueWrite(id, conn, std::move(bytes));
   }
-  if (conn.dead || conn.pending.empty()) return;
-  size_t take = std::min(options_.max_batch, conn.pending.size());
-  // Stop the batch at the next marker so markers stay in sequence.
-  for (size_t i = 0; i < take; ++i) {
-    if (conn.pending[i].kind != PendingEntry::Kind::kQuery) {
-      take = i;
-      break;
-    }
-  }
-  if (take == 0) return;
-  auto batch = std::make_shared<std::vector<Query>>();
-  batch->reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    batch->push_back(conn.pending.front().query);
-    conn.pending.pop_front();
-  }
-  conn.in_flight = true;
-  queries_dispatched_.fetch_add(take, std::memory_order_relaxed);
-  dispatchers_->Submit([this, id, batch] {
-    BatchResult results = service_->QueryBatch(*batch);
-    std::string bytes;
-    for (const auto& result : results) wire::EncodeResult(result, &bytes);
-    {
-      std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back(
-          Completion{id, std::move(bytes), results.size()});
-    }
-    uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  });
+  if (answered == 0) return;
+  responses_sent_.fetch_add(answered, std::memory_order_relaxed);
+  QueueWrite(id, conn, std::move(bytes));
 }
 
-void Server::DrainCompletions() {
-  std::vector<Completion> batch;
-  {
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    batch.swap(completions_);
-  }
-  for (Completion& c : batch) {
-    auto it = conns_.find(c.conn_id);
-    if (it == conns_.end()) continue;
-    if (it->second.dead) {
-      // The connection died while this batch was computing: drop the
-      // response, but release the tombstone so ReapDead can erase it.
-      it->second.in_flight = false;
-      continue;
-    }
-    Connection& conn = it->second;
-    conn.in_flight = false;
-    responses_sent_.fetch_add(c.responses, std::memory_order_relaxed);
-    QueueWrite(c.conn_id, conn, std::move(c.bytes));
-    if (conn.dead) continue;
-    // Reads were paused for the in-flight batch; frames may be waiting
-    // already-buffered in `in` — decode them before re-arming EPOLLIN
-    // (level-triggered epoll only fires on new kernel bytes).
-    DecodeFrames(c.conn_id, conn);
-    if (conn.dead) continue;
-    MaybeDispatch(c.conn_id, conn);
-    if (!conn.dead && conn.closing && !conn.in_flight && conn.in.empty() &&
-        conn.pending.empty() && conn.out_off >= conn.out.size()) {
-      MarkDead(c.conn_id, conn);
-      continue;
-    }
-    if (!conn.dead) UpdateConnState(c.conn_id, conn);
-  }
+void Server::RefreshAdmission() {
   // Admission saturation is shared state: a flip pauses or resumes reads
-  // on every connection, not just the ones with completions.
+  // on every connection.
   bool saturated = service_->admission().Saturated();
-  if (saturated != admission_saturated_) {
-    admission_saturated_ = saturated;
-    for (auto& [id, conn] : conns_) {
-      if (!conn.dead && !conn.closing) UpdateConnState(id, conn);
-    }
+  if (saturated == admission_saturated_) return;
+  admission_saturated_ = saturated;
+  for (auto& [id, conn] : conns_) {
+    if (!conn.dead && !conn.closing) UpdateConnState(id, conn);
   }
 }
 
@@ -734,8 +716,7 @@ void Server::HandleWritable(uint64_t id, Connection& conn) {
   if (conn.out_off == conn.out.size()) {
     conn.out.clear();
     conn.out_off = 0;
-    if (conn.closing && !conn.in_flight && conn.in.empty() &&
-        conn.pending.empty()) {
+    if (conn.closing && conn.in.empty() && conn.pending.empty()) {
       MarkDead(id, conn);
       return;
     }
@@ -746,11 +727,11 @@ void Server::HandleWritable(uint64_t id, Connection& conn) {
 void Server::UpdateConnState(uint64_t id, Connection& conn) {
   if (conn.dead) return;
   bool stopping = stop_requested_.load(std::memory_order_acquire);
-  // The backpressure predicate: pause reads while a batch is in flight,
-  // while the pending queue is full, or while admission is saturated —
-  // the kernel socket buffer and TCP flow control take it from there.
-  bool pressure = conn.in_flight || conn.pending.size() >= PendingCap() ||
-                  admission_saturated_;
+  // The backpressure predicate: pause reads while the pending queue is
+  // full or while admission is saturated — the kernel socket buffer and
+  // TCP flow control take it from there.
+  bool pressure =
+      conn.pending.size() >= PendingCap() || admission_saturated_;
   bool want_read = !conn.closing && !stopping && !pressure;
   bool want_write = conn.out_off < conn.out.size();
   bool was_armed = conn.reads_armed;
@@ -785,8 +766,8 @@ void Server::UpdateConnState(uint64_t id, Connection& conn) {
   // Schedule the connection's nearest defense deadline on the wheel.
   Clock::time_point next = Clock::time_point::max();
   size_t backlog = conn.out.size() - conn.out_off;
-  bool quiescent = !conn.in_flight && conn.pending.empty() &&
-                   backlog == 0 && conn.in.empty();
+  bool quiescent =
+      conn.pending.empty() && backlog == 0 && conn.in.empty();
   if (options_.idle_timeout_ms > 0 && quiescent && !conn.closing) {
     next = std::min(next, conn.last_activity +
                               MillisDuration(options_.idle_timeout_ms));
@@ -812,8 +793,8 @@ void Server::UpdateConnState(uint64_t id, Connection& conn) {
 void Server::OnConnDeadline(uint64_t id, Connection& conn) {
   Clock::time_point now = Clock::now();
   size_t backlog = conn.out.size() - conn.out_off;
-  bool quiescent = !conn.in_flight && conn.pending.empty() &&
-                   backlog == 0 && conn.in.empty();
+  bool quiescent =
+      conn.pending.empty() && backlog == 0 && conn.in.empty();
   if (options_.idle_timeout_ms > 0 && quiescent && !conn.closing &&
       now - conn.last_activity >=
           MillisDuration(options_.idle_timeout_ms)) {
@@ -885,16 +866,7 @@ void Server::MarkDead(uint64_t id, Connection& conn) {
 }
 
 void Server::ReapDead() {
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    // A dead connection with a batch still at the dispatchers keeps its
-    // entry (as a tombstone) so the completion can be matched and dropped;
-    // it is reaped once the batch lands.
-    if (it->second.dead && !it->second.in_flight) {
-      it = conns_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(conns_, [](const auto& kv) { return kv.second.dead; });
 }
 
 }  // namespace yver::serve::net

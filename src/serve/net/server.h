@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -19,7 +18,6 @@
 #include "serve/wire.h"
 #include "util/socket.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace yver::serve::net {
 
@@ -28,19 +26,14 @@ struct ServerOptions {
   /// TCP port on 127.0.0.1 (0 = kernel-assigned; read back via port()).
   uint16_t port = 0;
   int backlog = 128;
-  /// Threads running ResolutionService::QueryBatch on behalf of
-  /// connections. The service fans each batch out over its own pool, so
-  /// one dispatcher already keeps every service worker busy; more
-  /// dispatchers let independent connections overlap their batches.
-  size_t dispatch_threads = 1;
-  /// Decoded queries handed to the service per dispatch. Batching
-  /// amortizes the fan-out latch; responses stay in request order.
+  /// The per-turn fairness quantum: pending frames a connection gets
+  /// answered per event-loop turn, in one write (see Server).
   size_t max_batch = 64;
   /// Connections beyond this are accepted and immediately closed (the
   /// listen backlog would otherwise queue them invisibly).
   size_t max_connections = 1024;
-  /// Graceful-shutdown bound: in-flight and already-decoded queries get
-  /// this long to drain and flush before connections are force-closed.
+  /// Graceful-shutdown bound: already-decoded queries get this long to
+  /// be answered and flushed before connections are force-closed.
   double drain_timeout_ms = 5000;
 
   // --- Connection-lifecycle defense (DESIGN.md §15). Each knob's zero
@@ -68,7 +61,7 @@ struct ServerOptions {
   /// before a single payload byte is buffered (reason: oversize). 0 = the
   /// protocol maximum, wire::kMaxFramePayload.
   size_t max_frame_payload = 0;
-  /// Decoded-but-undispatched frames a connection may queue before the
+  /// Decoded-but-unanswered frames a connection may queue before the
   /// loop deregisters EPOLLIN for it (backpressure; the kernel socket
   /// buffer and TCP flow control push back on the peer from there).
   /// 0 = 2 * max_batch.
@@ -108,7 +101,7 @@ struct ServerStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_closed = 0;
   uint64_t frames_received = 0;   // well-formed frames parsed
-  uint64_t queries_dispatched = 0;
+  uint64_t queries_dispatched = 0;  // query frames answered by the service
   uint64_t appends_accepted = 0;  // kAppendRequest frames acked into ingest
   uint64_t responses_sent = 0;    // result/error/info frames fully written
   uint64_t protocol_errors = 0;   // malformed frames (connection poisoned)
@@ -129,29 +122,38 @@ struct ServerStats {
 /// The TCP front end over a ResolutionService (DESIGN.md §12): one epoll
 /// event-loop thread owns every connection — per-connection read/write
 /// buffers with partial-read and short-write handling, wire framing, and
-/// strict in-order request/response pipelining — while query execution
-/// happens off-loop on a small dispatcher pool that feeds batches into
-/// ResolutionService::QueryBatch (and through it the service's
-/// ThreadPool, AdmissionController, deadlines, and cache).
+/// strict in-order request/response pipelining — and answers every
+/// decoded query itself through ResolutionService::QueryRecord (and
+/// through it the service's AdmissionController, deadlines, and cache).
+/// A cached answer costs about a microsecond, far less than handing it to
+/// another thread and waking the loop again.
+///
+/// Fairness: a connection gets at most `max_batch` frames answered per
+/// loop turn. One with more pending or buffered goes on a ready list, and
+/// while that list is non-empty the loop polls epoll without blocking, so
+/// every other connection is served between any two of its quanta.
 ///
 /// Ordering contract: responses on a connection are sent in the order the
-/// queries arrived, one response frame per query frame, regardless of
-/// dispatcher or service-thread scheduling — at most one batch per
-/// connection is in flight and batches never reorder internally. Combined
-/// with the codec's exclusion of server-side observability bits, this is
-/// what makes a replayed capture byte-identical run over run and wire
-/// answers byte-equal to the in-process API.
+/// queries arrived, one response frame per query frame — the pending
+/// queue is answered strictly from its head. Combined with the codec's
+/// exclusion of server-side observability bits, this is what makes a
+/// replayed capture byte-identical run over run and wire answers
+/// byte-equal to the in-process API.
+///
+/// The loop never waits for an admission slot (a wait would freeze every
+/// connection): with no free slot a query is shed as a full wait queue
+/// sheds it — a degraded cached answer, else RESOURCE_EXHAUSTED.
 ///
 /// Connection lifecycle (DESIGN.md §15): reading → paused → draining →
-/// dead. Reads pause (EPOLLIN deregistered) while a batch is in flight,
-/// while the pending queue is at its cap, or while the service's
-/// AdmissionController is saturated — TCP flow control then pushes back
-/// on the peer instead of the server buffering unboundedly. A deadline
-/// wheel in the loop drives idle timeouts, slow-loris progress timeouts,
-/// and write-stall detection; token buckets rate-limit query/append
-/// frames. Every defensive disconnect is typed (idle / slowloris /
-/// oversize / rate-limited / write-stall) and surfaced both in
-/// ServerStats and on the wire via the v4 kInfo NetGauges.
+/// dead. Reads pause (EPOLLIN deregistered) while the pending queue is at
+/// its cap or while the service's AdmissionController is saturated — TCP
+/// flow control then pushes back on the peer instead of the server
+/// buffering unboundedly. A deadline wheel in the loop drives idle
+/// timeouts, slow-loris progress timeouts, and write-stall detection;
+/// token buckets rate-limit query/append frames. Every defensive
+/// disconnect is typed (idle / slowloris / oversize / rate-limited /
+/// write-stall) and surfaced both in ServerStats and on the wire via the
+/// kInfo NetGauges.
 ///
 /// Failure model: a malformed frame gets a typed kError frame and a
 /// connection close (protocol errors poison framing); a query that fails
@@ -160,9 +162,9 @@ struct ServerStats {
 /// net.socket.read/write) close the connection. The process never aborts
 /// on network input.
 ///
-/// Shutdown() is graceful: stop accepting, stop reading, drain every
-/// dispatched and already-decoded query, flush the write buffers, then
-/// close — bounded by ServerOptions::drain_timeout_ms.
+/// Shutdown() is graceful: stop accepting, stop reading, answer every
+/// already-decoded query, flush the write buffers, then close — bounded
+/// by ServerOptions::drain_timeout_ms.
 class Server {
  public:
   /// `builder`, when non-null, enables live ingest: kAppendRequest frames
@@ -218,11 +220,10 @@ class Server {
   };
 
   /// One element of a connection's in-order pending queue. Besides real
-  /// queries it carries inline-answerable markers — a malformed query or
-  /// append payload (answers INVALID_ARGUMENT), an info request, a
-  /// decoded append, and a rate-limited frame (answers
-  /// RESOURCE_EXHAUSTED) — which must hold their place in line so
-  /// responses never overtake earlier queries.
+  /// queries it carries markers — a malformed query or append payload
+  /// (answers INVALID_ARGUMENT), an info request, a decoded append, and
+  /// a rate-limited frame (answers RESOURCE_EXHAUSTED) — which must hold
+  /// their place in line so responses never overtake earlier queries.
   struct PendingEntry {
     enum class Kind : uint8_t {
       kQuery,
@@ -240,10 +241,10 @@ class Server {
   struct Connection {
     util::Socket sock;
     std::string in;                         // unparsed wire bytes
-    std::deque<PendingEntry> pending;       // decoded, not yet dispatched
+    std::deque<PendingEntry> pending;       // decoded, not yet answered
     std::string out;                        // encoded frames awaiting write
     size_t out_off = 0;                     // bytes of `out` already sent
-    bool in_flight = false;                 // a batch is at the dispatchers
+    bool ready = false;                     // on ready_ (pending to answer)
     bool closing = false;                   // drain then close (EOF/protocol)
     bool want_write = false;                // EPOLLOUT currently armed
     bool reads_armed = true;                // EPOLLIN|EPOLLRDHUP armed
@@ -260,12 +261,6 @@ class Server {
     uint64_t rate_limited_streak = 0;
   };
 
-  struct Completion {
-    uint64_t conn_id = 0;
-    std::string bytes;        // encoded response frames, request order
-    uint64_t responses = 0;
-  };
-
   void Loop();
   void AcceptAll();
   void HandleReadable(uint64_t id, Connection& conn);
@@ -274,8 +269,16 @@ class Server {
   /// the pending cap (backpressure) — also the enforcement point for the
   /// frame-size cap and the rate limits.
   void DecodeFrames(uint64_t id, Connection& conn);
-  void MaybeDispatch(uint64_t id, Connection& conn);
-  void DrainCompletions();
+  /// Puts a connection with pending frames on the ready list (once).
+  void MarkReady(uint64_t id, Connection& conn);
+  /// Gives every connection on the ready list one quantum of answers,
+  /// refills its queue from `in`, and re-lists it if frames remain.
+  void ServeReady();
+  /// Answers up to `limit` frames from the head of the pending queue, in
+  /// order, and queues their encoded responses as one write.
+  void AnswerPending(uint64_t id, Connection& conn, size_t limit);
+  /// Re-reads admission saturation; a flip re-arms every connection.
+  void RefreshAdmission();
   /// Recomputes and applies the connection's epoll interest set (pause /
   /// resume reads, write interest) and its next wheel deadline. The one
   /// place connection state maps to kernel + timer state; call after any
@@ -291,7 +294,7 @@ class Server {
   /// Counts the typed reason, then MarkDead.
   void Disconnect(uint64_t id, Connection& conn, DisconnectReason reason);
   /// Closes the socket and flags the connection; the entry itself is
-  /// erased only by ReapDead at a safe point in the loop, so nested
+  /// erased only by ReapDead at the top of a loop turn, so nested
   /// handlers never hold a dangling Connection reference.
   void MarkDead(uint64_t id, Connection& conn);
   void ReapDead();
@@ -305,28 +308,25 @@ class Server {
   util::Socket listener_;
   uint16_t port_ = 0;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: completions + shutdown wakeups
+  int wake_fd_ = -1;  // eventfd: Shutdown() wakes the loop
 
   std::thread loop_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
 
-  std::unique_ptr<util::ThreadPool> dispatchers_;
-
   std::unordered_map<uint64_t, Connection> conns_;
   uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = wake fd
 
-  // Loop-thread only: connection deadlines + the global rate bucket and
-  // the cached admission-saturation state (recomputed when completions
-  // land; a flip sweeps every connection's read interest).
+  // Loop-thread only: connection deadlines, the global rate bucket, the
+  // cached admission-saturation state, and the ready list with the
+  // scratch list ServeReady swaps it into.
   std::unique_ptr<DeadlineWheel> wheel_;
   TokenBucket global_bucket_;
   bool admission_saturated_ = false;
+  std::vector<uint64_t> ready_;
+  std::vector<uint64_t> serving_;
 
-  std::mutex completions_mu_;
-  std::vector<Completion> completions_;
-
-  // Counters are atomics: the loop and dispatchers write, stats() reads.
+  // Counters are atomics: the loop writes, stats() reads.
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> closed_{0};
   std::atomic<uint64_t> frames_received_{0};

@@ -172,6 +172,41 @@ core::EntityClusters ResolutionIndex::ClustersAt(double certainty) const {
   return core::EntityClusters(arena_, num_records_, certainty);
 }
 
+std::vector<data::RecordIdx> ResolutionIndex::EntityOf(
+    data::RecordIdx r, double certainty) const {
+  // Breadth-first over the matches above the threshold. Entities are a
+  // handful of reports, so membership is a scan of the walk so far; one
+  // that outgrows kScanLimit switches to a bitmap over the corpus.
+  constexpr size_t kScanLimit = 32;
+  std::vector<data::RecordIdx> members{r};
+  std::vector<bool> seen;
+  for (size_t i = 0; i < members.size(); ++i) {
+    data::RecordIdx from = members[i];
+    for (uint32_t idx : adjacency_.Neighbors(from)) {
+      const core::RankedMatch& m = arena_[idx];
+      // The same test EntityClusters applies, so a NaN certainty also
+      // admits every match.
+      if (m.confidence <= certainty) break;  // confidence-descending
+      data::RecordIdx to = m.pair.a == from ? m.pair.b : m.pair.a;
+      if (seen.empty()) {
+        if (std::find(members.begin(), members.end(), to) != members.end()) {
+          continue;
+        }
+        members.push_back(to);
+        if (members.size() > kScanLimit) {
+          seen.assign(num_records_, false);
+          for (data::RecordIdx member : members) seen[member] = true;
+        }
+      } else if (!seen[to]) {
+        seen[to] = true;
+        members.push_back(to);
+      }
+    }
+  }
+  std::sort(members.begin(), members.end());
+  return members;
+}
+
 uint64_t ResolutionIndex::Checksum() const {
   // Must hash exactly the byte sequence Save writes after the magic, so
   // Checksum() equals the digest embedded in the artifact.

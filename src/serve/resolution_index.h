@@ -89,9 +89,16 @@ class ResolutionIndex {
 
   /// Entity clusters at a certainty threshold — connected components of
   /// the match graph restricted to confidence > certainty (§4.1
-  /// granularity dial). O(num_matches α(num_records)); the service caches
-  /// these per threshold.
+  /// granularity dial). O(num_matches α(num_records)).
   core::EntityClusters ClustersAt(double certainty) const;
+
+  /// Record r's entity at a certainty threshold: exactly
+  /// ClustersAt(certainty).Members(r), ascending, found by walking r's
+  /// component over the adjacency instead of clustering the corpus. Cost
+  /// grows with the entity, not with num_matches, so a query can afford
+  /// it on every cache miss.
+  std::vector<data::RecordIdx> EntityOf(data::RecordIdx r,
+                                        double certainty) const;
 
   /// FNV-1a digest of the index content (num_records, match count, raw
   /// arena bytes) — exactly the checksum `Save` embeds in the artifact,

@@ -1,7 +1,6 @@
 #include "serve/resolution_service.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <latch>
@@ -42,15 +41,6 @@ util::StatusOr<uint64_t> ResolutionService::PublishIndex(
     std::shared_ptr<const ResolutionIndex> next) {
   auto published = manager_.Publish(std::move(next));
   if (!published.ok()) return published;
-  {
-    // Invalidate cluster memos of retired generations. An in-flight query
-    // still pinning an old snapshot may transiently rebuild one; the
-    // max_cluster_slices pressure valve bounds that.
-    std::lock_guard<std::mutex> lock(clusters_mu_);
-    std::erase_if(cluster_slices_, [&](const auto& kv) {
-      return kv.first.first < *published;
-    });
-  }
   if (options_.max_stale_generations > 0) {
     // Bound serve-stale degradation: entries older than the window can no
     // longer be handed to a shed query, so "degraded" has a hard age cap
@@ -91,7 +81,7 @@ void ResolutionService::RecordLatency(
 }
 
 util::StatusOr<QueryResult> ResolutionService::QueryRecord(
-    const Query& query) {
+    const Query& query, AdmissionWait wait) {
   auto start = std::chrono::steady_clock::now();
   queries_.fetch_add(1, std::memory_order_relaxed);
   // Pin the current snapshot for the whole query: validation, cache, and
@@ -104,7 +94,7 @@ util::StatusOr<QueryResult> ResolutionService::QueryRecord(
   if (query.deadline.HasExpired()) {
     return Fail(query.deadline.Exceeded("admission"));
   }
-  util::Status admit = admission_.Admit(query.deadline);
+  util::Status admit = admission_.Admit(query.deadline, wait);
   if (!admit.ok()) {
     if (admit.code() == util::StatusCode::kResourceExhausted) {
       // Degraded mode: a shed query still gets its answer if one is
@@ -215,34 +205,15 @@ util::StatusOr<std::shared_ptr<const QueryResult>> ResolutionService::Compute(
                                        query.k);
       break;
     case Granularity::kEntity: {
-      auto clusters = ClustersAt(pin, query.certainty);
-      const auto& members = clusters->Members(query.record);
-      size_t n = query.k == 0 ? members.size()
-                              : std::min(query.k, members.size());
-      result->entity.assign(members.begin(), members.begin() + n);
+      result->entity = pin->EntityOf(query.record, query.certainty);
+      if (query.k != 0 && query.k < result->entity.size()) {
+        result->entity.resize(query.k);
+      }
       break;
     }
   }
   cache_.Put(query, pin.generation(), result);
   return std::shared_ptr<const QueryResult>(std::move(result));
-}
-
-std::shared_ptr<const core::EntityClusters> ResolutionService::ClustersAt(
-    const PinnedIndex& pin, double certainty) {
-  std::pair<uint64_t, uint64_t> key{pin.generation(),
-                                    std::bit_cast<uint64_t>(certainty)};
-  std::lock_guard<std::mutex> lock(clusters_mu_);
-  auto it = cluster_slices_.find(key);
-  if (it != cluster_slices_.end()) return it->second;
-  if (cluster_slices_.size() >= options_.max_cluster_slices) {
-    cluster_slices_.clear();  // simple pressure valve; slices are cheap to rebuild
-  }
-  // Built under the lock: a thundering herd on a brand-new threshold would
-  // otherwise cluster the same slice N times; serialize instead.
-  auto clusters =
-      std::make_shared<const core::EntityClusters>(pin->ClustersAt(certainty));
-  cluster_slices_.emplace(key, clusters);
-  return clusters;
 }
 
 ServiceMetrics ResolutionService::metrics() const {

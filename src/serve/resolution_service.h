@@ -6,12 +6,9 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "core/entity_clusters.h"
 #include "serve/admission_controller.h"
 #include "serve/batch_result.h"
 #include "serve/index_manager.h"
@@ -32,20 +29,16 @@ struct ServiceOptions {
   size_t cache_capacity = 1 << 16;
   /// LRU shards (rounded up to a power of two).
   size_t cache_shards = 16;
-  /// Distinct certainty thresholds whose entity clusterings are memoized;
-  /// the memo is dropped wholesale when it outgrows this.
-  size_t max_cluster_slices = 64;
   /// Admission control (load shedding): queries allowed to execute
   /// concurrently, and callers allowed to queue for a slot beyond that.
   /// max_in_flight == 0 disables admission entirely (the default).
   size_t max_in_flight = 0;
   size_t max_queue_depth = 0;
   /// Bound on serve-stale degradation under live updates: on every
-  /// publish, cached results (and cluster memos) computed against a
-  /// generation more than this many publishes behind the new one are
-  /// evicted, so a degraded answer can never be older than
-  /// max_stale_generations generations. 0 disables the sweep (entries age
-  /// out under LRU pressure only).
+  /// publish, cached results computed against a generation more than
+  /// this many publishes behind the new one are evicted, so a degraded
+  /// answer can never be older than max_stale_generations generations. 0
+  /// disables the sweep (entries age out under LRU pressure only).
   uint64_t max_stale_generations = 4;
 };
 
@@ -114,13 +107,12 @@ struct ServiceMetrics {
 /// execution — validation, cache lookup, compute, and cache fill all see
 /// one generation, so an in-flight query never observes a torn swap.
 /// `PublishIndex` installs a new generation atomically; cache entries are
-/// keyed by generation (a retired answer can never be served as fresh)
-/// and the per-threshold cluster memo is invalidated on publish.
+/// keyed by generation, so a retired answer can never be served as fresh.
 ///
 /// Repeated (record, certainty, k, granularity) lookups are served from a
-/// sharded LRU cache; entity-granularity queries additionally memoize the
-/// union-find clustering per certainty threshold, so slicing the corpus at
-/// a handful of operating points costs one clustering each.
+/// sharded LRU cache. A missed entity-granularity query walks only the
+/// record's own component (ResolutionIndex::EntityOf), so neither a new
+/// threshold nor a publish costs a clustering of the corpus.
 ///
 /// All public methods may be called concurrently from any thread.
 class ResolutionService {
@@ -132,8 +124,11 @@ class ResolutionService {
   ResolutionService& operator=(const ResolutionService&) = delete;
 
   /// Answers one query. INVALID_ARGUMENT for NaN certainty, OUT_OF_RANGE
-  /// for a record beyond the indexed corpus.
-  util::StatusOr<QueryResult> QueryRecord(const Query& query);
+  /// for a record beyond the indexed corpus. With `wait` = kNever a full
+  /// in-flight budget sheds the query at once, exactly as a full wait
+  /// queue does (a degraded cached answer, else RESOURCE_EXHAUSTED).
+  util::StatusOr<QueryResult> QueryRecord(
+      const Query& query, AdmissionWait wait = AdmissionWait::kQueue);
 
   /// Answers a batch concurrently; results[i] corresponds to queries[i]
   /// and equals what QueryRecord(queries[i]) would return. Blocks until
@@ -190,12 +185,6 @@ class ResolutionService {
   util::StatusOr<std::shared_ptr<const QueryResult>> Compute(
       const Query& query, const PinnedIndex& pin);
 
-  /// Memoized entity clustering at a certainty threshold, keyed by
-  /// (generation, threshold) so a swapped index never serves a stale
-  /// clustering.
-  std::shared_ptr<const core::EntityClusters> ClustersAt(
-      const PinnedIndex& pin, double certainty);
-
   /// Books a non-OK answer: bumps errors_ plus the matching failure-model
   /// counter, and returns the status unchanged.
   util::Status Fail(util::Status status);
@@ -209,11 +198,6 @@ class ResolutionService {
   util::ThreadPool pool_;
   ShardedQueryCache cache_;
   AdmissionController admission_;
-
-  std::mutex clusters_mu_;
-  std::map<std::pair<uint64_t, uint64_t>,
-           std::shared_ptr<const core::EntityClusters>>
-      cluster_slices_;  // keyed by (generation, certainty bit pattern)
 
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> errors_{0};

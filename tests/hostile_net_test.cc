@@ -499,7 +499,6 @@ TEST(HostileNetTest, FleetStaysByteEqualToSerialBaselineUnderAttack) {
     auto service =
         std::make_shared<ResolutionService>(index, service_options);
     net::ServerOptions server_options = FastTickOptions();
-    server_options.dispatch_threads = threads;
     server_options.max_batch = 16;
     // Defenses armed the way a hostile deployment would run them — except
     // rate limits, which would throttle the legitimate fleet too.

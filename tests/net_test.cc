@@ -1,6 +1,8 @@
 // Integration tests of the TCP front end (DESIGN.md §12): the wire
-// answers must be byte-equal to the in-process API at every server thread
-// count, responses must come back in request order under pipelining,
+// answers must be byte-equal to the in-process API at every service thread
+// count, responses must come back in request order under pipelining, a
+// pipelining firehose must not starve another connection, a wire query
+// must never wait on the event loop for an admission slot,
 // malformed bytes must produce typed error frames (never a crash), a
 // graceful shutdown must drain every accepted query, a recorded capture
 // must replay to an identical response hash, and injected socket faults
@@ -8,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -129,7 +132,6 @@ TEST(NetServerTest, WireAnswersAreByteEqualToInProcessAcrossThreadCounts) {
     auto service =
         std::make_shared<ResolutionService>(index, service_options);
     net::ServerOptions server_options;
-    server_options.dispatch_threads = threads;
     net::Server server(service, server_options);
     ASSERT_TRUE(server.Start().ok());
 
@@ -153,7 +155,6 @@ TEST(NetServerTest, PipelinedResponsesComeBackInRequestOrder) {
 
   auto service = std::make_shared<ResolutionService>(index);
   net::ServerOptions options;
-  options.dispatch_threads = 4;
   options.max_batch = 16;  // force several dispatch rounds
   net::Server server(service, options);
   ASSERT_TRUE(server.Start().ok());
@@ -176,7 +177,6 @@ TEST(NetServerTest, ConcurrentConnectionsEachGetOrderedByteEqualAnswers) {
   auto index = MakeIndex();
   auto service = std::make_shared<ResolutionService>(index);
   net::ServerOptions options;
-  options.dispatch_threads = 4;
   net::Server server(service, options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -316,7 +316,6 @@ TEST(NetServerTest, ShutdownDrainsEveryReceivedQuery) {
 
   auto service = std::make_shared<ResolutionService>(index);
   net::ServerOptions options;
-  options.dispatch_threads = 2;
   options.max_batch = 8;
   net::Server server(service, options);
   ASSERT_TRUE(server.Start().ok());
@@ -478,13 +477,243 @@ TEST(NetServerTest, AbruptCloseWithBatchesInFlightIsReapedWithoutHarm) {
 }
 
 // ---------------------------------------------------------------------------
+// Answering on the event loop: fairness and admission
+
+TEST(NetServerTest, PipelinedFirehoseDoesNotStarveAnotherConnection) {
+  auto index = MakeIndex();
+  constexpr size_t kFirehose = 40000;
+  constexpr size_t kProbes = 9;
+  auto workload = MakeWorkload(kFirehose, /*seed=*/41);
+  auto expected = ReferenceBytes(index, workload);
+  auto probe_workload = MakeWorkload(kProbes, /*seed=*/42);
+  auto probe_expected = ReferenceBytes(index, probe_workload);
+
+  auto service = std::make_shared<ResolutionService>(index);
+  net::Server server(service);
+  ASSERT_TRUE(server.Start().ok());
+  auto probe = net::Client::Connect(server.port());
+  ASSERT_TRUE(probe.ok());
+  probe->set_read_timeout_ms(10000);
+
+  // The firehose pipelines its whole burst, then reads every answer on
+  // its own thread.
+  std::string burst;
+  for (const Query& query : workload) wire::EncodeQuery(query, 0, &burst);
+  std::atomic<size_t> firehose_read{0};
+  std::atomic<size_t> firehose_mismatches{0};
+  std::atomic<bool> firehose_done{false};
+  std::thread firehose([&] {
+    auto client = net::Client::Connect(server.port());
+    if (client.ok()) {
+      client->set_read_timeout_ms(30000);
+      if (client->SendBytes(burst).ok()) {
+        for (size_t i = 0; i < kFirehose; ++i) {
+          auto response = client->ReadFrameBytes();
+          if (!response.ok()) break;
+          if (*response != expected[i]) firehose_mismatches.fetch_add(1);
+          firehose_read.fetch_add(1);
+        }
+      }
+    }
+    firehose_done.store(true);
+  });
+
+  // Once the server is well into the firehose, the probe asks one query
+  // at a time. Each loop turn answers at most max_batch (64) of the
+  // firehose's frames, so between sampling the answer count and reading
+  // the probe's answer a fair loop answers a few quanta of the firehose.
+  // The bound leaves room for this thread being descheduled, yet sits
+  // well under one turn of a loop that answers all the firehose frames
+  // buffered in its input at once (~7K). The median over the probes
+  // keeps one descheduling from failing the test.
+  constexpr uint64_t kFairGap = 1500;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().queries_dispatched < 1000 && !firehose_done.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  bool firehose_under_way = server.stats().queries_dispatched >= 1000 &&
+                            !firehose_done.load();
+  EXPECT_TRUE(firehose_under_way)
+      << "the firehose never got going (or ended) before the probes";
+  std::vector<uint64_t> gaps;
+  for (size_t p = 0; firehose_under_way && p < kProbes; ++p) {
+    uint64_t before = server.stats().queries_dispatched;
+    if (!probe->SendQuery(probe_workload[p]).ok()) break;
+    auto answer = probe->ReadFrameBytes();
+    uint64_t after = server.stats().queries_dispatched;
+    if (!answer.ok()) {
+      ADD_FAILURE() << answer.status().ToString();
+      break;
+    }
+    EXPECT_EQ(*answer, probe_expected[p]);
+    gaps.push_back(after - before - 1);  // the probe is one of them
+  }
+  // Every probe was answered while the firehose still had answers
+  // outstanding, so every gap above was measured against a live firehose
+  // (a loop that drains it would leave the later probes gaps of 0).
+  EXPECT_LT(server.stats().queries_dispatched, kFirehose + kProbes)
+      << "the firehose was drained before the probes got their answers";
+  EXPECT_EQ(gaps.size(), firehose_under_way ? kProbes : 0u);
+  if (!gaps.empty()) {
+    std::sort(gaps.begin(), gaps.end());
+    uint64_t median = gaps[gaps.size() / 2];
+    EXPECT_LE(median, kFairGap)
+        << "firehose answers between a probe's send and its answer: min "
+        << gaps.front() << ", median " << median << ", max " << gaps.back();
+  }
+
+  firehose.join();
+  EXPECT_EQ(firehose_read.load(), kFirehose);
+  EXPECT_EQ(firehose_mismatches.load(), 0u);
+  server.Shutdown();
+}
+
+/// A fault config whose single injection is a `micros` latency spike at
+/// serve.service.compute, not at the cache lookup that precedes it, so
+/// the first query computed after Arm stalls while it holds its
+/// admission slot. Searches the injector's deterministic draws for a seed.
+util::FaultConfig StallFirstComputeOnly(uint32_t micros) {
+  auto& injector = util::FaultInjector::Global();
+  util::FaultConfig config;
+  config.latency_probability = 0.5;
+  config.latency_micros = 0;
+  config.max_injections = 1;
+  for (config.seed = 1; config.seed < 1000; ++config.seed) {
+    injector.Arm(config);
+    bool cache_stalls = injector.Evaluate(util::FaultPoint::kCacheGet) ==
+                        util::FaultKind::kLatency;
+    bool compute_stalls =
+        injector.Evaluate(util::FaultPoint::kServiceCompute) ==
+        util::FaultKind::kLatency;
+    if (!cache_stalls && compute_stalls) break;
+  }
+  injector.Disarm();
+  config.latency_micros = micros;
+  return config;
+}
+
+/// Arms `config` and starts an in-process QueryRecord on its own thread;
+/// returns once that query holds its admission slot and is stalled in
+/// compute. `ok` receives whether it was eventually answered OK.
+std::thread StartStalledInProcessQuery(ResolutionService& service,
+                                       const util::FaultConfig& config,
+                                       std::atomic<bool>* ok) {
+  auto& injector = util::FaultInjector::Global();
+  injector.Arm(config);
+  std::thread caller([&service, ok] {
+    Query held;
+    held.record = 3;
+    held.certainty = 0.5;
+    ok->store(service.QueryRecord(held).ok());
+  });
+  while (service.admission().snapshot().in_flight == 0 ||
+         injector.injections(util::FaultPoint::kServiceCompute) == 0) {
+    std::this_thread::yield();
+  }
+  return caller;
+}
+
+TEST(NetServerTest, WireQueryNeverWaitsOnTheLoopForAnAdmissionSlot) {
+  auto index = MakeIndex();
+  ServiceOptions service_options;
+  service_options.max_in_flight = 1;
+  service_options.max_queue_depth = 4;
+  auto service = std::make_shared<ResolutionService>(index, service_options);
+  util::FaultConfig stall = StallFirstComputeOnly(2000000);
+  ASSERT_LT(stall.seed, 1000u);
+
+  net::Server server(service);
+  ASSERT_TRUE(server.Start().ok());
+  auto shed_client = net::Client::Connect(server.port());
+  ASSERT_TRUE(shed_client.ok());
+  auto info_client = net::Client::Connect(server.port());
+  ASSERT_TRUE(info_client.ok());
+
+  // An in-process caller takes the only slot and stalls in compute.
+  std::atomic<bool> held_ok{false};
+  std::thread in_process =
+      StartStalledInProcessQuery(*service, stall, &held_ok);
+
+  // The wire query finds no free slot. The loop must not queue for one:
+  // it is shed at once, never answered after the stall.
+  Query wire_query;
+  wire_query.record = 7;
+  wire_query.certainty = 0.5;
+  ASSERT_TRUE(shed_client->SendQuery(wire_query).ok());
+  auto shed = shed_client->ReadResult(util::Deadline::AfterMillis(1500));
+  if (shed.ok()) {
+    EXPECT_TRUE(shed->degraded);
+  } else {
+    EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted)
+        << shed.status().ToString();
+  }
+  // The loop is still serving other connections.
+  auto info = info_client->Info(util::Deadline::AfterMillis(1500));
+  EXPECT_TRUE(info.ok()) << info.status().ToString();
+  // Both answers came back while the stalled caller still held its slot.
+  EXPECT_EQ(service->admission().snapshot().in_flight, 1u);
+
+  in_process.join();
+  util::FaultInjector::Global().Disarm();
+  EXPECT_TRUE(held_ok.load());
+  EXPECT_GE(service->metrics().shed, 1u);
+  server.Shutdown();
+}
+
+TEST(NetServerTest, SaturationPauseResumesWhenInProcessCallersRelease) {
+  auto index = MakeIndex();
+  ServiceOptions service_options;
+  service_options.max_in_flight = 1;  // no wait queue: one held slot
+  auto service = std::make_shared<ResolutionService>(index, service_options);
+  util::FaultConfig stall = StallFirstComputeOnly(1000000);
+  ASSERT_LT(stall.seed, 1000u);
+
+  // No idle timer: with nothing on the deadline wheel, only the loop's
+  // own re-reads of the admission gate can end the pause below.
+  net::ServerOptions server_options;
+  server_options.idle_timeout_ms = 0;
+  net::Server server(service, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = net::Client::Connect(server.port());
+  ASSERT_TRUE(client.ok());
+
+  std::atomic<bool> held_ok{false};
+  std::thread in_process =
+      StartStalledInProcessQuery(*service, stall, &held_ok);
+  // The loop pauses reads once it sees the saturated gate: right away,
+  // or after shedding this first query.
+  Query query;
+  query.record = 7;
+  query.certainty = 0.5;
+  ASSERT_TRUE(client->SendQuery(query).ok());
+  while (server.stats().paused_reads == 0) std::this_thread::yield();
+  // Sent while reads are paused. Once the in-process caller releases its
+  // slot, nothing on the wire wakes the loop: it must notice the gate
+  // opening by itself.
+  ASSERT_TRUE(client->SendQuery(query).ok());
+  in_process.join();
+  util::FaultInjector::Global().Disarm();
+  EXPECT_TRUE(held_ok.load());
+
+  auto first = client->ReadResult(util::Deadline::AfterMillis(2000));
+  if (!first.ok()) {
+    EXPECT_EQ(first.status().code(), StatusCode::kResourceExhausted)
+        << first.status().ToString();
+  }
+  auto second = client->ReadResult(util::Deadline::AfterMillis(2000));
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_FALSE(second->degraded);
+  server.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
 // Load generator: record/replay determinism
 
 TEST(NetLoadGenTest, RecordThenReplayIsHashIdentical) {
   auto index = MakeIndex();
   auto service = std::make_shared<ResolutionService>(index);
   net::ServerOptions server_options;
-  server_options.dispatch_threads = 2;
   net::Server server(service, server_options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -803,7 +1032,6 @@ TEST(NetChaosTest, InjectedSocketFaultsNeverCorruptAnswers) {
 
   auto service = std::make_shared<ResolutionService>(index);
   net::ServerOptions server_options;
-  server_options.dispatch_threads = 2;
   net::Server server(service, server_options);
   ASSERT_TRUE(server.Start().ok());
   auto client = net::Client::Connect(server.port());

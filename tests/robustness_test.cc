@@ -315,6 +315,23 @@ TEST(AdmissionControllerTest, ShedsWhenBudgetAndQueueAreFull) {
   EXPECT_EQ(snapshot.in_flight, 0u);
 }
 
+TEST(AdmissionControllerTest, NeverWaitingCallerIsShedWhileQueueHasRoom) {
+  serve::AdmissionController admission({/*max_in_flight=*/1,
+                                        /*max_queue_depth=*/4});
+  EXPECT_TRUE(
+      admission.Admit(Deadline(), serve::AdmissionWait::kNever).ok());
+  // The queue has room, but this caller may not wait for the slot. (The
+  // finite deadline only bounds a regression that would queue it.)
+  Status second = admission.Admit(Deadline::AfterMillis(200),
+                                  serve::AdmissionWait::kNever);
+  EXPECT_EQ(second.code(), StatusCode::kResourceExhausted);
+  auto snapshot = admission.snapshot();
+  EXPECT_EQ(snapshot.shed, 1u);
+  EXPECT_EQ(snapshot.queued, 0u);
+  EXPECT_EQ(snapshot.in_flight, 1u);
+  admission.Release();
+}
+
 TEST(AdmissionControllerTest, QueuedCallerTimesOutWithDeadlineExceeded) {
   serve::AdmissionController admission({/*max_in_flight=*/1,
                                         /*max_queue_depth=*/1});

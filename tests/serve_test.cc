@@ -238,6 +238,31 @@ TEST_F(ResolutionIndexTest, ClustersMatchEntityClusters) {
   EXPECT_EQ(direct.clusters(), sliced.clusters());
 }
 
+// EntityOf walks one component; it must answer exactly what clustering the
+// whole corpus answers, for every record and threshold. The dense fixture
+// (degree ~6) has a giant component at low thresholds, past the walk's
+// scan limit; the sparse one has only small entities. The thresholds hit
+// quantized confidences exactly (the <= boundary), and include the
+// infinities and a NaN.
+TEST_F(ResolutionIndexTest, EntityOfEqualsClusterMembersAtEveryThreshold) {
+  ResolutionIndex sparse(MakeRandomResolution(kRecords, kRecords / 2, 5),
+                         kRecords);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const ResolutionIndex* index : {&index_, &sparse}) {
+    for (double certainty : {-inf, -3.0, -0.2, 0.0, 0.5, 1.0, 1.9, 2.0, inf,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      core::EntityClusters clusters = index->ClustersAt(certainty);
+      size_t largest = clusters.clusters().front().size();
+      for (data::RecordIdx r = 0; r < kRecords; ++r) {
+        ASSERT_EQ(index->EntityOf(r, certainty), clusters.Members(r))
+            << "record " << r << " at certainty " << certainty
+            << " (largest entity " << largest << ")";
+      }
+    }
+  }
+  EXPECT_GT(index_.ClustersAt(-3.0).clusters().front().size(), 32u);
+}
+
 // Crash-atomicity regression: Save writes through a temp file and renames,
 // so a save that fails mid-write must leave a previously saved artifact
 // untouched and loadable, and must not leave the temp file behind.

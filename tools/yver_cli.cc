@@ -11,8 +11,8 @@
 //   yver_cli query       --in data.csv (--matches matches.csv | --index idx.yvx)
 //                        [--certainty C] [--book-id B] [--k K]
 //   yver_cli serve       --in data.csv (--matches matches.csv | --index idx.yvx)
-//                        [--port P] [--port-file F] [--threads T]
-//                        [--dispatch-threads D] [--max-batch B] [--no-cache]
+//                        [--port P] [--port-file F]
+//                        [--max-batch B] [--no-cache]
 //                        [--live] [--model model.adt] [--publish-batch N]
 //                        [--ingest-queue N] [--wal-dir D]
 //                        [--wal-segment-bytes N] [--wal-snapshot-every N]
@@ -369,15 +369,17 @@ ServeOptions ParseServeOptions(const Flags& flags, bool needs_corpus) {
   options.port_file = flags.Get("port-file");
   options.json = flags.Has("json");
 
+  // `serve` answers every query on its event loop, one at a time, with
+  // no in-process caller beside it. So the service's worker pool (used
+  // only by QueryBatch/QueryStream) gets one worker, and admission stays
+  // off: the loop never holds more than one slot, so no budget could
+  // ever shed or pause.
   serve::ServiceOptions& service = options.service;
-  flags.Parse("threads", &service.num_threads);
+  service.num_threads = 1;
   if (flags.Has("no-cache")) service.cache_capacity = 0;
-  flags.Parse("max-in-flight", &service.max_in_flight);
-  flags.Parse("max-queue-depth", &service.max_queue_depth);
 
   serve::net::ServerOptions& server = options.server;
   flags.Parse("port", &server.port);
-  flags.Parse("dispatch-threads", &server.dispatch_threads);
   flags.Parse("max-batch", &server.max_batch);
   flags.Parse("max-connections", &server.max_connections);
   flags.Parse("drain-timeout-ms", &server.drain_timeout_ms);
@@ -459,16 +461,13 @@ constexpr const char kServeHelp[] =
     "  --in F                dataset CSV (required)\n"
     "  --matches F           ranked matches CSV\n"
     "  --index F             binary resolution index (preferred)\n"
-    "  --threads T           service worker threads (0 = hw threads)\n"
     "  --no-cache            disable the query cache\n"
-    "  --max-in-flight N     admission budget; 0 = no shedding (0)\n"
-    "  --max-queue-depth N   waiters allowed beyond the budget (0)\n"
     "\n"
     "server (serve):\n"
     "  --port P              bind port (0 = kernel-assigned, default)\n"
     "  --port-file F         write the bound port to F once listening\n"
-    "  --dispatch-threads D  batches in flight across connections (1)\n"
-    "  --max-batch B         queries per dispatch per connection (64)\n"
+    "  --max-batch B         frames answered per connection per event-loop\n"
+    "                        turn, the fairness quantum (64)\n"
     "  --max-connections N   accept cap; excess closed at once (1024)\n"
     "  --drain-timeout-ms D  graceful-shutdown bound (5000)\n"
     "\n"
@@ -486,7 +485,7 @@ constexpr const char kServeHelp[] =
     "                        past --max-out-buffer (0 = kernel default)\n"
     "  --max-frame-bytes N   reject frames declaring > N payload bytes\n"
     "                        before buffering any (0 = protocol max)\n"
-    "  --max-pending N       decoded-but-undispatched queries per\n"
+    "  --max-pending N       decoded-but-unanswered queries per\n"
     "                        connection before reads pause (0 = 2*batch)\n"
     "  --write-stall-timeout-ms D  drop if no response byte drains for D\n"
     "                        while a backlog exists (30000; 0 = off)\n"
@@ -887,10 +886,8 @@ int CmdServe(const ServeOptions& options) {
       return 1;
     }
   }
-  std::printf("serving %zu records / %zu matches on 127.0.0.1:%u "
-              "(%zu service thread(s), %zu dispatcher(s))\n",
-              index->num_records(), index->num_matches(), server.port(),
-              service->num_threads(), options.server.dispatch_threads);
+  std::printf("serving %zu records / %zu matches on 127.0.0.1:%u\n",
+              index->num_records(), index->num_matches(), server.port());
   if (builder) {
     std::printf("live ingest on: appends publish every %zu record(s), "
                 "queue cap %zu\n",
