@@ -82,11 +82,11 @@ if [[ "$run_tsan" == 1 ]]; then
   # Determinism* covers the blocking thread matrix and the parallel
   # per-rank miner; MfiBlocks*/ThreadPool* add the direct blocking and
   # chunked-merge primitives; ChaosTest*/the robustness suites drive the
-  # failure model (deadlines, shedding, fault injection) concurrently.
+  # failure model (deadlines, fault injection) concurrently.
   # Wire*/Net* add the TCP front end: the epoll loop answers queries
   # through the same service that in-process callers and the loadgen
   # threads hit concurrently, so the loopback integration, fairness,
-  # admission and socket-fault chaos suites run race-checked too.
+  # stalled-caller and socket-fault chaos suites run race-checked too.
   # IndexManager*/LiveIndexBuilder* are the live-update layer (DESIGN.md
   # §13): the RCU snapshot swap and the ingest builder are exactly the
   # code TSan exists for — readers pin generations wait-free while a
@@ -103,7 +103,7 @@ if [[ "$run_tsan" == 1 ]]; then
   # against the serial code it replaced at several pool sizes.
   # *ResolutionIndex* also picks up the Extend equivalence suites, and
   # LiveIndexBuilder* the builder's extend-and-publish rounds.
-  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:AdmissionController*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTree*:FpGrowth*:FpTree*:MaximalFilterEquivalence*:GroupedSupportsEquivalence*:MinThresholdEquivalence*'
+  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTree*:FpGrowth*:FpTree*:MaximalFilterEquivalence*:GroupedSupportsEquivalence*:MinThresholdEquivalence*'
 
   echo "==> tier-1: loopback serve/loadgen smoke (TSan binaries, record/replay)"
   # End-to-end over a real socket: a TSan-built server on an ephemeral

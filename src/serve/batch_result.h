@@ -17,17 +17,14 @@ namespace yver::serve {
 /// The vector interface (size / operator[] / iteration) is preserved so a
 /// BatchResult reads like the list it contains; the counters are derived
 /// from the statuses by Tally() and satisfy:
-///   ok + failed == size(), and shed + deadline_exceeded <= failed
-///   degraded <= ok  (a degraded answer is still an answer)
+///   ok + failed == size(), and deadline_exceeded <= failed
 struct BatchResult {
   std::vector<util::StatusOr<QueryResult>> results;
 
   /// Aggregate counters over `results` (valid after Tally).
-  uint64_t ok = 0;                 // OK answers, degraded included
+  uint64_t ok = 0;                 // OK answers
   uint64_t failed = 0;             // non-OK statuses of any code
-  uint64_t shed = 0;               // RESOURCE_EXHAUSTED (admission shed)
   uint64_t deadline_exceeded = 0;  // DEADLINE_EXCEEDED
-  uint64_t degraded = 0;           // OK but served stale under shed
 
   size_t size() const { return results.size(); }
   bool empty() const { return results.empty(); }
@@ -45,23 +42,15 @@ struct BatchResult {
 
   /// Recomputes the counters from `results`. Idempotent.
   void Tally() {
-    ok = failed = shed = deadline_exceeded = degraded = 0;
+    ok = failed = deadline_exceeded = 0;
     for (const auto& r : results) {
       if (r.ok()) {
         ++ok;
-        if (r->degraded) ++degraded;
-        continue;
-      }
-      ++failed;
-      switch (r.status().code()) {
-        case util::StatusCode::kResourceExhausted:
-          ++shed;
-          break;
-        case util::StatusCode::kDeadlineExceeded:
+      } else {
+        ++failed;
+        if (r.status().code() == util::StatusCode::kDeadlineExceeded) {
           ++deadline_exceeded;
-          break;
-        default:
-          break;
+        }
       }
     }
   }

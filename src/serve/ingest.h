@@ -26,7 +26,7 @@ struct IngestOptions {
   /// amortize the snapshot build under bursty ingest).
   size_t publish_batch = 1;
   /// Submissions beyond this many undrained records are shed with
-  /// RESOURCE_EXHAUSTED — ingest backpressure mirrors query admission.
+  /// RESOURCE_EXHAUSTED (ingest backpressure).
   size_t max_queue_depth = 4096;
   /// Durable ingest (DESIGN.md §14): when set, Submit appends the record
   /// to this log and returns only once it is fsync'd — the returned index

@@ -74,23 +74,6 @@ void ShardedQueryCache::Clear() {
   }
 }
 
-size_t ShardedQueryCache::EvictOlderThan(uint64_t min_generation) {
-  size_t evicted = 0;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-      if (it->first.generation < min_generation) {
-        shard.by_key.erase(it->first);
-        it = shard.entries.erase(it);
-        ++evicted;
-      } else {
-        ++it;
-      }
-    }
-  }
-  return evicted;
-}
-
 size_t ShardedQueryCache::size() const {
   size_t n = 0;
   for (const Shard& shard : shards_) {

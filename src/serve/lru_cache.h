@@ -51,13 +51,6 @@ class ShardedQueryCache {
   /// Drops all entries (counters are kept).
   void Clear();
 
-  /// Drops every entry computed against a generation older than
-  /// `min_generation` and returns how many were evicted. Bounds how stale
-  /// a degraded (served-from-cache-under-shed) answer can be: the service
-  /// calls this on publish so retired generations age out deterministically
-  /// instead of lingering until LRU pressure happens to reach them.
-  size_t EvictOlderThan(uint64_t min_generation);
-
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 

@@ -66,8 +66,8 @@ class Client {
 
   /// Reads one response frame and decodes it as the answer to the oldest
   /// unanswered query: the QueryResult on kResult, the server's typed
-  /// Status on kError (so a shed query surfaces here as RESOURCE_EXHAUSTED,
-  /// exactly like the in-process API).
+  /// Status on kError (an expired deadline surfaces here as
+  /// DEADLINE_EXCEEDED, exactly like the in-process API).
   util::StatusOr<QueryResult> ReadResult(const util::Deadline& deadline = {});
 
   /// SendQuery + ReadResult: the convenience round trip.

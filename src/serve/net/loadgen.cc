@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -43,9 +42,7 @@ struct ConnStats {
 };
 
 void RecordLatencyNs(ConnStats& stats, uint64_t ns) {
-  size_t bucket = static_cast<size_t>(std::bit_width(ns));
-  if (bucket >= kServiceLatencyBuckets) bucket = kServiceLatencyBuckets - 1;
-  stats.hist[bucket]++;
+  stats.hist[LatencyBucket(ns)]++;
 }
 
 /// Classifies a raw response frame by its type byte and folds it into the
@@ -163,10 +160,7 @@ std::vector<std::vector<std::string>> Partition(
 }  // namespace
 
 double LoadGenReport::LatencyPercentileMs(double p) const {
-  // Same log2 buckets as the server: borrow its percentile math.
-  ServiceMetrics metrics;
-  metrics.latency_histogram_ns = latency_histogram_ns;
-  return metrics.LatencyPercentileMs(p);
+  return serve::LatencyPercentileMs(latency_histogram_ns, p);
 }
 
 util::StatusOr<LoadGenReport> RunLoadGen(const LoadGenOptions& options) {

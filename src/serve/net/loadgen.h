@@ -51,7 +51,7 @@ struct LoadGenOptions {
 struct LoadGenReport {
   uint64_t queries_sent = 0;
   uint64_t ok = 0;        // kResult responses
-  uint64_t errors = 0;    // kError responses (shed, deadline, invalid, ...)
+  uint64_t errors = 0;    // kError responses (rate limit, deadline, ...)
   double wall_seconds = 0;
   double qps_achieved = 0;
   /// FNV-1a over each connection's raw response bytes in receive order,

@@ -119,7 +119,6 @@ util::Status Server::Start() {
   wheel_ = std::make_unique<DeadlineWheel>(
       MillisDuration(options_.timer_tick_ms), kWheelSlots);
   global_bucket_ = TokenBucket{};
-  admission_saturated_ = false;
   stop_requested_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   loop_ = std::thread([this] { Loop(); });
@@ -185,6 +184,9 @@ wire::ServerInfo Server::MakeInfo() const {
   info.num_matches = pin->num_matches();
   info.checksum = pin->Checksum();
   info.metrics = service_->metrics();
+  // The rate limiter is the one RESOURCE_EXHAUSTED answer on the query
+  // path, so it is what the service-level shed counter reports.
+  info.metrics.shed = rate_limited_frames_.load(std::memory_order_relaxed);
   // v4: the defense layer's observable state.
   info.net.open_connections =
       open_connections_.load(std::memory_order_relaxed);
@@ -255,12 +257,6 @@ void Server::Loop() {
     int timeout_ms = !ready_.empty() ? 0
                      : draining      ? 10
                                      : wheel_->MillisUntilNext(Clock::now());
-    if (admission_saturated_) {
-      // In-process callers release slots without waking the loop; re-read
-      // the gate at least once a tick while reads are paused on it.
-      int tick_ms = std::max(1, static_cast<int>(options_.timer_tick_ms));
-      timeout_ms = timeout_ms < 0 ? tick_ms : std::min(timeout_ms, tick_ms);
-    }
     int n = ::epoll_wait(epoll_fd_, events.data(),
                          static_cast<int>(events.size()), timeout_ms);
     if (n < 0) {
@@ -296,7 +292,6 @@ void Server::Loop() {
       if (!conn.dead && (mask & EPOLLOUT) != 0) HandleWritable(id, conn);
     }
     ServeReady();
-    RefreshAdmission();
     if (!draining) {
       for (uint64_t id : wheel_->ExpireUntil(Clock::now())) {
         auto it = conns_.find(id);
@@ -609,11 +604,7 @@ void Server::AnswerPending(uint64_t id, Connection& conn, size_t limit) {
     conn.pending.pop_front();
     switch (entry.kind) {
       case PendingEntry::Kind::kQuery:
-        // Never wait for an admission slot here: a wait on the loop
-        // would freeze every connection.
-        wire::EncodeResult(
-            service_->QueryRecord(entry.query, AdmissionWait::kNever),
-            &bytes);
+        wire::EncodeResult(service_->QueryRecord(entry.query), &bytes);
         queries_dispatched_.fetch_add(1, std::memory_order_relaxed);
         break;
       case PendingEntry::Kind::kInfoRequest:
@@ -667,17 +658,6 @@ void Server::AnswerPending(uint64_t id, Connection& conn, size_t limit) {
   QueueWrite(id, conn, std::move(bytes));
 }
 
-void Server::RefreshAdmission() {
-  // Admission saturation is shared state: a flip pauses or resumes reads
-  // on every connection.
-  bool saturated = service_->admission().Saturated();
-  if (saturated == admission_saturated_) return;
-  admission_saturated_ = saturated;
-  for (auto& [id, conn] : conns_) {
-    if (!conn.dead && !conn.closing) UpdateConnState(id, conn);
-  }
-}
-
 void Server::QueueWrite(uint64_t id, Connection& conn, std::string bytes) {
   if (conn.dead) return;
   if (conn.out_off == conn.out.size()) {
@@ -728,10 +708,9 @@ void Server::UpdateConnState(uint64_t id, Connection& conn) {
   if (conn.dead) return;
   bool stopping = stop_requested_.load(std::memory_order_acquire);
   // The backpressure predicate: pause reads while the pending queue is
-  // full or while admission is saturated — the kernel socket buffer and
-  // TCP flow control take it from there.
-  bool pressure =
-      conn.pending.size() >= PendingCap() || admission_saturated_;
+  // full — the kernel socket buffer and TCP flow control take it from
+  // there.
+  bool pressure = conn.pending.size() >= PendingCap();
   bool want_read = !conn.closing && !stopping && !pressure;
   bool want_write = conn.out_off < conn.out.size();
   bool was_armed = conn.reads_armed;

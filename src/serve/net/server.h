@@ -124,7 +124,7 @@ struct ServerStats {
 /// buffers with partial-read and short-write handling, wire framing, and
 /// strict in-order request/response pipelining — and answers every
 /// decoded query itself through ResolutionService::QueryRecord (and
-/// through it the service's AdmissionController, deadlines, and cache).
+/// through it the service's deadlines and cache).
 /// A cached answer costs about a microsecond, far less than handing it to
 /// another thread and waking the loop again.
 ///
@@ -140,15 +140,10 @@ struct ServerStats {
 /// replayed capture byte-identical run over run and wire answers
 /// byte-equal to the in-process API.
 ///
-/// The loop never waits for an admission slot (a wait would freeze every
-/// connection): with no free slot a query is shed as a full wait queue
-/// sheds it — a degraded cached answer, else RESOURCE_EXHAUSTED.
-///
 /// Connection lifecycle (DESIGN.md §15): reading → paused → draining →
 /// dead. Reads pause (EPOLLIN deregistered) while the pending queue is at
-/// its cap or while the service's AdmissionController is saturated — TCP
-/// flow control then pushes back on the peer instead of the server
-/// buffering unboundedly. A deadline wheel in the loop drives idle
+/// its cap — TCP flow control then pushes back on the peer instead of the
+/// server buffering unboundedly. A deadline wheel in the loop drives idle
 /// timeouts, slow-loris progress timeouts, and write-stall detection;
 /// token buckets rate-limit query/append frames. Every defensive
 /// disconnect is typed (idle / slowloris / oversize / rate-limited /
@@ -157,7 +152,7 @@ struct ServerStats {
 ///
 /// Failure model: a malformed frame gets a typed kError frame and a
 /// connection close (protocol errors poison framing); a query that fails
-/// validation/admission/deadline gets its typed kError frame and the
+/// validation or its deadline gets its typed kError frame and the
 /// connection lives on; socket errors (including injected faults at
 /// net.socket.read/write) close the connection. The process never aborts
 /// on network input.
@@ -277,8 +272,6 @@ class Server {
   /// Answers up to `limit` frames from the head of the pending queue, in
   /// order, and queues their encoded responses as one write.
   void AnswerPending(uint64_t id, Connection& conn, size_t limit);
-  /// Re-reads admission saturation; a flip re-arms every connection.
-  void RefreshAdmission();
   /// Recomputes and applies the connection's epoll interest set (pause /
   /// resume reads, write interest) and its next wheel deadline. The one
   /// place connection state maps to kernel + timer state; call after any
@@ -317,12 +310,10 @@ class Server {
   std::unordered_map<uint64_t, Connection> conns_;
   uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = wake fd
 
-  // Loop-thread only: connection deadlines, the global rate bucket, the
-  // cached admission-saturation state, and the ready list with the
-  // scratch list ServeReady swaps it into.
+  // Loop-thread only: connection deadlines, the global rate bucket, and
+  // the ready list with the scratch list ServeReady swaps it into.
   std::unique_ptr<DeadlineWheel> wheel_;
   TokenBucket global_bucket_;
-  bool admission_saturated_ = false;
   std::vector<uint64_t> ready_;
   std::vector<uint64_t> serving_;
 

@@ -32,8 +32,8 @@ struct Query {
   /// members). 0 means unlimited.
   size_t k = 0;
   Granularity granularity = Granularity::kMatches;
-  /// When to stop trying: the service checks at admission, at fan-out,
-  /// and at per-chunk boundaries, answering DEADLINE_EXCEEDED once
+  /// When to stop trying: the service checks before the cache lookup,
+  /// before compute and after compute, answering DEADLINE_EXCEEDED once
   /// expired. Default is infinite (pre-deadline behaviour).
   util::Deadline deadline;
 
@@ -57,14 +57,9 @@ struct QueryResult {
   std::vector<data::RecordIdx> entity;
   /// True when the service answered from its LRU cache.
   bool from_cache = false;
-  /// True when this is a degraded answer: the service was saturated (the
-  /// admission controller shed the query) but a previously cached result
-  /// existed, so the caller gets the possibly-stale answer instead of
-  /// RESOURCE_EXHAUSTED.
-  bool degraded = false;
   /// Index generation this answer was computed against (IndexManager's
   /// monotonic snapshot counter; 1 is the initially served index). Every
-  /// answer — fresh, cached, or degraded — is internally consistent with
+  /// answer — fresh or cached — is internally consistent with
   /// exactly this generation; the swap-under-load chaos harness compares
   /// each answer against the serial baseline of its generation.
   uint64_t generation = 1;

@@ -10,22 +10,23 @@
 
 namespace yver::serve {
 
-double ServiceMetrics::LatencyPercentileMs(double p) const {
+double LatencyPercentileMs(const std::vector<uint64_t>& histogram_ns,
+                           double p) {
   uint64_t total = 0;
-  for (uint64_t c : latency_histogram_ns) total += c;
+  for (uint64_t c : histogram_ns) total += c;
   if (total == 0) return 0.0;
   p = std::clamp(p, 0.0, 1.0);
   uint64_t target = static_cast<uint64_t>(std::ceil(p * total));
   if (target == 0) target = 1;
   uint64_t seen = 0;
-  for (size_t i = 0; i < latency_histogram_ns.size(); ++i) {
-    seen += latency_histogram_ns[i];
+  for (size_t i = 0; i < histogram_ns.size(); ++i) {
+    seen += histogram_ns[i];
     if (seen >= target) {
       // Upper bound of bucket i is 2^i ns.
       return std::ldexp(1.0, static_cast<int>(i)) / 1e6;
     }
   }
-  return std::ldexp(1.0, static_cast<int>(latency_histogram_ns.size())) / 1e6;
+  return std::ldexp(1.0, static_cast<int>(histogram_ns.size())) / 1e6;
 }
 
 ResolutionService::ResolutionService(
@@ -33,38 +34,17 @@ ResolutionService::ResolutionService(
     : manager_(std::move(index)),
       options_(options),
       pool_(util::ResolveNumThreads(options.num_threads)),
-      cache_(options.cache_capacity, options.cache_shards),
-      admission_(AdmissionOptions{options.max_in_flight,
-                                  options.max_queue_depth}) {}
+      cache_(options.cache_capacity, options.cache_shards) {}
 
 util::StatusOr<uint64_t> ResolutionService::PublishIndex(
     std::shared_ptr<const ResolutionIndex> next) {
-  auto published = manager_.Publish(std::move(next));
-  if (!published.ok()) return published;
-  if (options_.max_stale_generations > 0) {
-    // Bound serve-stale degradation: entries older than the window can no
-    // longer be handed to a shed query, so "degraded" has a hard age cap
-    // instead of depending on LRU pressure.
-    uint64_t min_gen = *published > options_.max_stale_generations
-                           ? *published - options_.max_stale_generations
-                           : 0;
-    evicted_stale_.fetch_add(cache_.EvictOlderThan(min_gen),
-                             std::memory_order_relaxed);
-  }
-  return published;
+  return manager_.Publish(std::move(next));
 }
 
 util::Status ResolutionService::Fail(util::Status status) {
   errors_.fetch_add(1, std::memory_order_relaxed);
-  switch (status.code()) {
-    case util::StatusCode::kDeadlineExceeded:
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case util::StatusCode::kResourceExhausted:
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    default:
-      break;
+  if (status.code() == util::StatusCode::kDeadlineExceeded) {
+    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
   }
   return status;
 }
@@ -75,13 +55,11 @@ void ResolutionService::RecordLatency(
   uint64_t ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
   latency_ns_.fetch_add(ns, std::memory_order_relaxed);
-  size_t bucket = static_cast<size_t>(std::bit_width(ns));
-  if (bucket >= kServiceLatencyBuckets) bucket = kServiceLatencyBuckets - 1;
-  latency_hist_[bucket].fetch_add(1, std::memory_order_relaxed);
+  latency_hist_[LatencyBucket(ns)].fetch_add(1, std::memory_order_relaxed);
 }
 
 util::StatusOr<QueryResult> ResolutionService::QueryRecord(
-    const Query& query, AdmissionWait wait) {
+    const Query& query) {
   auto start = std::chrono::steady_clock::now();
   queries_.fetch_add(1, std::memory_order_relaxed);
   // Pin the current snapshot for the whole query: validation, cache, and
@@ -89,37 +67,11 @@ util::StatusOr<QueryResult> ResolutionService::QueryRecord(
   PinnedIndex pin = manager_.Acquire();
   util::Status status = ValidateQuery(query, pin->num_records());
   if (!status.ok()) return Fail(std::move(status));
-  // Deadline check #1 — admission boundary: zero and already-expired
-  // deadlines never reach the cache or the compute path.
+  // Deadline check #1 — entry: zero and already-expired deadlines never
+  // reach the cache or the compute path.
   if (query.deadline.HasExpired()) {
-    return Fail(query.deadline.Exceeded("admission"));
+    return Fail(query.deadline.Exceeded("query start"));
   }
-  util::Status admit = admission_.Admit(query.deadline, wait);
-  if (!admit.ok()) {
-    if (admit.code() == util::StatusCode::kResourceExhausted) {
-      // Degraded mode: a shed query still gets its answer if one is
-      // cached — stale beats unavailable. The lookup is against the
-      // pinned generation, so even a degraded answer is consistent with
-      // the index being served right now.
-      std::shared_ptr<const QueryResult> cached =
-          cache_.Get(query, pin.generation());
-      if (cached != nullptr) {
-        shed_.fetch_add(1, std::memory_order_relaxed);
-        degraded_.fetch_add(1, std::memory_order_relaxed);
-        QueryResult result = *cached;
-        result.from_cache = true;
-        result.degraded = true;
-        RecordLatency(start);
-        return result;
-      }
-    }
-    return Fail(std::move(admit));
-  }
-  // Admitted: the slot is held for the remainder of the query.
-  struct SlotGuard {
-    AdmissionController& admission;
-    ~SlotGuard() { admission.Release(); }
-  } guard{admission_};
   std::shared_ptr<const QueryResult> cached =
       cache_.Get(query, pin.generation());
   QueryResult result;
@@ -128,8 +80,8 @@ util::StatusOr<QueryResult> ResolutionService::QueryRecord(
     result.from_cache = true;
   } else {
     // Deadline check #2 — compute boundary: don't start work the caller
-    // has already abandoned (the admission wait may have eaten the rest
-    // of the budget).
+    // has already abandoned (a stalled cache lookup, e.g. a latency fault
+    // at serve.cache.get, may have eaten the rest of the budget).
     if (query.deadline.HasExpired()) {
       return Fail(query.deadline.Exceeded("compute start"));
     }
@@ -177,8 +129,8 @@ void ResolutionService::QueryStream(
     pool_.Submit([this, &queries, &sink, &done, begin, end] {
       for (size_t i = begin; i < end; ++i) {
         // Per-chunk deadline boundary: an expired query is answered
-        // DEADLINE_EXCEEDED (with counters) by QueryRecord's admission
-        // check without touching the cache or compute paths, so a slow
+        // DEADLINE_EXCEEDED (with counters) by QueryRecord's entry check
+        // without touching the cache or compute paths, so a slow
         // chunk cannot make later queries burn work nobody is awaiting.
         sink(i, QueryRecord(queries[i]));
       }
@@ -222,13 +174,10 @@ ServiceMetrics ResolutionService::metrics() const {
   m.errors = errors_.load(std::memory_order_relaxed);
   m.cache_hits = cache_.hits();
   m.cache_misses = cache_.misses();
-  m.shed = shed_.load(std::memory_order_relaxed);
   m.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  m.degraded = degraded_.load(std::memory_order_relaxed);
   m.generation = manager_.generation();
   m.publishes = manager_.publishes();
   m.pinned_readers = manager_.pinned_readers();
-  m.evicted_stale = evicted_stale_.load(std::memory_order_relaxed);
   m.total_latency_ms =
       static_cast<double>(latency_ns_.load(std::memory_order_relaxed)) / 1e6;
   m.latency_histogram_ns.resize(kServiceLatencyBuckets);
@@ -242,9 +191,7 @@ ServiceMetrics ResolutionService::metrics() const {
 void ResolutionService::ResetMetrics() {
   queries_.store(0, std::memory_order_relaxed);
   errors_.store(0, std::memory_order_relaxed);
-  shed_.store(0, std::memory_order_relaxed);
   deadline_exceeded_.store(0, std::memory_order_relaxed);
-  degraded_.store(0, std::memory_order_relaxed);
   latency_ns_.store(0, std::memory_order_relaxed);
   for (auto& bucket : latency_hist_) {
     bucket.store(0, std::memory_order_relaxed);

@@ -1,15 +1,16 @@
 #ifndef YVER_SERVE_RESOLUTION_SERVICE_H_
 #define YVER_SERVE_RESOLUTION_SERVICE_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "serve/admission_controller.h"
 #include "serve/batch_result.h"
 #include "serve/index_manager.h"
 #include "serve/lru_cache.h"
@@ -29,22 +30,24 @@ struct ServiceOptions {
   size_t cache_capacity = 1 << 16;
   /// LRU shards (rounded up to a power of two).
   size_t cache_shards = 16;
-  /// Admission control (load shedding): queries allowed to execute
-  /// concurrently, and callers allowed to queue for a slot beyond that.
-  /// max_in_flight == 0 disables admission entirely (the default).
-  size_t max_in_flight = 0;
-  size_t max_queue_depth = 0;
-  /// Bound on serve-stale degradation under live updates: on every
-  /// publish, cached results computed against a generation more than
-  /// this many publishes behind the new one are evicted, so a degraded
-  /// answer can never be older than max_stale_generations generations. 0
-  /// disables the sweep (entries age out under LRU pressure only).
-  uint64_t max_stale_generations = 4;
 };
 
 /// Number of power-of-two latency-histogram buckets a ResolutionService
 /// keeps (bucket i counts answers with latency in [2^(i-1), 2^i) ns).
 inline constexpr size_t kServiceLatencyBuckets = 48;
+
+/// The log2 histogram bucket of a `ns` latency: bit_width(ns), with the
+/// last bucket absorbing everything beyond it.
+inline size_t LatencyBucket(uint64_t ns) {
+  return std::min(static_cast<size_t>(std::bit_width(ns)),
+                  kServiceLatencyBuckets - 1);
+}
+
+/// Approximate latency percentile (p in [0, 1], e.g. 0.99) of a log2
+/// histogram: the upper bound of the bucket holding the p-th sample, in
+/// milliseconds. 0 when the histogram is empty.
+double LatencyPercentileMs(const std::vector<uint64_t>& histogram_ns,
+                           double p);
 
 /// Point-in-time service counters. Latency covers cache hits and misses
 /// alike; hit rate is hits / (hits + misses) of the result cache.
@@ -53,22 +56,19 @@ struct ServiceMetrics {
   uint64_t errors = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  /// Failure-model counters: queries shed with RESOURCE_EXHAUSTED,
-  /// queries answered DEADLINE_EXCEEDED (at admission, while queued, or
-  /// at a compute boundary), and degraded answers (stale cache served to
-  /// a shed query instead of an error).
+  /// Frames the wire front end's rate limiter answered
+  /// RESOURCE_EXHAUSTED. net::Server fills this in; the service itself
+  /// never sheds.
   uint64_t shed = 0;
+  /// Queries answered DEADLINE_EXCEEDED at one of the service's three
+  /// deadline checks.
   uint64_t deadline_exceeded = 0;
-  uint64_t degraded = 0;
   /// Live-index counters (IndexManager): generation currently served,
   /// successful publishes since construction, and the point-in-time
   /// pinned-reader gauge (0 when no query holds a snapshot).
   uint64_t generation = 1;
   uint64_t publishes = 0;
   uint64_t pinned_readers = 0;
-  /// Cache entries evicted by the staleness bound
-  /// (ServiceOptions::max_stale_generations) across all publishes.
-  uint64_t evicted_stale = 0;
   double total_latency_ms = 0.0;
   /// Log2-bucketed latency histogram of answered queries (see
   /// kServiceLatencyBuckets); feeds the percentile estimates below.
@@ -81,10 +81,11 @@ struct ServiceMetrics {
   double MeanLatencyMs() const {
     return queries == 0 ? 0.0 : total_latency_ms / static_cast<double>(queries);
   }
-  /// Approximate latency percentile (p in [0, 1], e.g. 0.99) from the
-  /// log2 histogram: the upper bound of the bucket containing the p-th
-  /// answer. 0 when no latencies were recorded.
-  double LatencyPercentileMs(double p) const;
+  /// Approximate latency percentile (p in [0, 1]) of the answered
+  /// queries; see serve::LatencyPercentileMs.
+  double LatencyPercentileMs(double p) const {
+    return serve::LatencyPercentileMs(latency_histogram_ns, p);
+  }
 };
 
 /// Thread-safe query front end over an immutable ResolutionIndex: the
@@ -95,19 +96,17 @@ struct ServiceMetrics {
 /// batch answer is always identical to the per-query answer.
 ///
 /// Failure model (DESIGN.md §11): every query resolves to OK or a typed
-/// util::Status — never an abort. Per-query deadlines are honoured at
-/// admission, fan-out, and compute boundaries (DEADLINE_EXCEEDED); an
-/// optional AdmissionController bounds concurrent execution and sheds
-/// excess load (RESOURCE_EXHAUSTED) instead of queuing unboundedly; a
-/// shed query whose answer is still in the LRU cache gets the stale
-/// result flagged `degraded` instead of an error.
+/// util::Status — never an abort. Per-query deadlines are honoured before
+/// the cache lookup, before compute, and after compute
+/// (DEADLINE_EXCEEDED).
 ///
 /// Live updates (DESIGN.md §13): the served index lives in an
 /// IndexManager. Every query pins the current snapshot for its whole
 /// execution — validation, cache lookup, compute, and cache fill all see
 /// one generation, so an in-flight query never observes a torn swap.
 /// `PublishIndex` installs a new generation atomically; cache entries are
-/// keyed by generation, so a retired answer can never be served as fresh.
+/// keyed by generation, so a retired answer can never be served; old
+/// entries leave the cache under LRU pressure.
 ///
 /// Repeated (record, certainty, k, granularity) lookups are served from a
 /// sharded LRU cache. A missed entity-granularity query walks only the
@@ -124,17 +123,14 @@ class ResolutionService {
   ResolutionService& operator=(const ResolutionService&) = delete;
 
   /// Answers one query. INVALID_ARGUMENT for NaN certainty, OUT_OF_RANGE
-  /// for a record beyond the indexed corpus. With `wait` = kNever a full
-  /// in-flight budget sheds the query at once, exactly as a full wait
-  /// queue does (a degraded cached answer, else RESOURCE_EXHAUSTED).
-  util::StatusOr<QueryResult> QueryRecord(
-      const Query& query, AdmissionWait wait = AdmissionWait::kQueue);
+  /// for a record beyond the indexed corpus.
+  util::StatusOr<QueryResult> QueryRecord(const Query& query);
 
   /// Answers a batch concurrently; results[i] corresponds to queries[i]
   /// and equals what QueryRecord(queries[i]) would return. Blocks until
   /// the whole batch is done. The returned BatchResult carries the tallied
-  /// per-batch counters (ok / shed / deadline / degraded) alongside the
-  /// per-query statuses.
+  /// per-batch counters (ok / failed / deadline) alongside the per-query
+  /// statuses.
   BatchResult QueryBatch(const std::vector<Query>& queries);
 
   /// Streaming-style variant: `sink(i, result)` is invoked once per query,
@@ -147,7 +143,7 @@ class ResolutionService {
 
   /// Atomically installs `next` as the new served snapshot and returns
   /// its generation. In-flight queries finish on whatever generation they
-  /// pinned; queries admitted after the publish see the new one. Typed
+  /// pinned; queries that start after the publish see the new one. Typed
   /// UNAVAILABLE (nothing installed) under an injected fault at
   /// serve.index.publish — safe to retry.
   util::StatusOr<uint64_t> PublishIndex(
@@ -161,11 +157,6 @@ class ResolutionService {
   /// The snapshot-swap machinery itself (generation / publish / pin
   /// gauges beyond what metrics() snapshots).
   const IndexManager& index_manager() const { return manager_; }
-
-  /// The admission gate in front of the query path. The wire front end
-  /// reads its saturation state to pause connection-level reads
-  /// (DESIGN.md §15) rather than decode queries that would be shed.
-  const AdmissionController& admission() const { return admission_; }
 
   const ServiceOptions& options() const { return options_; }
 
@@ -185,8 +176,8 @@ class ResolutionService {
   util::StatusOr<std::shared_ptr<const QueryResult>> Compute(
       const Query& query, const PinnedIndex& pin);
 
-  /// Books a non-OK answer: bumps errors_ plus the matching failure-model
-  /// counter, and returns the status unchanged.
+  /// Books a non-OK answer: bumps errors_ (and deadline_exceeded_ for a
+  /// DEADLINE_EXCEEDED), and returns the status unchanged.
   util::Status Fail(util::Status status);
 
   /// Records the latency of an answered query into the total and the
@@ -197,14 +188,10 @@ class ResolutionService {
   ServiceOptions options_;
   util::ThreadPool pool_;
   ShardedQueryCache cache_;
-  AdmissionController admission_;
 
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> shed_{0};
   std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> degraded_{0};
-  std::atomic<uint64_t> evicted_stale_{0};
   std::atomic<uint64_t> latency_ns_{0};
   std::array<std::atomic<uint64_t>, kServiceLatencyBuckets> latency_hist_{};
 };

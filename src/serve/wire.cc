@@ -270,8 +270,7 @@ void EncodeResult(const util::StatusOr<QueryResult>& result,
   }
   const QueryResult& r = *result;
   payload.reserve(22 + 8 + r.matches.size() * 24 + r.entity.size() * 4);
-  uint8_t flags = r.degraded ? 1 : 0;
-  PutU8(&payload, flags);
+  PutU8(&payload, 0);  // result flags: none are defined
   PutQueryEcho(&payload, r.query);
   PutU32(&payload, static_cast<uint32_t>(r.matches.size()));
   for (const core::RankedMatch& m : r.matches) {
@@ -319,10 +318,9 @@ util::StatusOr<QueryResult> DecodeResult(const Frame& frame) {
     return util::Status::InvalidArgument(
         "unknown granularity in result echo");
   }
-  if ((flags & ~uint8_t{1}) != 0) {
+  if (flags != 0) {
     return util::Status::InvalidArgument("unknown result flags");
   }
-  result.degraded = (flags & 1) != 0;
   uint32_t match_count = 0;
   if (!r.ReadU32(&match_count)) return Truncated("result");
   if (r.remaining() < static_cast<size_t>(match_count) * 24) {
@@ -377,7 +375,7 @@ void EncodeInfo(const ServerInfo& info, std::string* out) {
   PutU64(&payload, info.metrics.cache_misses);
   PutU64(&payload, info.metrics.shed);
   PutU64(&payload, info.metrics.deadline_exceeded);
-  PutU64(&payload, info.metrics.degraded);
+  PutU64(&payload, 0);  // reserved
   PutF64(&payload, info.metrics.total_latency_ms);
   PutU32(&payload, static_cast<uint32_t>(
                        info.metrics.latency_histogram_ns.size()));
@@ -387,7 +385,7 @@ void EncodeInfo(const ServerInfo& info, std::string* out) {
   PutU64(&payload, info.metrics.generation);
   PutU64(&payload, info.metrics.publishes);
   PutU64(&payload, info.metrics.pinned_readers);
-  PutU64(&payload, info.metrics.evicted_stale);
+  PutU64(&payload, 0);  // reserved
   PutU64(&payload, info.net.open_connections);
   PutU64(&payload, info.net.paused_reads);
   PutU64(&payload, info.net.disconnects_idle);
@@ -406,6 +404,7 @@ util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame) {
   PayloadReader r(frame.payload);
   ServerInfo info;
   uint32_t buckets = 0;
+  uint64_t reserved[2] = {0, 0};
   if (!r.ReadU64(&info.num_records) || !r.ReadU64(&info.num_matches) ||
       !r.ReadU64(&info.checksum) || !r.ReadU64(&info.metrics.queries) ||
       !r.ReadU64(&info.metrics.errors) ||
@@ -413,7 +412,7 @@ util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame) {
       !r.ReadU64(&info.metrics.cache_misses) ||
       !r.ReadU64(&info.metrics.shed) ||
       !r.ReadU64(&info.metrics.deadline_exceeded) ||
-      !r.ReadU64(&info.metrics.degraded) ||
+      !r.ReadU64(&reserved[0]) ||
       !r.ReadF64(&info.metrics.total_latency_ms) || !r.ReadU32(&buckets)) {
     return Truncated("info");
   }
@@ -429,7 +428,7 @@ util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame) {
   if (!r.ReadU64(&info.metrics.generation) ||
       !r.ReadU64(&info.metrics.publishes) ||
       !r.ReadU64(&info.metrics.pinned_readers) ||
-      !r.ReadU64(&info.metrics.evicted_stale) ||
+      !r.ReadU64(&reserved[1]) ||
       !r.ReadU64(&info.net.open_connections) ||
       !r.ReadU64(&info.net.paused_reads) ||
       !r.ReadU64(&info.net.disconnects_idle) ||
@@ -441,6 +440,9 @@ util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame) {
     return Truncated("info");
   }
   if (!r.Done()) return TrailingBytes("info");
+  if (reserved[0] != 0 || reserved[1] != 0) {
+    return util::Status::InvalidArgument("nonzero reserved info slot");
+  }
   return info;
 }
 

@@ -95,7 +95,7 @@ util::StatusOr<size_t> ExtractFrame(std::string_view buffer, Frame* frame);
 /// meaningless across machines). `deadline_ms` encodes as its f64 bit
 /// pattern; all-zero bits mean "no deadline". The decoder materializes the
 /// budget into `query.deadline` at decode time, which is what propagates a
-/// wire deadline into the service's admission/compute checks.
+/// wire deadline into the service's deadline checks.
 struct DecodedQuery {
   Query query;
   double deadline_ms = 0.0;  // 0 = infinite
@@ -118,17 +118,19 @@ util::StatusOr<DecodedQuery> DecodeQuery(const Frame& frame);
 
 /// Appends the answer to a query: a kResult frame when `result` is OK, a
 /// kError frame (status code + message) otherwise. The result encoding
-/// carries the semantic query echo, the degraded flag, and the
-/// matches/entity payload — but NOT `from_cache` (server-side
-/// observability, not part of the answer; excluding it is what makes wire
-/// responses byte-equal across cache states and server thread counts).
+/// carries a flags byte (always 0; no flag is defined), the semantic
+/// query echo, and the matches/entity payload — but NOT `from_cache`
+/// (server-side observability, not part of the answer; excluding it is
+/// what makes wire responses byte-equal across cache states and server
+/// thread counts).
 void EncodeResult(const util::StatusOr<QueryResult>& result,
                   std::string* out);
 
 /// Decodes a kResult or kError frame into exactly what the in-process
 /// ResolutionService::QueryRecord would have returned: the QueryResult on
 /// kResult, the typed Status on kError. DATA_LOSS on truncated or
-/// inconsistent payloads, INVALID_ARGUMENT on an unknown status code.
+/// inconsistent payloads, INVALID_ARGUMENT on an unknown status code or a
+/// nonzero flags byte.
 util::StatusOr<QueryResult> DecodeResult(const Frame& frame);
 
 // ---------------------------------------------------------------------------
@@ -168,7 +170,9 @@ void EncodeInfoRequest(std::string* out);
 /// Appends a kInfo frame for `info`.
 void EncodeInfo(const ServerInfo& info, std::string* out);
 
-/// Decodes a kInfo frame. DATA_LOSS on size mismatch.
+/// Decodes a kInfo frame. DATA_LOSS on size mismatch, INVALID_ARGUMENT
+/// when either of the two reserved u64 slots (after deadline_exceeded
+/// and after pinned_readers) is nonzero.
 util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame);
 
 // ---------------------------------------------------------------------------

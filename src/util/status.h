@@ -19,7 +19,7 @@ enum class StatusCode {
   kDataLoss,           // corrupt or truncated index file
   kInternal,           // invariant violation that was recoverable
   kDeadlineExceeded,   // the caller's deadline expired before the answer
-  kResourceExhausted,  // load shed: in-flight budget and wait queue full
+  kResourceExhausted,  // load shed: a rate limit or a full ingest queue
   kUnavailable,        // transient I/O failure; retrying may succeed
 };
 

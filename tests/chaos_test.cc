@@ -55,7 +55,6 @@ bool IsAllowedFaultOutcome(StatusCode code) {
     case StatusCode::kUnavailable:      // injected I/O error
     case StatusCode::kDataLoss:         // injected short read
     case StatusCode::kDeadlineExceeded: // budget expired (injected latency)
-    case StatusCode::kResourceExhausted:// admission shed under load
       return true;
     default:
       return false;
@@ -166,8 +165,6 @@ TEST_F(ChaosTest, ConcurrentQueriesUnderFaultsAreOkOrTyped) {
   for (size_t threads : {1u, 2u, 8u}) {
     serve::ServiceOptions options;
     options.num_threads = threads;
-    options.max_in_flight = 4;
-    options.max_queue_depth = 8;
     serve::ResolutionService service(index_, options);
     auto results = service.QueryBatch(faulted_workload);
     ASSERT_EQ(results.size(), faulted_workload.size());
@@ -175,7 +172,7 @@ TEST_F(ChaosTest, ConcurrentQueriesUnderFaultsAreOkOrTyped) {
     for (size_t i = 0; i < results.size(); ++i) {
       if (results[i].ok()) {
         // A fault may delay or deny an answer, never corrupt one: every
-        // OK answer (degraded or not) must match the fault-free baseline.
+        // OK answer must match the fault-free baseline.
         EXPECT_TRUE(SameResult(*results[i], baseline_[i]))
             << "query " << i << " answered differently under faults";
       } else {

@@ -307,6 +307,9 @@ TEST(HostileNetTest, RateLimitedQueriesGetTypedErrorsInOrder) {
   auto info = client->Info(util::Deadline::AfterMillis(5000));
   ASSERT_TRUE(info.ok()) << info.status().ToString();  // info is exempt
   EXPECT_EQ(info->net.rate_limited_frames, limited);
+  // The rate limiter is the query path's only shedder, so the service
+  // metrics' shed count reports the same frames.
+  EXPECT_EQ(info->metrics.shed, limited);
   EXPECT_EQ(info->net.disconnects_rate_limited, 0u);
   server.Shutdown();
 }

@@ -1,22 +1,19 @@
 // Tests of the failure model (DESIGN.md §11): deadlines, retry/backoff,
-// the deterministic fault injector, admission control / load shedding,
-// and the skip-and-quarantine CSV loader.
+// the deterministic fault injector, the service's deadline checks, and
+// the skip-and-quarantine CSV loader.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/ranked_resolution.h"
 #include "core/resolution_io.h"
 #include "data/csv_io.h"
-#include "serve/admission_controller.h"
 #include "serve/query.h"
 #include "serve/resolution_index.h"
 #include "serve/resolution_service.h"
@@ -290,77 +287,6 @@ TEST(FaultInjectorTest, FaultedIndexLoadIsRecoveredByRetry) {
 }
 
 // ---------------------------------------------------------------------------
-// serve::AdmissionController
-
-TEST(AdmissionControllerTest, UnlimitedByDefault) {
-  serve::AdmissionController admission({});
-  EXPECT_TRUE(admission.unlimited());
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(admission.Admit(Deadline()).ok());
-  }
-}
-
-TEST(AdmissionControllerTest, ShedsWhenBudgetAndQueueAreFull) {
-  serve::AdmissionController admission({/*max_in_flight=*/1,
-                                        /*max_queue_depth=*/0});
-  ASSERT_TRUE(admission.Admit(Deadline()).ok());
-  Status second = admission.Admit(Deadline());
-  EXPECT_EQ(second.code(), StatusCode::kResourceExhausted);
-  admission.Release();
-  EXPECT_TRUE(admission.Admit(Deadline()).ok());
-  admission.Release();
-  auto snapshot = admission.snapshot();
-  EXPECT_EQ(snapshot.admitted, 2u);
-  EXPECT_EQ(snapshot.shed, 1u);
-  EXPECT_EQ(snapshot.in_flight, 0u);
-}
-
-TEST(AdmissionControllerTest, NeverWaitingCallerIsShedWhileQueueHasRoom) {
-  serve::AdmissionController admission({/*max_in_flight=*/1,
-                                        /*max_queue_depth=*/4});
-  EXPECT_TRUE(
-      admission.Admit(Deadline(), serve::AdmissionWait::kNever).ok());
-  // The queue has room, but this caller may not wait for the slot. (The
-  // finite deadline only bounds a regression that would queue it.)
-  Status second = admission.Admit(Deadline::AfterMillis(200),
-                                  serve::AdmissionWait::kNever);
-  EXPECT_EQ(second.code(), StatusCode::kResourceExhausted);
-  auto snapshot = admission.snapshot();
-  EXPECT_EQ(snapshot.shed, 1u);
-  EXPECT_EQ(snapshot.queued, 0u);
-  EXPECT_EQ(snapshot.in_flight, 1u);
-  admission.Release();
-}
-
-TEST(AdmissionControllerTest, QueuedCallerTimesOutWithDeadlineExceeded) {
-  serve::AdmissionController admission({/*max_in_flight=*/1,
-                                        /*max_queue_depth=*/1});
-  ASSERT_TRUE(admission.Admit(Deadline()).ok());  // hold the only slot
-  Status queued = admission.Admit(Deadline::AfterMillis(20));
-  EXPECT_EQ(queued.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(admission.snapshot().deadline_expired, 1u);
-  admission.Release();
-}
-
-TEST(AdmissionControllerTest, QueuedCallerGetsSlotOnRelease) {
-  serve::AdmissionController admission({/*max_in_flight=*/1,
-                                        /*max_queue_depth=*/1});
-  ASSERT_TRUE(admission.Admit(Deadline()).ok());
-  std::atomic<bool> admitted{false};
-  std::thread waiter([&admission, &admitted] {
-    Status s = admission.Admit(Deadline());
-    admitted.store(s.ok());
-    if (s.ok()) admission.Release();
-  });
-  // Wait until the waiter is actually queued before releasing.
-  while (admission.snapshot().queued == 0) std::this_thread::yield();
-  admission.Release();
-  waiter.join();
-  EXPECT_TRUE(admitted.load());
-  EXPECT_EQ(admission.snapshot().admitted, 2u);
-}
-
-// ---------------------------------------------------------------------------
 // data::DatasetFromCsvLenient — skip-and-quarantine ingest
 
 constexpr char kGoodHeader[] =
@@ -466,7 +392,7 @@ TEST(MatchesCsvTest, NanConfidenceIsDataLossNotData) {
 }
 
 // ---------------------------------------------------------------------------
-// ResolutionService deadline / shedding / degraded behaviour
+// ResolutionService deadline behaviour
 
 class ServiceRobustnessTest : public testing::Test {
  protected:
@@ -546,76 +472,6 @@ TEST_F(ServiceRobustnessTest, ExpiredDeadlinesInsideBatchAreTyped) {
     }
   }
   EXPECT_EQ(service.metrics().deadline_exceeded, 8u);
-}
-
-TEST_F(ServiceRobustnessTest, SaturationShedsWithResourceExhausted) {
-  serve::ServiceOptions options;
-  options.max_in_flight = 1;
-  options.max_queue_depth = 0;
-  options.cache_capacity = 0;  // no degraded fallback in this test
-  serve::ResolutionService service(MakeIndex(), options);
-
-  // Hold the single admission slot with a query whose compute stalls on a
-  // deterministic injected latency spike.
-  FaultConfig config;
-  config.latency_probability = 1.0;
-  config.latency_micros = 300000;  // 300 ms
-  ScopedFaultInjection arm(config);
-
-  std::thread holder([&service] {
-    auto result = service.QueryRecord(MakeQuery(1));
-    EXPECT_TRUE(result.ok());
-  });
-  // The compute fault fires only after the slot is taken; once it has, the
-  // holder sleeps inside the spike with the slot held.
-  while (FaultInjector::Global().injections(FaultPoint::kServiceCompute) ==
-         0) {
-    std::this_thread::yield();
-  }
-  auto shed = service.QueryRecord(MakeQuery(2));
-  holder.join();
-  ASSERT_FALSE(shed.ok());
-  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
-  auto metrics = service.metrics();
-  EXPECT_EQ(metrics.shed, 1u);
-  EXPECT_EQ(metrics.errors, 1u);
-  EXPECT_EQ(metrics.degraded, 0u);
-}
-
-TEST_F(ServiceRobustnessTest, ShedQueryWithCachedAnswerDegradesGracefully) {
-  serve::ServiceOptions options;
-  options.max_in_flight = 1;
-  options.max_queue_depth = 0;
-  serve::ResolutionService service(MakeIndex(), options);
-
-  // Prime the cache with the answer the shed query will fall back to.
-  serve::Query hot = MakeQuery(5);
-  auto primed = service.QueryRecord(hot);
-  ASSERT_TRUE(primed.ok());
-
-  FaultConfig config;
-  config.latency_probability = 1.0;
-  config.latency_micros = 300000;
-  ScopedFaultInjection arm(config);
-
-  std::thread holder([&service] {
-    auto result = service.QueryRecord(MakeQuery(9));  // cold: computes
-    EXPECT_TRUE(result.ok());
-  });
-  while (FaultInjector::Global().injections(FaultPoint::kServiceCompute) ==
-         0) {
-    std::this_thread::yield();
-  }
-  auto degraded = service.QueryRecord(hot);
-  holder.join();
-  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  EXPECT_TRUE(degraded->degraded);
-  EXPECT_TRUE(degraded->from_cache);
-  EXPECT_EQ(degraded->matches.size(), primed->matches.size());
-  auto metrics = service.metrics();
-  EXPECT_EQ(metrics.degraded, 1u);
-  EXPECT_EQ(metrics.shed, 1u);
-  EXPECT_EQ(metrics.errors, 0u) << "a degraded answer is not an error";
 }
 
 TEST_F(ServiceRobustnessTest, QueryEqualityIgnoresDeadline) {

@@ -352,27 +352,6 @@ TEST(ShardedQueryCacheTest, DistinguishesGenerations) {
   EXPECT_EQ(cache.Get(q, /*generation=*/2)->generation, 2u);
 }
 
-// The staleness bound behind ServiceOptions::max_stale_generations: a
-// sweep drops exactly the entries older than the floor, newer ones stay.
-TEST(ShardedQueryCacheTest, EvictOlderThanDropsOnlyStaleGenerations) {
-  ShardedQueryCache cache(/*capacity=*/64);
-  Query q{7, 0.5, 0, Granularity::kMatches};
-  for (uint64_t gen = 1; gen <= 5; ++gen) {
-    cache.Put(q, gen, std::make_shared<QueryResult>());
-  }
-  EXPECT_EQ(cache.size(), 5u);
-  EXPECT_EQ(cache.EvictOlderThan(/*min_generation=*/3), 2u);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.Get(q, 1), nullptr);
-  EXPECT_EQ(cache.Get(q, 2), nullptr);
-  EXPECT_NE(cache.Get(q, 3), nullptr);
-  EXPECT_NE(cache.Get(q, 4), nullptr);
-  EXPECT_NE(cache.Get(q, 5), nullptr);
-  // Idempotent, and a floor of 0 touches nothing.
-  EXPECT_EQ(cache.EvictOlderThan(3), 0u);
-  EXPECT_EQ(cache.EvictOlderThan(0), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // ResolutionService
 
@@ -403,50 +382,6 @@ TEST_F(ResolutionServiceTest, CacheHitAndMissCounters) {
   EXPECT_EQ(metrics.cache_misses, 1u);
   EXPECT_EQ(metrics.cache_hits, 1u);
   EXPECT_DOUBLE_EQ(metrics.HitRate(), 0.5);
-}
-
-// The serve-stale bound: each publish sweeps cache entries more than
-// max_stale_generations behind the newly installed generation, and the
-// evicted_stale counter records the reclaim.
-TEST_F(ResolutionServiceTest, PublishEvictsEntriesPastStalenessBound) {
-  ServiceOptions options;
-  options.max_stale_generations = 2;
-  ResolutionService service(index_, options);
-  Query query{7, 0.2, 0, Granularity::kMatches};
-  ASSERT_TRUE(service.QueryRecord(query).ok());  // cached under gen 1
-
-  auto publish = [&] {
-    auto resolution =
-        MakeRandomResolution(kRecords, kMatches, service.metrics().publishes);
-    auto published = service.PublishIndex(
-        std::make_shared<const ResolutionIndex>(resolution, kRecords));
-    ASSERT_TRUE(published.ok()) << published.status().ToString();
-  };
-
-  publish();                                     // gen 2: floor 0
-  ASSERT_TRUE(service.QueryRecord(query).ok());  // cached under gen 2
-  EXPECT_EQ(service.metrics().evicted_stale, 0u);
-  publish();  // gen 3: floor 1, the gen-1 entry is exactly at the bound
-  EXPECT_EQ(service.metrics().evicted_stale, 0u);
-  publish();  // gen 4: floor 2 evicts the gen-1 entry
-  EXPECT_EQ(service.metrics().evicted_stale, 1u);
-  publish();  // gen 5: floor 3 evicts the gen-2 entry
-  EXPECT_EQ(service.metrics().evicted_stale, 2u);
-  publish();  // gen 6: nothing stale is left
-  EXPECT_EQ(service.metrics().evicted_stale, 2u);
-}
-
-TEST_F(ResolutionServiceTest, ZeroStalenessBoundDisablesEviction) {
-  ServiceOptions options;
-  options.max_stale_generations = 0;
-  ResolutionService service(index_, options);
-  Query query{7, 0.2, 0, Granularity::kMatches};
-  ASSERT_TRUE(service.QueryRecord(query).ok());
-  for (uint64_t i = 0; i < 6; ++i) {
-    auto published = service.PublishIndex(index_);
-    ASSERT_TRUE(published.ok());
-  }
-  EXPECT_EQ(service.metrics().evicted_stale, 0u);
 }
 
 TEST_F(ResolutionServiceTest, DisabledCacheNeverHits) {

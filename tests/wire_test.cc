@@ -41,7 +41,6 @@ Query RandomQuery(util::Rng& rng) {
 QueryResult RandomResult(util::Rng& rng) {
   QueryResult result;
   result.query = RandomQuery(rng);
-  result.degraded = rng.Bernoulli(0.3);
   size_t matches = static_cast<size_t>(rng.UniformInt(0, 20));
   for (size_t i = 0; i < matches; ++i) {
     core::RankedMatch m;
@@ -102,7 +101,6 @@ TEST(WireCodecTest, ResultRoundTripIsByteIdentical) {
     ASSERT_EQ(frame.type, wire::FrameType::kResult);
     auto decoded = wire::DecodeResult(frame);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded->degraded, result.degraded);
     EXPECT_EQ(decoded->entity, result.entity);
     ASSERT_EQ(decoded->matches.size(), result.matches.size());
 
@@ -177,7 +175,6 @@ TEST(WireCodecTest, InfoRoundTrip) {
   info.metrics.cache_misses = 6;
   info.metrics.shed = 1;
   info.metrics.deadline_exceeded = 1;
-  info.metrics.degraded = 1;
   info.metrics.total_latency_ms = 2.5;
   info.metrics.latency_histogram_ns.assign(kServiceLatencyBuckets, 0);
   info.metrics.latency_histogram_ns[20] = 9;
@@ -193,6 +190,170 @@ TEST(WireCodecTest, InfoRoundTrip) {
   EXPECT_EQ(decoded->metrics.queries, info.metrics.queries);
   EXPECT_EQ(decoded->metrics.latency_histogram_ns,
             info.metrics.latency_histogram_ns);
+}
+
+// ---------------------------------------------------------------------------
+// Frozen layouts: WAL segments and captures store frames written by older
+// binaries, so a kResult or kInfo layout change must show up here as a
+// deliberate edit of these bytes, never as a side effect.
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 0xf]);
+  }
+  return hex;
+}
+
+QueryResult PinnedResult() {
+  QueryResult result;
+  result.query.record = 7;
+  result.query.certainty = 0.5;
+  result.query.k = 3;
+  result.query.granularity = Granularity::kMatches;
+  core::RankedMatch m;
+  m.pair = data::RecordPair(2, 9);
+  m.confidence = 0.75;
+  m.block_score = 2.0;
+  result.matches.push_back(m);
+  result.entity = {7, 12};
+  result.generation = 9;
+  return result;
+}
+
+constexpr std::string_view kPinnedResultHex =
+    "5957" "04" "02" "46000000"  // magic, version 4, kResult, length 70
+    "00"                         // result flags: always 0
+    "07000000"                   // echo: record 7
+    "000000000000e03f"           //       certainty 0.5
+    "0300000000000000"           //       k 3
+    "00"                         //       granularity kMatches
+    "01000000"                   // one match:
+    "02000000" "09000000"        //   pair (2, 9)
+    "000000000000e83f"           //   confidence 0.75
+    "0000000000000040"           //   block score 2.0
+    "02000000" "07000000" "0c000000"  // entity {7, 12}
+    "0900000000000000";          // generation 9
+
+wire::ServerInfo PinnedInfo() {
+  wire::ServerInfo info;
+  info.num_records = 123;
+  info.num_matches = 456;
+  info.checksum = 0x0123456789abcdefULL;
+  info.metrics.queries = 9;
+  info.metrics.errors = 2;
+  info.metrics.cache_hits = 3;
+  info.metrics.cache_misses = 6;
+  info.metrics.shed = 4;
+  info.metrics.deadline_exceeded = 1;
+  info.metrics.total_latency_ms = 2.5;
+  info.metrics.latency_histogram_ns = {5, 0, 1};
+  info.metrics.generation = 5;
+  info.metrics.publishes = 4;
+  info.metrics.pinned_readers = 2;
+  info.net.open_connections = 3;
+  info.net.paused_reads = 1;
+  info.net.disconnects_idle = 2;
+  info.net.disconnects_slowloris = 4;
+  info.net.disconnects_oversize = 5;
+  info.net.disconnects_rate_limited = 6;
+  info.net.disconnects_write_stall = 7;
+  info.net.rate_limited_frames = 41;
+  return info;
+}
+
+constexpr std::string_view kPinnedInfoHex =
+    "5957" "04" "05" "d4000000"  // magic, version 4, kInfo, length 212
+    "7b00000000000000"           // num_records 123
+    "c801000000000000"           // num_matches 456
+    "efcdab8967452301"           // checksum
+    "0900000000000000"           // queries 9
+    "0200000000000000"           // errors 2
+    "0300000000000000"           // cache hits 3
+    "0600000000000000"           // cache misses 6
+    "0400000000000000"           // shed 4
+    "0100000000000000"           // deadline exceeded 1
+    "0000000000000000"           // reserved slot 1: always 0
+    "0000000000000440"           // total latency 2.5 ms
+    "03000000"                   // three histogram buckets:
+    "0500000000000000" "0000000000000000" "0100000000000000"
+    "0500000000000000"           // generation 5
+    "0400000000000000"           // publishes 4
+    "0200000000000000"           // pinned readers 2
+    "0000000000000000"           // reserved slot 2: always 0
+    "0300000000000000"           // net: open connections 3
+    "0100000000000000"           //      paused reads 1
+    "0200000000000000"           //      idle disconnects 2
+    "0400000000000000"           //      slow-loris disconnects 4
+    "0500000000000000"           //      oversize disconnects 5
+    "0600000000000000"           //      rate-limited disconnects 6
+    "0700000000000000"           //      write-stall disconnects 7
+    "2900000000000000";          //      rate-limited frames 41
+
+TEST(WireCodecTest, ResultAndInfoFrameBytesArePinned) {
+  std::string bytes;
+  wire::EncodeResult(PinnedResult(), &bytes);
+  EXPECT_EQ(Hex(bytes), kPinnedResultHex);
+  wire::Frame frame;
+  ASSERT_TRUE(wire::ExtractFrame(bytes, &frame).ok());
+  auto result = wire::DecodeResult(frame);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->query, PinnedResult().query);
+  EXPECT_EQ(result->matches, PinnedResult().matches);
+  EXPECT_EQ(result->entity, PinnedResult().entity);
+  EXPECT_EQ(result->generation, 9u);
+
+  bytes.clear();
+  wire::EncodeInfo(PinnedInfo(), &bytes);
+  EXPECT_EQ(Hex(bytes), kPinnedInfoHex);
+  ASSERT_TRUE(wire::ExtractFrame(bytes, &frame).ok());
+  auto info = wire::DecodeInfo(frame);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->checksum, 0x0123456789abcdefULL);
+  EXPECT_EQ(info->metrics.shed, 4u);
+  EXPECT_EQ(info->metrics.latency_histogram_ns,
+            (std::vector<uint64_t>{5, 0, 1}));
+  EXPECT_EQ(info->metrics.pinned_readers, 2u);
+  EXPECT_EQ(info->net.rate_limited_frames, 41u);
+}
+
+// No result flag is defined, so any nonzero flags byte, bit 0 included,
+// is not a frame this dialect wrote.
+TEST(WireCodecTest, NonzeroResultFlagsAreRejected) {
+  std::string bytes;
+  wire::EncodeResult(PinnedResult(), &bytes);
+  wire::Frame frame;
+  ASSERT_TRUE(wire::ExtractFrame(bytes, &frame).ok());
+  ASSERT_EQ(frame.payload[0], 0);  // the flags byte leads the payload
+  for (int flags = 1; flags < 256; ++flags) {
+    wire::Frame flagged = frame;
+    flagged.payload[0] = static_cast<char>(flags);
+    EXPECT_EQ(wire::DecodeResult(flagged).status().code(),
+              StatusCode::kInvalidArgument)
+        << "flags " << flags;
+  }
+}
+
+TEST(WireCodecTest, NonzeroReservedInfoSlotsAreRejected) {
+  std::string bytes;
+  wire::EncodeInfo(PinnedInfo(), &bytes);
+  wire::Frame frame;
+  ASSERT_TRUE(wire::ExtractFrame(bytes, &frame).ok());
+  // Payload offsets of the two reserved u64 slots in kPinnedInfoHex: after
+  // the nine leading u64s, and after the 3-bucket histogram and the three
+  // live-index gauges (9*8 + 8 + 8 + 4 + 3*8 + 3*8).
+  for (size_t offset : {size_t{72}, size_t{140}}) {
+    ASSERT_EQ(frame.payload.substr(offset, 8), std::string(8, '\0'));
+    for (size_t byte = 0; byte < 8; ++byte) {
+      wire::Frame set = frame;
+      set.payload[offset + byte] = 1;
+      EXPECT_EQ(wire::DecodeInfo(set).status().code(),
+                StatusCode::kInvalidArgument)
+          << "offset " << offset << " byte " << byte;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

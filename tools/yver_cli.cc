@@ -370,10 +370,8 @@ ServeOptions ParseServeOptions(const Flags& flags, bool needs_corpus) {
   options.json = flags.Has("json");
 
   // `serve` answers every query on its event loop, one at a time, with
-  // no in-process caller beside it. So the service's worker pool (used
-  // only by QueryBatch/QueryStream) gets one worker, and admission stays
-  // off: the loop never holds more than one slot, so no budget could
-  // ever shed or pause.
+  // no in-process caller beside it, so the service's worker pool (used
+  // only by QueryBatch/QueryStream) gets one worker.
   serve::ServiceOptions& service = options.service;
   service.num_threads = 1;
   if (flags.Has("no-cache")) service.cache_capacity = 0;
