@@ -88,10 +88,10 @@ if [[ "$run_tsan" == 1 ]]; then
   # threads hit concurrently, so the loopback integration, fairness,
   # stalled-caller and socket-fault chaos suites run race-checked too.
   # IndexManager*/LiveIndexBuilder* are the live-update layer (DESIGN.md
-  # §13): the RCU snapshot swap and the ingest builder are exactly the
-  # code TSan exists for — readers pin generations wait-free while a
-  # writer publishes — and ChaosTest.SwapUnderLoad* drives the full
-  # swap-under-load consistency proof race-checked.
+  # §13): the snapshot swap and the ingest builder are exactly the code
+  # TSan exists for — readers pin generations while a writer publishes —
+  # and ChaosTest.SwapUnderLoad* drives the full swap-under-load
+  # consistency proof race-checked.
   # Wal* is the durability layer (DESIGN.md §14): group-commit batching
   # means concurrent appenders hand frames to a leader thread, so the
   # WAL unit and WAL-backed ingest suites run race-checked as well.
@@ -103,7 +103,7 @@ if [[ "$run_tsan" == 1 ]]; then
   # against the serial code it replaced at several pool sizes.
   # *ResolutionIndex* also picks up the Extend equivalence suites, and
   # LiveIndexBuilder* the builder's extend-and-publish rounds.
-  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTree*:FpGrowth*:FpTree*:MaximalFilterEquivalence*:GroupedSupportsEquivalence*:MinThresholdEquivalence*'
+  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTree*:FpGrowth*:FpTree*:MaximalFilterEquivalence*:GroupedSupportsEquivalence*:MinThresholdEquivalence*'
 
   echo "==> tier-1: loopback serve/loadgen smoke (TSan binaries, record/replay)"
   # End-to-end over a real socket: a TSan-built server on an ephemeral

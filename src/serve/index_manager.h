@@ -2,10 +2,10 @@
 #define YVER_SERVE_INDEX_MANAGER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "serve/resolution_index.h"
 #include "util/status.h"
@@ -13,168 +13,75 @@
 namespace yver::serve {
 
 /// Versioned, hot-swappable home of the served ResolutionIndex
-/// (DESIGN.md §13). The manager owns a sequence of immutable index
-/// snapshots, each tagged with a monotonically increasing generation.
-/// Readers pin the current snapshot with `Acquire()` — a single atomic
-/// fetch-add, genuinely wait-free, never blocked by a publish in
-/// progress — and work against that snapshot for as long as they hold
-/// the returned PinnedIndex. Writers install a new snapshot with
-/// `Publish()`; the previous generation is retired immediately (no new
-/// reader can pin it) but its memory is reclaimed only after the last
-/// pinned reader releases, so an in-flight query never observes a torn
-/// swap or a freed index.
-///
-/// The RCU scheme packs the acquire counter into the same 64-bit atomic
-/// as the current slot index: `current_` = (acquires << 16) | slot.
-/// Acquire() increments the counter half and reads the slot half in one
-/// fetch-add, so every pin is attributed to exactly the snapshot that
-/// was current at that instant — there is no pin-then-validate window
-/// and no ABA hazard. Publish() swaps the whole word (resetting the
-/// counter to zero for the new slot) and the value it swaps out tells
-/// it precisely how many pins were granted against the retired
-/// snapshot; once that many releases have come back, the snapshot is
-/// freed. Snapshots live in a small fixed ring of slots; a slot is
-/// reused only after it is fully quiescent, and Publish() (never a
-/// reader) waits when the ring is momentarily exhausted by slow
-/// readers.
+/// (DESIGN.md §13): a mutex-guarded `shared_ptr` to the current immutable
+/// snapshot plus its monotonically increasing generation. `Acquire()`
+/// copies both into a PinnedIndex; `Publish()` swaps in the next snapshot.
+/// A retired generation lives exactly as long as some pin shares its
+/// `shared_ptr`, so an in-flight query never sees a torn swap or a freed
+/// index.
 class IndexManager {
  public:
   /// Movable pin on one index generation. While alive, the snapshot it
-  /// points at cannot be reclaimed; destruction (or Release) returns the
-  /// pin. Cheap to create and destroy — one fetch-add each way.
+  /// points at cannot be freed; destruction (or Release) drops the pin.
   class PinnedIndex {
    public:
     PinnedIndex() = default;
-    PinnedIndex(PinnedIndex&& other) noexcept
-        : manager_(other.manager_),
-          slot_(other.slot_),
-          index_(std::move(other.index_)),
-          generation_(other.generation_) {
-      other.manager_ = nullptr;
-      other.index_ = nullptr;
-    }
+    PinnedIndex(PinnedIndex&& other) noexcept { *this = std::move(other); }
     PinnedIndex& operator=(PinnedIndex&& other) noexcept {
       if (this != &other) {
         Release();
-        manager_ = other.manager_;
-        slot_ = other.slot_;
+        manager_ = std::exchange(other.manager_, nullptr);
         index_ = std::move(other.index_);
         generation_ = other.generation_;
-        other.manager_ = nullptr;
-        other.index_ = nullptr;
       }
       return *this;
     }
-    PinnedIndex(const PinnedIndex&) = delete;
-    PinnedIndex& operator=(const PinnedIndex&) = delete;
     ~PinnedIndex() { Release(); }
 
-    /// Returns the pin early (idempotent; the dtor does this otherwise).
+    /// Drops the pin early (idempotent; the dtor does this otherwise).
     void Release();
 
     const ResolutionIndex& operator*() const { return *index_; }
     const ResolutionIndex* operator->() const { return index_.get(); }
-    const std::shared_ptr<const ResolutionIndex>& index() const {
-      return index_;
-    }
     uint64_t generation() const { return generation_; }
     bool valid() const { return index_ != nullptr; }
 
    private:
     friend class IndexManager;
-    PinnedIndex(const IndexManager* manager, size_t slot,
-                std::shared_ptr<const ResolutionIndex> index,
-                uint64_t generation)
-        : manager_(manager),
-          slot_(slot),
-          index_(std::move(index)),
-          generation_(generation) {}
-
     const IndexManager* manager_ = nullptr;
-    size_t slot_ = 0;
     std::shared_ptr<const ResolutionIndex> index_;
     uint64_t generation_ = 1;
   };
 
   /// Seeds the manager with the initial snapshot as generation 1.
   explicit IndexManager(std::shared_ptr<const ResolutionIndex> initial);
-  ~IndexManager();
 
-  IndexManager(const IndexManager&) = delete;
-  IndexManager& operator=(const IndexManager&) = delete;
-
-  /// Pins the current snapshot. Wait-free: one fetch-add, regardless of
-  /// concurrent publishes. Generations observed by repeated Acquire calls
-  /// on any one thread are non-decreasing.
+  /// Pins the current snapshot. Generations observed by repeated Acquire
+  /// calls on any one thread are non-decreasing.
   PinnedIndex Acquire() const;
 
-  /// Atomically installs `next` as the new current snapshot and returns
-  /// its generation. The previous generation is retired (no new pins) and
-  /// freed once its last pinned reader releases. Serialized across
-  /// callers; readers are never blocked. Fault seam: an injected I/O
-  /// error at util::FaultPoint::kIndexPublish fails the publish with a
-  /// typed UNAVAILABLE *without* installing anything — the previous
-  /// generation stays current and the caller may retry.
+  /// Installs `next` as the new current snapshot and returns its
+  /// generation. The previous generation is retired (no new pins) and
+  /// freed once its last pin drops. Fault seam: an injected I/O error at
+  /// util::FaultPoint::kIndexPublish fails the publish with a typed
+  /// UNAVAILABLE *without* installing anything — the previous generation
+  /// stays current and the caller may retry.
   util::StatusOr<uint64_t> Publish(
       std::shared_ptr<const ResolutionIndex> next);
 
   /// Generation of the snapshot Acquire() would pin right now.
-  uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
+  uint64_t generation() const;
   /// Successful Publish() calls since construction.
-  uint64_t publishes() const {
-    return publishes_.load(std::memory_order_relaxed);
-  }
+  uint64_t publishes() const { return generation() - 1; }
   /// Currently outstanding pins across all generations — the gauge the
   /// chaos harness drives back to zero to prove retired snapshots free.
-  uint64_t pinned_readers() const;
-  /// Snapshots currently held (current + retired-but-pinned). 1 when
-  /// fully quiescent: every retired generation has been reclaimed.
-  size_t retained_snapshots() const;
-
-  /// Slots in the snapshot ring: at most this many generations can be
-  /// simultaneously alive (1 current + kNumSlots-1 retired-but-pinned)
-  /// before Publish waits for a slow reader.
-  static constexpr size_t kNumSlots = 64;
+  uint64_t pinned_readers() const { return pinned_.load(); }
 
  private:
-  static constexpr uint64_t kSlotBits = 16;
-  static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
-  static constexpr uint64_t kOnePin = uint64_t{1} << kSlotBits;
-  /// `limit` sentinel while a slot is still current (not yet retired).
-  static constexpr uint64_t kNoLimit = ~uint64_t{0};
-
-  struct Slot {
-    /// Written only while the slot is quiescent (install / reclaim), read
-    /// by pinned readers — the quiescence protocol is what makes the
-    /// unsynchronized shared_ptr copy in Acquire safe.
-    std::shared_ptr<const ResolutionIndex> index;
-    uint64_t generation = 0;
-    /// Pins returned so far.
-    std::atomic<uint64_t> releases{0};
-    /// Total pins granted while current; kNoLimit until retired. The slot
-    /// is reclaimable once releases == limit.
-    std::atomic<uint64_t> limit{kNoLimit};
-  };
-
-  void ReleasePin(size_t slot) const;
-  /// Frees the slot's snapshot if it is retired and fully released.
-  /// Idempotent; raced benignly between the last releaser and Publish.
-  void MaybeReclaim(size_t slot) const;
-
-  mutable Slot slots_[kNumSlots];
-  /// (acquire count << kSlotBits) | current slot index.
-  mutable std::atomic<uint64_t> current_{0};
-  std::atomic<uint64_t> generation_{1};
-  std::atomic<uint64_t> publishes_{0};
-
-  /// Serializes publishers; never touched by Acquire.
-  std::mutex publish_mu_;
-  /// Guards slot install/reclaim transitions and wakes a publisher
-  /// waiting for a quiescent slot.
-  mutable std::mutex slots_mu_;
-  mutable std::condition_variable slot_freed_;
+  mutable std::mutex mu_;
+  std::shared_ptr<const ResolutionIndex> current_;  // guarded by mu_
+  uint64_t generation_ = 1;                         // guarded by mu_
+  mutable std::atomic<uint64_t> pinned_{0};
 };
 
 using PinnedIndex = IndexManager::PinnedIndex;

@@ -124,9 +124,9 @@ struct ServerStats {
 /// buffers with partial-read and short-write handling, wire framing, and
 /// strict in-order request/response pipelining — and answers every
 /// decoded query itself through ResolutionService::QueryRecord (and
-/// through it the service's deadlines and cache).
-/// A cached answer costs about a microsecond, far less than handing it to
-/// another thread and waking the loop again.
+/// through it the service's deadlines). An answer costs well under a
+/// microsecond, far less than handing it to another thread and waking
+/// the loop again.
 ///
 /// Fairness: a connection gets at most `max_batch` frames answered per
 /// loop turn. One with more pending or buffered goes on a ready list, and
@@ -135,8 +135,7 @@ struct ServerStats {
 ///
 /// Ordering contract: responses on a connection are sent in the order the
 /// queries arrived, one response frame per query frame — the pending
-/// queue is answered strictly from its head. Combined with the codec's
-/// exclusion of server-side observability bits, this is what makes a
+/// queue is answered strictly from its head. This is what makes a
 /// replayed capture byte-identical run over run and wire answers
 /// byte-equal to the in-process API.
 ///

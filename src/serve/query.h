@@ -32,14 +32,12 @@ struct Query {
   /// members). 0 means unlimited.
   size_t k = 0;
   Granularity granularity = Granularity::kMatches;
-  /// When to stop trying: the service checks before the cache lookup,
-  /// before compute and after compute, answering DEADLINE_EXCEEDED once
-  /// expired. Default is infinite (pre-deadline behaviour).
+  /// When to stop trying: the service checks before and after compute,
+  /// answering DEADLINE_EXCEEDED once expired. Default is infinite.
   util::Deadline deadline;
 
   /// Semantic equality: the deadline is delivery metadata, not part of
-  /// what is being asked, so it is excluded (the result cache likewise
-  /// keys on the semantic fields only).
+  /// what is being asked, so it is excluded.
   friend bool operator==(const Query& a, const Query& b) {
     return a.record == b.record && a.certainty == b.certainty &&
            a.k == b.k && a.granularity == b.granularity;
@@ -55,13 +53,11 @@ struct QueryResult {
   /// Granularity::kEntity — sorted members of the record's entity cluster,
   /// including the record itself.
   std::vector<data::RecordIdx> entity;
-  /// True when the service answered from its LRU cache.
-  bool from_cache = false;
   /// Index generation this answer was computed against (IndexManager's
   /// monotonic snapshot counter; 1 is the initially served index). Every
-  /// answer — fresh or cached — is internally consistent with
-  /// exactly this generation; the swap-under-load chaos harness compares
-  /// each answer against the serial baseline of its generation.
+  /// answer is internally consistent with exactly this generation; the
+  /// swap-under-load chaos harness compares each answer against the
+  /// serial baseline of its generation.
   uint64_t generation = 1;
 };
 

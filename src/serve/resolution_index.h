@@ -95,8 +95,8 @@ class ResolutionIndex {
   /// Record r's entity at a certainty threshold: exactly
   /// ClustersAt(certainty).Members(r), ascending, found by walking r's
   /// component over the adjacency instead of clustering the corpus. Cost
-  /// grows with the entity, not with num_matches, so a query can afford
-  /// it on every cache miss.
+  /// grows with the entity, not with num_matches, so every entity query
+  /// can afford it.
   std::vector<data::RecordIdx> EntityOf(data::RecordIdx r,
                                         double certainty) const;
 

@@ -371,8 +371,8 @@ void EncodeInfo(const ServerInfo& info, std::string* out) {
   PutU64(&payload, info.checksum);
   PutU64(&payload, info.metrics.queries);
   PutU64(&payload, info.metrics.errors);
-  PutU64(&payload, info.metrics.cache_hits);
-  PutU64(&payload, info.metrics.cache_misses);
+  PutU64(&payload, 0);  // reserved
+  PutU64(&payload, 0);  // reserved
   PutU64(&payload, info.metrics.shed);
   PutU64(&payload, info.metrics.deadline_exceeded);
   PutU64(&payload, 0);  // reserved
@@ -404,15 +404,14 @@ util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame) {
   PayloadReader r(frame.payload);
   ServerInfo info;
   uint32_t buckets = 0;
-  uint64_t reserved[2] = {0, 0};
+  uint64_t reserved[4] = {0, 0, 0, 0};
   if (!r.ReadU64(&info.num_records) || !r.ReadU64(&info.num_matches) ||
       !r.ReadU64(&info.checksum) || !r.ReadU64(&info.metrics.queries) ||
       !r.ReadU64(&info.metrics.errors) ||
-      !r.ReadU64(&info.metrics.cache_hits) ||
-      !r.ReadU64(&info.metrics.cache_misses) ||
+      !r.ReadU64(&reserved[0]) || !r.ReadU64(&reserved[1]) ||
       !r.ReadU64(&info.metrics.shed) ||
       !r.ReadU64(&info.metrics.deadline_exceeded) ||
-      !r.ReadU64(&reserved[0]) ||
+      !r.ReadU64(&reserved[2]) ||
       !r.ReadF64(&info.metrics.total_latency_ms) || !r.ReadU32(&buckets)) {
     return Truncated("info");
   }
@@ -428,7 +427,7 @@ util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame) {
   if (!r.ReadU64(&info.metrics.generation) ||
       !r.ReadU64(&info.metrics.publishes) ||
       !r.ReadU64(&info.metrics.pinned_readers) ||
-      !r.ReadU64(&reserved[1]) ||
+      !r.ReadU64(&reserved[3]) ||
       !r.ReadU64(&info.net.open_connections) ||
       !r.ReadU64(&info.net.paused_reads) ||
       !r.ReadU64(&info.net.disconnects_idle) ||
@@ -440,7 +439,7 @@ util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame) {
     return Truncated("info");
   }
   if (!r.Done()) return TrailingBytes("info");
-  if (reserved[0] != 0 || reserved[1] != 0) {
+  if ((reserved[0] | reserved[1] | reserved[2] | reserved[3]) != 0) {
     return util::Status::InvalidArgument("nonzero reserved info slot");
   }
   return info;

@@ -119,10 +119,7 @@ util::StatusOr<DecodedQuery> DecodeQuery(const Frame& frame);
 /// Appends the answer to a query: a kResult frame when `result` is OK, a
 /// kError frame (status code + message) otherwise. The result encoding
 /// carries a flags byte (always 0; no flag is defined), the semantic
-/// query echo, and the matches/entity payload — but NOT `from_cache`
-/// (server-side observability, not part of the answer; excluding it is
-/// what makes wire responses byte-equal across cache states and server
-/// thread counts).
+/// query echo, the matches/entity payload and the generation.
 void EncodeResult(const util::StatusOr<QueryResult>& result,
                   std::string* out);
 
@@ -171,8 +168,8 @@ void EncodeInfoRequest(std::string* out);
 void EncodeInfo(const ServerInfo& info, std::string* out);
 
 /// Decodes a kInfo frame. DATA_LOSS on size mismatch, INVALID_ARGUMENT
-/// when either of the two reserved u64 slots (after deadline_exceeded
-/// and after pinned_readers) is nonzero.
+/// when any of the four reserved u64 slots (the two after errors, the one
+/// after deadline_exceeded and the one after pinned_readers) is nonzero.
 util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame);
 
 // ---------------------------------------------------------------------------

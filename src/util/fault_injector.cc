@@ -35,8 +35,6 @@ const char* FaultPointName(FaultPoint point) {
       return "core.matches_csv.save";
     case FaultPoint::kDatasetCsvLoad:
       return "data.dataset_csv.load";
-    case FaultPoint::kCacheGet:
-      return "serve.cache.get";
     case FaultPoint::kServiceCompute:
       return "serve.service.compute";
     case FaultPoint::kSocketRead:

@@ -19,7 +19,6 @@ enum class FaultPoint : uint8_t {
   kMatchesCsvLoad,      // core: reading the matches CSV
   kMatchesCsvSave,      // core: writing the matches CSV
   kDatasetCsvLoad,      // data: reading the dataset CSV
-  kCacheGet,            // serve: LRU cache lookup (latency only)
   kServiceCompute,      // serve: the query compute path (latency only)
   kSocketRead,          // net: per-read() of the wire transport
   kSocketWrite,         // net: per-write() of the wire transport

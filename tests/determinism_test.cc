@@ -26,6 +26,7 @@
 #include "serve/query.h"
 #include "serve/resolution_index.h"
 #include "serve/resolution_service.h"
+#include "support/strided_queries.h"
 #include "synth/gazetteer.h"
 #include "synth/generator.h"
 #include "synth/tag_oracle.h"
@@ -251,10 +252,7 @@ TEST(DeterminismTest, IncrementalPublishMatrixConvergesOnOneChecksum) {
     for (size_t num_threads : {size_t{1}, size_t{2}, size_t{8}}) {
       auto initial = std::make_shared<const serve::ResolutionIndex>(
           core::RankedResolution(), base.size());
-      serve::ServiceOptions options;
-      options.num_threads = num_threads;
-      auto service =
-          std::make_shared<serve::ResolutionService>(initial, options);
+      auto service = std::make_shared<serve::ResolutionService>(initial);
       auto resolver = std::make_unique<core::IncrementalResolver>(
           base, core::RankedResolution(), ml::AdTree());
       serve::LiveIndexBuilder builder(service, std::move(resolver));
@@ -278,7 +276,7 @@ TEST(DeterminismTest, IncrementalPublishMatrixConvergesOnOneChecksum) {
           probe.record = static_cast<data::RecordIdx>(q % base.size());
           probes.push_back(probe);
         }
-        service->QueryBatch(probes);
+        serve::QueryStrided(*service, probes, num_threads);
       }
       ASSERT_EQ(next, kAppends);
 

@@ -85,15 +85,12 @@ std::vector<Query> MakeWorkload(size_t n, uint64_t seed) {
   return workload;
 }
 
-/// The serial baseline: the uncached single-threaded in-process answers
-/// pushed through the same codec the wire uses.
+/// The serial baseline: the in-process answers pushed through the same
+/// codec the wire uses.
 std::vector<std::string> ReferenceBytes(
     const std::shared_ptr<const ResolutionIndex>& index,
     const std::vector<Query>& workload) {
-  ServiceOptions options;
-  options.num_threads = 1;
-  options.cache_capacity = 0;
-  ResolutionService reference(index, options);
+  ResolutionService reference(index);
   std::vector<std::string> expected;
   expected.reserve(workload.size());
   for (const Query& query : workload) {
@@ -497,10 +494,7 @@ TEST(HostileNetTest, FleetStaysByteEqualToSerialBaselineUnderAttack) {
   auto index = MakeIndex();
 
   for (size_t threads : {1u, 2u, 8u}) {
-    ServiceOptions service_options;
-    service_options.num_threads = threads;
-    auto service =
-        std::make_shared<ResolutionService>(index, service_options);
+    auto service = std::make_shared<ResolutionService>(index);
     net::ServerOptions server_options = FastTickOptions();
     server_options.max_batch = 16;
     // Defenses armed the way a hostile deployment would run them — except

@@ -1,6 +1,6 @@
 // Tests of the live-index layer (DESIGN.md §13): IndexManager's
-// pin/publish/retire lifecycle, the generation-keyed service cache, and
-// LiveIndexBuilder's append-to-publish pipeline. The swap-under-load
+// pin/publish/retire lifecycle, the service's generation-stamped answers,
+// and LiveIndexBuilder's append-to-publish pipeline. The swap-under-load
 // chaos matrix lives in chaos_test.cc; these are the targeted unit and
 // integration tests behind it.
 
@@ -73,11 +73,13 @@ std::shared_ptr<const ResolutionIndex> MakeIndex(size_t num_records,
 // IndexManager: pin / publish / retire
 
 TEST(IndexManagerTest, StartsAtGenerationOne) {
-  IndexManager manager(MakeIndex(16, 32, 1));
+  auto initial = MakeIndex(16, 32, 1);
+  std::weak_ptr<const ResolutionIndex> watch = initial;
+  IndexManager manager(std::move(initial));
   EXPECT_EQ(manager.generation(), 1u);
   EXPECT_EQ(manager.publishes(), 0u);
   EXPECT_EQ(manager.pinned_readers(), 0u);
-  EXPECT_EQ(manager.retained_snapshots(), 1u);
+  EXPECT_FALSE(watch.expired()) << "the manager owns the current snapshot";
   PinnedIndex pin = manager.Acquire();
   ASSERT_TRUE(pin.valid());
   EXPECT_EQ(pin.generation(), 1u);
@@ -103,18 +105,19 @@ TEST(IndexManagerTest, PinnedReaderKeepsItsGenerationAlive) {
 
   PinnedIndex pin = manager.Acquire();
   EXPECT_EQ(manager.pinned_readers(), 1u);
-  ASSERT_TRUE(manager.Publish(MakeIndex(16, 32, 2)).ok());
+  auto next = MakeIndex(16, 32, 2);
+  std::weak_ptr<const ResolutionIndex> current = next;
+  ASSERT_TRUE(manager.Publish(std::move(next)).ok());
 
   // The retired generation survives exactly as long as its last pin.
   EXPECT_FALSE(watch.expired());
-  EXPECT_EQ(manager.retained_snapshots(), 2u);
   EXPECT_EQ(pin.generation(), 1u);
   EXPECT_EQ(pin->num_records(), 16u);  // still readable after the swap
 
   pin.Release();
   EXPECT_TRUE(watch.expired()) << "retired snapshot must be freed on the "
                                   "last release";
-  EXPECT_EQ(manager.retained_snapshots(), 1u);
+  EXPECT_FALSE(current.expired());
   EXPECT_EQ(manager.pinned_readers(), 0u);
 }
 
@@ -160,14 +163,21 @@ TEST(IndexManagerTest, PublishFaultInstallsNothing) {
 }
 
 TEST(IndexManagerTest, QuiescentSlotsRecycleWithoutBlocking) {
-  // Far more generations than slots: with no pins outstanding, every
-  // retired slot reclaims immediately and Publish never waits.
-  IndexManager manager(MakeIndex(8, 8, 1));
-  for (uint64_t i = 0; i < IndexManager::kNumSlots * 3; ++i) {
-    ASSERT_TRUE(manager.Publish(MakeIndex(8, 8, i + 2)).ok());
-    EXPECT_EQ(manager.retained_snapshots(), 1u);
+  // Many generations, none pinned: the publish that retires a generation
+  // frees it, so at most one snapshot is ever alive.
+  constexpr uint64_t kPublishes = 192;
+  auto initial = MakeIndex(8, 8, 1);
+  std::weak_ptr<const ResolutionIndex> previous = initial;
+  IndexManager manager(std::move(initial));
+  for (uint64_t i = 0; i < kPublishes; ++i) {
+    auto next = MakeIndex(8, 8, i + 2);
+    std::weak_ptr<const ResolutionIndex> current = next;
+    ASSERT_TRUE(manager.Publish(std::move(next)).ok());
+    EXPECT_TRUE(previous.expired()) << "generation " << i + 1;
+    EXPECT_FALSE(current.expired());
+    previous = current;
   }
-  EXPECT_EQ(manager.generation(), IndexManager::kNumSlots * 3 + 1);
+  EXPECT_EQ(manager.generation(), kPublishes + 1);
 }
 
 TEST(IndexManagerTest, ReadersNeverBlockAcrossConcurrentPublishes) {
@@ -200,27 +210,34 @@ TEST(IndexManagerTest, ReadersNeverBlockAcrossConcurrentPublishes) {
   // start can let all 200 publishes finish before any reader runs, and
   // the test would not be publishing "across" readers at all.
   while (started.load() < kReaders) std::this_thread::yield();
+  std::vector<std::weak_ptr<const ResolutionIndex>> published;
   for (uint64_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE(manager.Publish(MakeIndex(32, 64, i + 2)).ok());
+    auto next = MakeIndex(32, 64, i + 2);
+    published.push_back(next);
+    ASSERT_TRUE(manager.Publish(std::move(next)).ok());
   }
   stop.store(true);
   for (auto& t : readers) t.join();
   EXPECT_GT(acquired.load(), 0u);
   EXPECT_EQ(manager.pinned_readers(), 0u);
-  EXPECT_EQ(manager.retained_snapshots(), 1u)
-      << "all retired generations must be reclaimed once readers drain";
+  for (size_t i = 0; i + 1 < published.size(); ++i) {
+    EXPECT_TRUE(published[i].expired())
+        << "generation " << i + 2 << " outlived the readers that pinned it";
+  }
 }
 
 TEST(IndexManagerTest, RetiredSlotsReclaimUnderPinningReaders) {
-  // Each batch publishes more generations than the ring has slots while
-  // readers pin and release in a tight loop, so the last release of a
-  // retired generation races its retire in Publish over and over. Every
-  // lost race leaks a slot for good (and after kNumSlots - 1 leaks Publish
-  // would wait forever); once readers drain, exactly the current snapshot
-  // must be left.
+  // Each batch publishes 72 generations while readers pin and release in
+  // a tight loop, so the last release of a retired generation races its
+  // retire in Publish over and over. Every generation is watched through a
+  // weak_ptr: once readers drain, each retired one must have been freed
+  // and only the current snapshot may be left.
   constexpr int kReaders = 4;
   constexpr int kBatches = 6;
-  IndexManager manager(MakeIndex(16, 16, 1));
+  constexpr size_t kPublishesPerBatch = 72;
+  auto initial = MakeIndex(16, 16, 1);
+  std::vector<std::weak_ptr<const ResolutionIndex>> generations = {initial};
+  IndexManager manager(std::move(initial));
   uint64_t seed = 2;
   for (int batch = 0; batch < kBatches; ++batch) {
     std::atomic<bool> stop{false};
@@ -237,26 +254,30 @@ TEST(IndexManagerTest, RetiredSlotsReclaimUnderPinningReaders) {
       });
     }
     while (started.load() < kReaders) std::this_thread::yield();
-    for (size_t i = 0; i < IndexManager::kNumSlots + 8; ++i) {
-      ASSERT_TRUE(manager.Publish(MakeIndex(16, 16, seed++)).ok());
+    for (size_t i = 0; i < kPublishesPerBatch; ++i) {
+      auto next = MakeIndex(16, 16, seed++);
+      generations.push_back(next);
+      ASSERT_TRUE(manager.Publish(std::move(next)).ok());
     }
     stop.store(true);
     for (auto& t : readers) t.join();
     EXPECT_EQ(manager.pinned_readers(), 0u) << "batch " << batch;
-    ASSERT_EQ(manager.retained_snapshots(), 1u)
-        << "batch " << batch << " leaked a retired snapshot";
+    for (size_t g = 0; g + 1 < generations.size(); ++g) {
+      ASSERT_TRUE(generations[g].expired())
+          << "batch " << batch << " leaked retired generation " << g + 1;
+    }
+    ASSERT_FALSE(generations.back().expired());
   }
 }
 
 // ---------------------------------------------------------------------------
-// ResolutionService: queries pin, publishes swap, the cache keys on
+// ResolutionService: queries pin, publishes swap, answers carry their
 // generation
 
 TEST(ServicePublishTest, QueriesSeeTheNewGenerationAfterPublish) {
   // Generation 1 has no matches at all; generation 2 has plenty. The same
-  // semantic query must answer differently across the publish — in
-  // particular the gen-1 answer cached before the swap must not be served
-  // afterwards (the cache-key bugfix this PR carries).
+  // semantic query must answer differently across the publish: no gen-1
+  // answer may be served after the swap.
   auto empty = std::make_shared<const ResolutionIndex>(
       core::RankedResolution(), 32);
   auto service = std::make_shared<ResolutionService>(empty);
@@ -269,9 +290,6 @@ TEST(ServicePublishTest, QueriesSeeTheNewGenerationAfterPublish) {
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->generation, 1u);
   EXPECT_TRUE(before->matches.empty());
-  auto cached = service->QueryRecord(query);  // warm the gen-1 cache entry
-  ASSERT_TRUE(cached.ok());
-  EXPECT_TRUE(cached->from_cache);
 
   auto published = service->PublishIndex(MakeIndex(32, 256, 7));
   ASSERT_TRUE(published.ok());
@@ -280,8 +298,6 @@ TEST(ServicePublishTest, QueriesSeeTheNewGenerationAfterPublish) {
   auto after = service->QueryRecord(query);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->generation, 2u);
-  EXPECT_FALSE(after->from_cache)
-      << "a cached gen-1 answer leaked into gen-2";
   EXPECT_FALSE(after->matches.empty());
 
   auto metrics = service->metrics();

@@ -95,15 +95,12 @@ std::vector<Query> MakeWorkload(size_t n, uint64_t seed) {
   return workload;
 }
 
-/// The reference bytes: what the uncached single-threaded in-process API
-/// answers, pushed through the same codec.
+/// The reference bytes: what the in-process API answers serially, pushed
+/// through the same codec.
 std::vector<std::string> ReferenceBytes(
     const std::shared_ptr<const ResolutionIndex>& index,
     const std::vector<Query>& workload) {
-  ServiceOptions options;
-  options.num_threads = 1;
-  options.cache_capacity = 0;
-  ResolutionService reference(index, options);
+  ResolutionService reference(index);
   std::vector<std::string> expected;
   expected.reserve(workload.size());
   for (const Query& query : workload) {
@@ -126,24 +123,28 @@ TEST(NetServerTest, WireAnswersAreByteEqualToInProcessAcrossThreadCounts) {
   auto workload = MakeWorkload(300, /*seed=*/5);
   auto expected = ReferenceBytes(index, workload);
 
+  // `threads` client threads, each on its own connection, send the whole
+  // workload at once; every answer must still be the serial one.
   for (size_t threads : {1u, 2u, 8u}) {
-    ServiceOptions service_options;
-    service_options.num_threads = threads;
-    auto service =
-        std::make_shared<ResolutionService>(index, service_options);
-    net::ServerOptions server_options;
-    net::Server server(service, server_options);
+    auto service = std::make_shared<ResolutionService>(index);
+    net::Server server(service);
     ASSERT_TRUE(server.Start().ok());
 
-    auto client = net::Client::Connect(server.port());
-    ASSERT_TRUE(client.ok());
-    for (size_t i = 0; i < workload.size(); ++i) {
-      ASSERT_TRUE(client->SendQuery(workload[i]).ok());
-      auto response = client->ReadFrameBytes();
-      ASSERT_TRUE(response.ok()) << response.status().ToString();
-      EXPECT_EQ(*response, expected[i])
-          << "query " << i << " at " << threads << " threads";
+    std::vector<std::thread> clients;
+    for (size_t t = 0; t < threads; ++t) {
+      clients.emplace_back([&] {
+        auto client = net::Client::Connect(server.port());
+        ASSERT_TRUE(client.ok());
+        for (size_t i = 0; i < workload.size(); ++i) {
+          ASSERT_TRUE(client->SendQuery(workload[i]).ok());
+          auto response = client->ReadFrameBytes();
+          ASSERT_TRUE(response.ok()) << response.status().ToString();
+          EXPECT_EQ(*response, expected[i])
+              << "query " << i << " at " << threads << " threads";
+        }
+      });
     }
+    for (auto& client : clients) client.join();
     server.Shutdown();
   }
 }
@@ -569,27 +570,13 @@ TEST(NetServerTest, PipelinedFirehoseDoesNotStarveAnotherConnection) {
   server.Shutdown();
 }
 
-/// A fault config whose single injection is a `micros` latency spike at
-/// serve.service.compute, not at the cache lookup that precedes it, so
-/// the first query computed after Arm stalls in compute. Searches the
-/// injector's deterministic draws for a seed.
-util::FaultConfig StallFirstComputeOnly(uint32_t micros) {
-  auto& injector = util::FaultInjector::Global();
+/// A fault config whose single injection is a `micros` latency spike, so
+/// the first query computed after Arm stalls at serve.service.compute.
+util::FaultConfig StallFirstCompute(uint32_t micros) {
   util::FaultConfig config;
-  config.latency_probability = 0.5;
-  config.latency_micros = 0;
-  config.max_injections = 1;
-  for (config.seed = 1; config.seed < 1000; ++config.seed) {
-    injector.Arm(config);
-    bool cache_stalls = injector.Evaluate(util::FaultPoint::kCacheGet) ==
-                        util::FaultKind::kLatency;
-    bool compute_stalls =
-        injector.Evaluate(util::FaultPoint::kServiceCompute) ==
-        util::FaultKind::kLatency;
-    if (!cache_stalls && compute_stalls) break;
-  }
-  injector.Disarm();
+  config.latency_probability = 1.0;
   config.latency_micros = micros;
+  config.max_injections = 1;
   return config;
 }
 
@@ -621,8 +608,7 @@ TEST(NetServerTest, WireQueryIsAnsweredWhileAnInProcessQueryStalls) {
   wire_query.certainty = 0.5;
   auto expected = ReferenceBytes(index, {wire_query});
   auto service = std::make_shared<ResolutionService>(index);
-  util::FaultConfig stall = StallFirstComputeOnly(2000000);
-  ASSERT_LT(stall.seed, 1000u);
+  util::FaultConfig stall = StallFirstCompute(2000000);
 
   net::Server server(service);
   ASSERT_TRUE(server.Start().ok());
@@ -688,8 +674,8 @@ TEST(NetLoadGenTest, RecordThenReplayIsHashIdentical) {
   auto replay2 = net::RunLoadGen(replay_options);
   ASSERT_TRUE(replay2.ok());
 
-  // The recorded run and both replays got byte-identical answers — cache
-  // state and scheduling have changed in between, the bytes have not.
+  // The recorded run and both replays got byte-identical answers —
+  // scheduling has changed in between, the bytes have not.
   EXPECT_EQ(replay1->response_hash, recorded->response_hash);
   EXPECT_EQ(replay2->response_hash, recorded->response_hash);
   EXPECT_EQ(replay1->queries_sent, 400u);

@@ -17,6 +17,7 @@
 #include "serve/query.h"
 #include "serve/resolution_index.h"
 #include "serve/resolution_service.h"
+#include "support/strided_queries.h"
 #include "util/deadline.h"
 #include "util/fault_injector.h"
 #include "util/retry.h"
@@ -253,12 +254,13 @@ TEST(FaultInjectorTest, MaxInjectionsBoundsTotalFires) {
   auto& injector = FaultInjector::Global();
   int fired = 0;
   for (int i = 0; i < 10; ++i) {
-    fired += injector.Evaluate(FaultPoint::kCacheGet) != FaultKind::kNone;
+    fired +=
+        injector.Evaluate(FaultPoint::kServiceCompute) != FaultKind::kNone;
   }
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(injector.injections(), 3u);
-  EXPECT_EQ(injector.injections(FaultPoint::kCacheGet), 3u);
-  EXPECT_EQ(injector.hits(FaultPoint::kCacheGet), 10u);
+  EXPECT_EQ(injector.injections(FaultPoint::kServiceCompute), 3u);
+  EXPECT_EQ(injector.hits(FaultPoint::kServiceCompute), 10u);
 }
 
 TEST(FaultInjectorTest, FaultedIndexLoadIsRecoveredByRetry) {
@@ -461,7 +463,8 @@ TEST_F(ServiceRobustnessTest, ExpiredDeadlinesInsideBatchAreTyped) {
     if (r % 2 == 0) query.deadline = Deadline::ExpiredNow();
     batch.push_back(query);
   }
-  auto results = service.QueryBatch(batch);
+  // Four concurrent workers, so each one meets expired and live budgets.
+  auto results = serve::QueryStrided(service, batch, /*threads=*/4);
   ASSERT_EQ(results.size(), batch.size());
   for (size_t i = 0; i < results.size(); ++i) {
     if (i % 2 == 0) {

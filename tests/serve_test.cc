@@ -1,5 +1,5 @@
 // Tests of the query-serving layer: ResolutionIndex round-trips,
-// ResolutionService caching and concurrency, and the typed Query API.
+// ResolutionService answers and concurrency, and the typed Query API.
 
 #include <gtest/gtest.h>
 
@@ -16,10 +16,10 @@
 
 #include "core/entity_clusters.h"
 #include "core/ranked_resolution.h"
-#include "serve/lru_cache.h"
 #include "serve/query.h"
 #include "serve/resolution_index.h"
 #include "serve/resolution_service.h"
+#include "support/strided_queries.h"
 #include "util/fault_injector.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -298,61 +298,6 @@ TEST_F(ResolutionIndexTest, FailedSaveLeavesOldArtifactIntact) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedQueryCache
-
-TEST(ShardedQueryCacheTest, EvictsLeastRecentlyUsed) {
-  ShardedQueryCache cache(/*capacity=*/2, /*num_shards=*/1);
-  constexpr uint64_t kGen = 1;
-  Query q1{1, 0.0, 0, Granularity::kMatches};
-  Query q2{2, 0.0, 0, Granularity::kMatches};
-  Query q3{3, 0.0, 0, Granularity::kMatches};
-  cache.Put(q1, kGen, std::make_shared<QueryResult>());
-  cache.Put(q2, kGen, std::make_shared<QueryResult>());
-  EXPECT_NE(cache.Get(q1, kGen), nullptr);  // q1 now MRU
-  cache.Put(q3, kGen, std::make_shared<QueryResult>());
-  EXPECT_EQ(cache.Get(q2, kGen), nullptr);  // q2 was LRU -> evicted
-  EXPECT_NE(cache.Get(q1, kGen), nullptr);
-  EXPECT_NE(cache.Get(q3, kGen), nullptr);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(ShardedQueryCacheTest, DistinguishesAllKeyFields) {
-  ShardedQueryCache cache(/*capacity=*/64);
-  constexpr uint64_t kGen = 3;
-  Query base{5, 0.25, 0, Granularity::kMatches};
-  cache.Put(base, kGen, std::make_shared<QueryResult>());
-  Query other_certainty = base;
-  other_certainty.certainty = 0.75;
-  Query other_k = base;
-  other_k.k = 3;
-  Query other_granularity = base;
-  other_granularity.granularity = Granularity::kEntity;
-  EXPECT_NE(cache.Get(base, kGen), nullptr);
-  EXPECT_EQ(cache.Get(other_certainty, kGen), nullptr);
-  EXPECT_EQ(cache.Get(other_k, kGen), nullptr);
-  EXPECT_EQ(cache.Get(other_granularity, kGen), nullptr);
-}
-
-// The PR-7 bugfix regression: the key must carry the index generation, or
-// an answer computed against a retired snapshot would be served as fresh
-// after a publish. Same semantic query, different generation -> miss.
-TEST(ShardedQueryCacheTest, DistinguishesGenerations) {
-  ShardedQueryCache cache(/*capacity=*/64);
-  Query q{7, 0.5, 0, Granularity::kMatches};
-  auto gen1 = std::make_shared<QueryResult>();
-  gen1->generation = 1;
-  cache.Put(q, /*generation=*/1, gen1);
-  EXPECT_NE(cache.Get(q, /*generation=*/1), nullptr);
-  EXPECT_EQ(cache.Get(q, /*generation=*/2), nullptr);
-  auto gen2 = std::make_shared<QueryResult>();
-  gen2->generation = 2;
-  cache.Put(q, /*generation=*/2, gen2);
-  // Both generations coexist; each lookup gets its own generation's bytes.
-  EXPECT_EQ(cache.Get(q, /*generation=*/1)->generation, 1u);
-  EXPECT_EQ(cache.Get(q, /*generation=*/2)->generation, 2u);
-}
-
-// ---------------------------------------------------------------------------
 // ResolutionService
 
 class ResolutionServiceTest : public testing::Test {
@@ -366,35 +311,6 @@ class ResolutionServiceTest : public testing::Test {
   static constexpr size_t kMatches = 1500;
   std::shared_ptr<const ResolutionIndex> index_;
 };
-
-TEST_F(ResolutionServiceTest, CacheHitAndMissCounters) {
-  ResolutionService service(index_);
-  Query query{7, 0.2, 0, Granularity::kMatches};
-  auto first = service.QueryRecord(query);
-  ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first->from_cache);
-  auto second = service.QueryRecord(query);
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->from_cache);
-  EXPECT_EQ(second->matches, first->matches);
-  auto metrics = service.metrics();
-  EXPECT_EQ(metrics.queries, 2u);
-  EXPECT_EQ(metrics.cache_misses, 1u);
-  EXPECT_EQ(metrics.cache_hits, 1u);
-  EXPECT_DOUBLE_EQ(metrics.HitRate(), 0.5);
-}
-
-TEST_F(ResolutionServiceTest, DisabledCacheNeverHits) {
-  ServiceOptions options;
-  options.cache_capacity = 0;
-  ResolutionService service(index_, options);
-  Query query{7, 0.2, 0, Granularity::kMatches};
-  ASSERT_TRUE(service.QueryRecord(query).ok());
-  auto again = service.QueryRecord(query);
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(again->from_cache);
-  EXPECT_EQ(service.metrics().cache_hits, 0u);
-}
 
 TEST_F(ResolutionServiceTest, CertaintyEdgeCases) {
   ResolutionService service(index_);
@@ -452,14 +368,12 @@ TEST_F(ResolutionServiceTest, EntityGranularityMatchesClusters) {
 
 TEST_F(ResolutionServiceTest, BatchEqualsSingleUnderEightThreads) {
   // The acceptance-scale setup: a 5k-record synthetic corpus, >=10k
-  // queries, batch fanned over 8 threads vs the per-query reference.
+  // queries, answered by 8 concurrent workers vs the serial reference.
   constexpr size_t kCorpus = 5000;
   auto resolution = MakeRandomResolution(kCorpus, 15000, /*seed=*/31);
   auto index =
       std::make_shared<const ResolutionIndex>(resolution, kCorpus);
-  ServiceOptions options;
-  options.num_threads = 8;
-  ResolutionService batch_service(index, options);
+  ResolutionService service(index);
 
   util::Rng rng(99);
   std::vector<Query> queries;
@@ -474,27 +388,24 @@ TEST_F(ResolutionServiceTest, BatchEqualsSingleUnderEightThreads) {
         rng.Bernoulli(0.25) ? Granularity::kEntity : Granularity::kMatches;
     queries.push_back(query);
   }
-  auto batch = batch_service.QueryBatch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
+  auto concurrent = QueryStrided(service, queries, /*threads=*/8);
+  ASSERT_EQ(concurrent.size(), queries.size());
 
-  // Reference: an uncached single-threaded service plus the linear-scan
+  // Reference: a fresh service answering serially, plus the linear-scan
   // semantics of RankedResolution::ForRecord.
-  ServiceOptions reference_options;
-  reference_options.num_threads = 1;
-  reference_options.cache_capacity = 0;
-  ResolutionService reference(index, reference_options);
+  ResolutionService reference(index);
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(batch[i].ok());
+    ASSERT_TRUE(concurrent[i].ok());
     auto single = reference.QueryRecord(queries[i]);
     ASSERT_TRUE(single.ok());
-    EXPECT_EQ(batch[i]->matches, single->matches);
-    EXPECT_EQ(batch[i]->entity, single->entity);
+    EXPECT_EQ(concurrent[i]->matches, single->matches);
+    EXPECT_EQ(concurrent[i]->entity, single->entity);
     if (queries[i].granularity == Granularity::kMatches &&
         queries[i].k == 0) {
-      EXPECT_EQ(batch[i]->matches,
+      EXPECT_EQ(concurrent[i]->matches,
                 resolution.ForRecord(queries[i].record,
                                      queries[i].certainty));
-      EXPECT_EQ(batch[i]->matches,
+      EXPECT_EQ(concurrent[i]->matches,
                 LinearForRecord(index->matches(), queries[i].record,
                                 queries[i].certainty));
     }
@@ -502,12 +413,10 @@ TEST_F(ResolutionServiceTest, BatchEqualsSingleUnderEightThreads) {
 }
 
 TEST_F(ResolutionServiceTest, ConcurrentMixedTrafficIsRaceFree) {
-  // Shared service hammered by single queries, a batch, and a stream at
-  // once — the TSan preset (cmake -DYVER_SANITIZE=thread) race-checks this.
-  ServiceOptions options;
-  options.num_threads = 4;
-  options.cache_capacity = 256;  // small: forces concurrent evictions
-  ResolutionService service(index_, options);
+  // Shared service hammered at once by overlapping single-query threads,
+  // a strided multi-worker pass, and a metrics reader — the TSan preset
+  // (cmake -DYVER_SANITIZE=thread) race-checks this.
+  ResolutionService service(index_);
 
   std::vector<Query> workload;
   for (size_t i = 0; i < 512; ++i) {
@@ -519,31 +428,33 @@ TEST_F(ResolutionServiceTest, ConcurrentMixedTrafficIsRaceFree) {
     workload.push_back(query);
   }
 
-  std::atomic<size_t> streamed{0};
+  std::atomic<bool> done{false};
   std::vector<std::thread> threads;
-  threads.reserve(8);
+  threads.reserve(6);
   for (int t = 0; t < 4; ++t) {
+    // Two threads on the even queries, two on the odd: twice the workload.
     threads.emplace_back([&service, &workload, t] {
-      for (size_t i = t; i < workload.size(); i += 2) {
+      for (size_t i = t % 2; i < workload.size(); i += 2) {
         auto result = service.QueryRecord(workload[i]);
         ASSERT_TRUE(result.ok());
       }
     });
   }
   threads.emplace_back([&service, &workload] {
-    auto results = service.QueryBatch(workload);
-    for (const auto& r : results) ASSERT_TRUE(r.ok());
+    for (const auto& r : QueryStrided(service, workload, /*threads=*/4)) {
+      ASSERT_TRUE(r.ok());
+    }
   });
-  threads.emplace_back([&service, &workload, &streamed] {
-    service.QueryStream(workload,
-                        [&streamed](size_t, util::StatusOr<QueryResult> r) {
-                          ASSERT_TRUE(r.ok());
-                          streamed.fetch_add(1);
-                        });
+  threads.emplace_back([&service, &done] {
+    while (!done.load()) EXPECT_EQ(service.metrics().errors, 0u);
   });
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(streamed.load(), workload.size());
-  EXPECT_EQ(service.metrics().errors, 0u);
+  for (size_t t = 0; t + 1 < threads.size(); ++t) threads[t].join();
+  done.store(true);
+  threads.back().join();
+  auto metrics = service.metrics();
+  EXPECT_EQ(metrics.queries, 3 * workload.size());
+  EXPECT_EQ(metrics.errors, 0u);
+  EXPECT_EQ(metrics.pinned_readers, 0u);
 }
 
 }  // namespace

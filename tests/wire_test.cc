@@ -110,19 +110,6 @@ TEST(WireCodecTest, ResultRoundTripIsByteIdentical) {
   }
 }
 
-TEST(WireCodecTest, FromCacheIsNotOnTheWire) {
-  util::Rng rng(13);
-  QueryResult result = RandomResult(rng);
-  result.from_cache = false;
-  std::string cold;
-  wire::EncodeResult(result, &cold);
-  result.from_cache = true;
-  std::string warm;
-  wire::EncodeResult(result, &warm);
-  // The determinism contract: cache state never changes response bytes.
-  EXPECT_EQ(cold, warm);
-}
-
 TEST(WireCodecTest, ErrorRoundTripPreservesCodeAndMessage) {
   const util::Status statuses[] = {
       util::Status::InvalidArgument("certainty is NaN"),
@@ -171,8 +158,6 @@ TEST(WireCodecTest, InfoRoundTrip) {
   info.checksum = 0xdeadbeefcafef00dULL;
   info.metrics.queries = 9;
   info.metrics.errors = 2;
-  info.metrics.cache_hits = 3;
-  info.metrics.cache_misses = 6;
   info.metrics.shed = 1;
   info.metrics.deadline_exceeded = 1;
   info.metrics.total_latency_ms = 2.5;
@@ -244,8 +229,6 @@ wire::ServerInfo PinnedInfo() {
   info.checksum = 0x0123456789abcdefULL;
   info.metrics.queries = 9;
   info.metrics.errors = 2;
-  info.metrics.cache_hits = 3;
-  info.metrics.cache_misses = 6;
   info.metrics.shed = 4;
   info.metrics.deadline_exceeded = 1;
   info.metrics.total_latency_ms = 2.5;
@@ -271,18 +254,18 @@ constexpr std::string_view kPinnedInfoHex =
     "efcdab8967452301"           // checksum
     "0900000000000000"           // queries 9
     "0200000000000000"           // errors 2
-    "0300000000000000"           // cache hits 3
-    "0600000000000000"           // cache misses 6
+    "0000000000000000"           // reserved slot 1: always 0
+    "0000000000000000"           // reserved slot 2: always 0
     "0400000000000000"           // shed 4
     "0100000000000000"           // deadline exceeded 1
-    "0000000000000000"           // reserved slot 1: always 0
+    "0000000000000000"           // reserved slot 3: always 0
     "0000000000000440"           // total latency 2.5 ms
     "03000000"                   // three histogram buckets:
     "0500000000000000" "0000000000000000" "0100000000000000"
     "0500000000000000"           // generation 5
     "0400000000000000"           // publishes 4
     "0200000000000000"           // pinned readers 2
-    "0000000000000000"           // reserved slot 2: always 0
+    "0000000000000000"           // reserved slot 4: always 0
     "0300000000000000"           // net: open connections 3
     "0100000000000000"           //      paused reads 1
     "0200000000000000"           //      idle disconnects 2
@@ -341,10 +324,11 @@ TEST(WireCodecTest, NonzeroReservedInfoSlotsAreRejected) {
   wire::EncodeInfo(PinnedInfo(), &bytes);
   wire::Frame frame;
   ASSERT_TRUE(wire::ExtractFrame(bytes, &frame).ok());
-  // Payload offsets of the two reserved u64 slots in kPinnedInfoHex: after
-  // the nine leading u64s, and after the 3-bucket histogram and the three
+  // Payload offsets of the four reserved u64 slots in kPinnedInfoHex: the
+  // two after errors (5*8, 6*8), the one after the nine leading u64s
+  // (9*8), and the one after the 3-bucket histogram and the three
   // live-index gauges (9*8 + 8 + 8 + 4 + 3*8 + 3*8).
-  for (size_t offset : {size_t{72}, size_t{140}}) {
+  for (size_t offset : {size_t{40}, size_t{48}, size_t{72}, size_t{140}}) {
     ASSERT_EQ(frame.payload.substr(offset, 8), std::string(8, '\0'));
     for (size_t byte = 0; byte < 8; ++byte) {
       wire::Frame set = frame;

@@ -12,7 +12,7 @@
 //                        [--certainty C] [--book-id B] [--k K]
 //   yver_cli serve       --in data.csv (--matches matches.csv | --index idx.yvx)
 //                        [--port P] [--port-file F]
-//                        [--max-batch B] [--no-cache]
+//                        [--max-batch B]
 //                        [--live] [--model model.adt] [--publish-batch N]
 //                        [--ingest-queue N] [--wal-dir D]
 //                        [--wal-segment-bytes N] [--wal-snapshot-every N]
@@ -339,7 +339,6 @@ struct ServeOptions {
   std::string port_file;  // serve: write the bound port here (scripts find
                           // an ephemeral server without racing)
   bool json = false;      // loadgen: machine-readable report
-  serve::ServiceOptions service;
   serve::net::ServerOptions server;
   // live ingest (serve --live):
   bool live = false;
@@ -368,13 +367,6 @@ ServeOptions ParseServeOptions(const Flags& flags, bool needs_corpus) {
       needs_corpus ? ParseQueryOptions(flags) : ParseQueryShape(flags);
   options.port_file = flags.Get("port-file");
   options.json = flags.Has("json");
-
-  // `serve` answers every query on its event loop, one at a time, with
-  // no in-process caller beside it, so the service's worker pool (used
-  // only by QueryBatch/QueryStream) gets one worker.
-  serve::ServiceOptions& service = options.service;
-  service.num_threads = 1;
-  if (flags.Has("no-cache")) service.cache_capacity = 0;
 
   serve::net::ServerOptions& server = options.server;
   flags.Parse("port", &server.port);
@@ -459,7 +451,6 @@ constexpr const char kServeHelp[] =
     "  --in F                dataset CSV (required)\n"
     "  --matches F           ranked matches CSV\n"
     "  --index F             binary resolution index (preferred)\n"
-    "  --no-cache            disable the query cache\n"
     "\n"
     "server (serve):\n"
     "  --port P              bind port (0 = kernel-assigned, default)\n"
@@ -858,8 +849,7 @@ int CmdServe(const ServeOptions& options) {
     }
   }
 
-  auto service =
-      std::make_shared<serve::ResolutionService>(index, options.service);
+  auto service = std::make_shared<serve::ResolutionService>(index);
   if (options.live) {
     builder = std::make_shared<serve::LiveIndexBuilder>(
         service, std::move(resolver), ingest);
@@ -1006,7 +996,7 @@ int CmdLoadGen(const ServeOptions& options) {
         "\"client_p99_ms\": %.3f, \"server_p50_ms\": %.3f, "
         "\"server_p95_ms\": %.3f, \"server_p99_ms\": %.3f, "
         "\"server_queries\": %llu, \"server_shed\": %llu, "
-        "\"server_deadline_exceeded\": %llu, \"cache_hit_rate\": %.4f}\n",
+        "\"server_deadline_exceeded\": %llu}\n",
         static_cast<unsigned long long>(report->queries_sent),
         static_cast<unsigned long long>(report->ok),
         static_cast<unsigned long long>(report->errors),
@@ -1021,8 +1011,7 @@ int CmdLoadGen(const ServeOptions& options) {
         static_cast<unsigned long long>(report->server_metrics.queries),
         static_cast<unsigned long long>(report->server_metrics.shed),
         static_cast<unsigned long long>(
-            report->server_metrics.deadline_exceeded),
-        report->server_metrics.HitRate());
+            report->server_metrics.deadline_exceeded));
     return 0;
   }
   std::printf("%llu queries over %zu connection(s) in %.2f s "
@@ -1039,12 +1028,11 @@ int CmdLoadGen(const ServeOptions& options) {
               report->LatencyPercentileMs(0.95),
               report->LatencyPercentileMs(0.99));
   std::printf("server latency: p50 %.3f ms  p95 %.3f ms  p99 %.3f ms "
-              "(%llu served, cache hit rate %.1f%%)\n",
+              "(%llu served)\n",
               report->server_metrics.LatencyPercentileMs(0.50),
               report->server_metrics.LatencyPercentileMs(0.95),
               report->server_metrics.LatencyPercentileMs(0.99),
-              static_cast<unsigned long long>(report->server_metrics.queries),
-              100.0 * report->server_metrics.HitRate());
+              static_cast<unsigned long long>(report->server_metrics.queries));
   std::printf("response hash: %016llx\n",
               static_cast<unsigned long long>(report->response_hash));
   return 0;
