@@ -1,5 +1,5 @@
 // A2 — Micro-benchmarks (google-benchmark) of the similarity kernels,
-// FP-tree insertion, feature extraction and block scoring that dominate
+// MFI mining, feature extraction and block scoring that dominate
 // pipeline runtime.
 
 #include <benchmark/benchmark.h>
@@ -7,8 +7,7 @@
 #include "blocking/block_scoring.h"
 #include "data/item_dictionary.h"
 #include "features/feature_extractor.h"
-#include "mining/fp_growth.h"
-#include "mining/fp_tree.h"
+#include "mining/vertical_miner.h"
 #include "synth/gazetteer.h"
 #include "synth/generator.h"
 #include "text/jaccard.h"
@@ -43,26 +42,6 @@ void BM_QGramJaccard(benchmark::State& state) {
 }
 BENCHMARK(BM_QGramJaccard);
 
-void BM_FpTreeInsert(benchmark::State& state) {
-  std::vector<std::vector<uint32_t>> transactions;
-  util::Rng rng(7);
-  for (int t = 0; t < 1000; ++t) {
-    std::vector<uint32_t> txn;
-    for (int i = 0; i < 12; ++i) {
-      txn.push_back(static_cast<uint32_t>(rng.UniformInt(0, 499)));
-    }
-    std::sort(txn.begin(), txn.end());
-    txn.erase(std::unique(txn.begin(), txn.end()), txn.end());
-    transactions.push_back(std::move(txn));
-  }
-  for (auto _ : state) {
-    mining::FpTree tree(500);
-    for (const auto& txn : transactions) tree.Insert(txn, 1);
-    benchmark::DoNotOptimize(tree.num_nodes());
-  }
-}
-BENCHMARK(BM_FpTreeInsert);
-
 void BM_MineMaximal1K(benchmark::State& state) {
   auto generated =
       synth::Generate([] {
@@ -74,8 +53,7 @@ void BM_MineMaximal1K(benchmark::State& state) {
   mining::MinerOptions options;
   options.minsup = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        mining::MineMaximalItemsets(encoded.bags, options));
+    benchmark::DoNotOptimize(mining::MineItemsets(encoded.bags, options));
   }
 }
 BENCHMARK(BM_MineMaximal1K)->Arg(2)->Arg(3)->Arg(5);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + the tier1-labeled ctest suite,
 # a check that the CLI rejects numeric flags that do not fit their field
-# (exit 2 naming the flag, never a wrapped value or a crash), then a
+# and flags the command does not read (exit 2 naming the flag, never a
+# wrapped value, a silently ignored knob or a crash), then a
 # ThreadSanitizer build that race-checks the concurrent paths — the
 # query-serving layer (serve::ResolutionService and friends) and the
 # parallel resolve pipeline's determinism harness
@@ -58,7 +59,7 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build -L tier1 --output-on-failure -j "$(nproc)"
 
-echo "==> tier-1: CLI numeric flags are parsed strictly"
+echo "==> tier-1: CLI flags are parsed strictly"
 # An out-of-range port must not wrap (70000 once listened on 4464), a
 # negative count must not wrap either, and a negative thread count must
 # not crash (-1 once aborted `serve` with exit 134; `serve` has no
@@ -74,6 +75,8 @@ expect_flag_rejected() {
 expect_flag_rejected port ./build/tools/yver_cli serve --in missing.csv --port 70000
 expect_flag_rejected max-batch ./build/tools/yver_cli serve --in missing.csv --max-batch -1
 expect_flag_rejected threads ./build/tools/yver_cli resolve --in missing.csv --out missing-out.csv --threads -1
+# A flag the command never reads (a removed knob, a typo) exits 2 too.
+expect_flag_rejected max-bach ./build/tools/yver_cli serve --in missing.csv --max-bach 3
 
 if [[ "$run_tsan" == 1 ]]; then
   echo "==> tier-1: ThreadSanitizer race check (serve layer + pipeline/blocking determinism)"
@@ -97,13 +100,14 @@ if [[ "$run_tsan" == 1 ]]; then
   # WAL unit and WAL-backed ingest suites run race-checked as well.
   # AdTree* covers the parallel ADTree trainer: each round's split-search
   # tasks run across the pool and write into per-task slots.
-  # FpGrowth*/FpTree* and the blocking equivalence suites cover the
-  # parallel miner (rank tasks claimed dynamically), the parallel
-  # maximality filter and the grouped-bitset supports, each checked
-  # against the serial code it replaced at several pool sizes.
+  # *VerticalMiner* and the blocking equivalence suites (the oracle
+  # MFIBlocks run is picked up by *MfiBlocks*) cover the parallel miner:
+  # root tasks claimed dynamically by workers that each keep their own
+  # search scratch and write only their own output slot, checked against
+  # brute force and the FP-Growth oracle at several pool sizes.
   # *ResolutionIndex* also picks up the Extend equivalence suites, and
   # LiveIndexBuilder* the builder's extend-and-publish rounds.
-  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTree*:FpGrowth*:FpTree*:MaximalFilterEquivalence*:GroupedSupportsEquivalence*:MinThresholdEquivalence*'
+  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTree*:*VerticalMiner*:MinThresholdEquivalence*'
 
   echo "==> tier-1: loopback serve/loadgen smoke (TSan binaries, record/replay)"
   # End-to-end over a real socket: a TSan-built server on an ephemeral
@@ -234,15 +238,14 @@ if [[ "$run_asan" == 1 ]]; then
   # is exactly what ASan+UBSan exist to pin down; Gazetteer* covers the
   # owned-resolver lifetime contract the serving path depends on.
   # AdTree* adds the ADTree trainer, whose split search is raw index
-  # arithmetic over the transposed feature columns. FpGrowth*/FpTree* and
-  # the blocking equivalence suites add the miner's node arena and flat
-  # postings and the grouped-bitset supports, which are raw word
-  # arithmetic over bitset rows. *ResolutionIndex* and
+  # arithmetic over the transposed feature columns. *VerticalMiner* and
+  # MfiBlocksOracleEquivalence* add the miner, whose row views are raw
+  # offsets into CSR levels and whose small nodes are 64-bit row masks. *ResolutionIndex* and
   # IncrementalCandidateEquivalence* add the live-append path: Extend's
   # merge and the adjacency it rebuilds are span and offset arithmetic
   # over the match arena, and the dense candidate counter indexes a
   # per-record array by posting entries.
-  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:AdTree*:FpGrowth*:FpTree*:MaximalFilterEquivalence*:GroupedSupportsEquivalence*:MinThresholdEquivalence*:*ResolutionIndex*:IncrementalCandidateEquivalence*'
+  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:AdTree*:*VerticalMiner*:MfiBlocksOracleEquivalence*:MinThresholdEquivalence*:*ResolutionIndex*:IncrementalCandidateEquivalence*'
 fi
 
 echo "==> all checks passed"

@@ -2,39 +2,15 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "blocking/block_scoring.h"
 #include "blocking/neighborhood.h"
-#include "blocking/support_sets.h"
-#include "data/inverted_index.h"
-#include "mining/fp_growth.h"
 #include "util/check.h"
 #include "util/timer.h"
 
 namespace yver::blocking {
 
 namespace {
-
-// Hash and equality over the record sets of blocks, given by index: the
-// block deduplication set holds indices into the block list.
-struct BlockRecordsHash {
-  const std::vector<Block>* blocks;
-  size_t operator()(size_t b) const {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (data::RecordIdx r : (*blocks)[b].records) {
-      h ^= r;
-      h *= 0x100000001b3ULL;
-    }
-    return static_cast<size_t>(h);
-  }
-};
-struct BlockRecordsEq {
-  const std::vector<Block>* blocks;
-  bool operator()(size_t a, size_t b) const {
-    return (*blocks)[a].records == (*blocks)[b].records;
-  }
-};
 
 using PairMap =
     std::unordered_map<data::RecordPair, CandidatePair, data::RecordPairHash>;
@@ -83,64 +59,46 @@ MfiBlocksResult RunMfiBlocks(const data::EncodedDataset& encoded,
   util::Timer timer;
 
   for (uint32_t minsup = config.max_minsup; minsup >= 2; --minsup) {
-    // Collect uncovered records (D \ P) and their bags; mining runs on
-    // local transaction ids which we map back to record indices.
-    std::vector<data::RecordIdx> local_to_global;
-    std::vector<data::ItemBag> local_bags;
+    // Mine the uncovered records (D \ P) only.
+    std::vector<data::RecordIdx> uncovered;
     for (size_t r = 0; r < n; ++r) {
-      if (covered[r]) continue;
-      local_to_global.push_back(static_cast<data::RecordIdx>(r));
-      local_bags.push_back(mining_bags[r]);
+      if (!covered[r]) uncovered.push_back(static_cast<data::RecordIdx>(r));
     }
-    if (local_to_global.size() < minsup) continue;
+    if (uncovered.size() < minsup) continue;
 
+    // FindSupport comes with the itemsets: the miner returns each one's
+    // support set, materialised only up to the block-size cap
+    // NgCap(ng, minsup), the cap the sparse-neighborhood condition uses.
+    // Supports are >= minsup >= 2, so every returned set is a block.
+    const size_t max_block_size = NgCap(config.ng, minsup);
     mining::MinerOptions miner_options;
     miner_options.minsup = minsup;
-    miner_options.max_itemsets = config.max_mfis_per_iteration;
+    miner_options.kind = config.itemset_kind;
+    miner_options.max_support = static_cast<uint32_t>(
+        std::min<size_t>(max_block_size, UINT32_MAX));
     timer.Reset();
-    std::vector<mining::FrequentItemset> mfis =
-        config.itemset_kind == ItemsetKind::kMaximal
-            ? mining::MineMaximalItemsets(local_bags, miner_options, pool)
-            : mining::MineClosedItemsets(local_bags, miner_options);
-    result.num_mfis_mined += mfis.size();
+    mining::MinedItemsets mined =
+        mining::MineItemsets(mining_bags, uncovered, miner_options, pool);
+    result.num_mfis_mined += mined.num_mined;
     result.timings.mine_seconds += timer.ElapsedSeconds();
 
-    // FindSupport: support sets are exactly the mined supports; recompute
-    // membership over a local inverted index to obtain the record lists
-    // (grouped bitset intersections, one slot per MFI).
+    // Two distinct maximal (or closed) itemsets never share a support
+    // set — their union would be frequent on it — so every block has its
+    // own record set and needs no deduplication. Each slot is freed as
+    // soon as its itemsets have moved into blocks.
     timer.Reset();
-    data::InvertedIndex index(local_bags, encoded.dictionary.size());
-    std::vector<std::vector<data::RecordIdx>> supports =
-        GroupedSupports(index, local_bags, mfis, pool);
-
-    // Filter by block size: 2 <= |B| <= NgCap(ng, minsup) — the same cap
-    // the sparse-neighborhood condition uses. Dedup stays serial in MFI
-    // order so the kept key per record set is deterministic.
-    const size_t max_block_size = NgCap(config.ng, minsup);
+    size_t num_blocks = 0;
+    for (const auto& slot : mined.by_root) num_blocks += slot.size();
     std::vector<Block> blocks;
-    // A support set moves into its block; a duplicate is detected after
-    // the fact and popped again.
-    std::unordered_set<size_t, BlockRecordsHash, BlockRecordsEq> dedup(
-        0, BlockRecordsHash{&blocks}, BlockRecordsEq{&blocks});
-    for (size_t i = 0; i < mfis.size(); ++i) {
-      std::vector<data::RecordIdx>& support = supports[i];
-      if (support.size() < 2 || support.size() > max_block_size) continue;
-      // Local ids map to global ones monotonically, so order is kept.
-      for (auto& r : support) r = local_to_global[r];
-      Block& block = blocks.emplace_back();
-      block.key = std::move(mfis[i].items);
-      block.records = std::move(support);
-      block.minsup_level = minsup;
-      auto [it, inserted] = dedup.insert(blocks.size() - 1);
-      if (!inserted) {
-        // Same record set reachable via several keys: keep the longer key
-        // (more shared content; scores higher under ClusterJaccard).
-        Block& existing = blocks[*it];
-        if (blocks.back().key.size() > existing.key.size()) {
-          existing.key = std::move(blocks.back().key);
-        }
-        blocks.pop_back();
+    blocks.reserve(num_blocks);
+    for (auto& slot : mined.by_root) {
+      for (mining::SupportedItemset& set : slot) {
+        Block& block = blocks.emplace_back();
+        block.key = std::move(set.items);
+        block.records = std::move(set.tids);
+        block.minsup_level = minsup;
       }
+      std::vector<mining::SupportedItemset>().swap(slot);
     }
     result.num_blocks_considered += blocks.size();
     result.timings.support_seconds += timer.ElapsedSeconds();
@@ -161,7 +119,11 @@ MfiBlocksResult RunMfiBlocks(const data::EncodedDataset& encoded,
     }
     result.timings.score_seconds += timer.ElapsedSeconds();
 
-    // Sparse-neighborhood condition: derive minTh and filter.
+    // Sparse-neighborhood condition: derive minTh and filter. Blocks come
+    // in the miner's (root, depth-first) order; minTh does not depend on
+    // the order of equal-score blocks (a tie group overflows a record's
+    // cap iff their union does), and neither does the pair fold below
+    // (ties within an iteration share their minsup).
     timer.Reset();
     double min_th = ComputeMinThreshold(blocks, n, config.ng, minsup);
     std::vector<Block> kept;

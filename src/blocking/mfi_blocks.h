@@ -7,6 +7,7 @@
 #include "blocking/block.h"
 #include "blocking/item_similarity.h"
 #include "data/item_dictionary.h"
+#include "mining/vertical_miner.h"
 #include "util/thread_pool.h"
 
 namespace yver::blocking {
@@ -19,9 +20,9 @@ enum class BlockScoreKind : uint8_t {
 
 /// Which itemset family supplies the blocking keys. The paper's MFIBlocks
 /// uses maximal frequent itemsets; closed itemsets are the lossless
-/// alternative (every distinct support set gets a key) at a steep mining
+/// alternative (every distinct support set gets a key) at a higher mining
 /// cost — the A6 ablation quantifies the trade.
-enum class ItemsetKind : uint8_t { kMaximal = 0, kClosed };
+using ItemsetKind = mining::ItemsetKind;
 
 /// Configuration of Algorithm 1.
 struct MfiBlocksConfig {
@@ -46,19 +47,17 @@ struct MfiBlocksConfig {
   /// Fraction of most frequent distinct items pruned before mining
   /// (paper §6.3 prunes 0.03% = 0.0003).
   double prune_frequent_fraction = 0.0;
-
-  /// Safety cap on MFIs mined per iteration (0 = unlimited).
-  size_t max_mfis_per_iteration = 0;
 };
 
 /// Wall-clock breakdown of one RunMfiBlocks call, summed across minsup
 /// iterations. Surfaced through core::StageTimings so `resolve --profile`
 /// can show where the blocking stage spends its time.
 struct BlockingTimings {
-  /// FP-Growth itemset mining (MineMaximalItemsets / MineClosedItemsets).
+  /// Itemset mining, support sets included (mining::MineItemsets).
   double mine_seconds = 0.0;
-  /// Support recomputation (the local inverted index plus grouped-bitset
-  /// intersections, GroupedSupports) + block build/dedup.
+  /// Block assembly from the mined itemsets and their support sets. The
+  /// miner returns the support sets, so nothing is recomputed here; the
+  /// name stays because perfbench reports it as `blocking.support_s`.
   double support_seconds = 0.0;
   /// Block scoring (ClusterJaccard / ExpertSim).
   double score_seconds = 0.0;
@@ -98,10 +97,10 @@ struct MfiBlocksResult {
 /// and emits candidate pairs.
 ///
 /// `pool` parallelizes the whole stage (it stands in for the paper's
-/// Spark cluster): MFI mining runs per conditional-tree rank, support
-/// recomputation per group of MFIs sharing their rarest item, block
-/// scoring per block, and candidate-pair emission builds per-chunk local
-/// pair maps that are merged in chunk order. Per-minsup iterations stay
+/// Spark cluster): mining runs one task per root item and returns each
+/// itemset with its support set, block scoring runs per block, and
+/// candidate-pair emission builds per-chunk local pair maps that are
+/// merged in chunk order. Per-minsup iterations stay
 /// serial, as Algorithm 1's coverage loop requires. Determinism contract:
 /// the returned MfiBlocksResult is byte-identical for every pool size
 /// including nullptr — every parallel substage writes into

@@ -79,7 +79,7 @@ class ItemDictionary {
 };
 
 /// A dataset converted to per-record item bags — the transaction database
-/// consumed by FP-Growth / MFIBlocks.
+/// mined by MFIBlocks.
 struct EncodedDataset {
   const Dataset* dataset = nullptr;
   ItemDictionary dictionary;
@@ -91,7 +91,7 @@ struct EncodedDataset {
 
   /// Returns a copy of the bags with the `fraction` most frequent items
   /// removed (the paper prunes the 0.03% most frequent items to tame
-  /// FP-Growth runtime, §6.3). `fraction` is of the distinct item count.
+  /// mining runtime, §6.3). `fraction` is of the distinct item count.
   std::vector<ItemBag> PruneMostFrequent(double fraction) const;
 };
 

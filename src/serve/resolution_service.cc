@@ -49,7 +49,6 @@ void ResolutionService::RecordLatency(
   auto elapsed = std::chrono::steady_clock::now() - start;
   uint64_t ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-  latency_ns_.fetch_add(ns, std::memory_order_relaxed);
   latency_hist_[LatencyBucket(ns)].fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -104,8 +103,6 @@ ServiceMetrics ResolutionService::metrics() const {
   m.generation = manager_.generation();
   m.publishes = manager_.publishes();
   m.pinned_readers = manager_.pinned_readers();
-  m.total_latency_ms =
-      static_cast<double>(latency_ns_.load(std::memory_order_relaxed)) / 1e6;
   m.latency_histogram_ns.resize(kServiceLatencyBuckets);
   for (size_t i = 0; i < kServiceLatencyBuckets; ++i) {
     m.latency_histogram_ns[i] =
@@ -118,7 +115,6 @@ void ResolutionService::ResetMetrics() {
   queries_.store(0, std::memory_order_relaxed);
   errors_.store(0, std::memory_order_relaxed);
   deadline_exceeded_.store(0, std::memory_order_relaxed);
-  latency_ns_.store(0, std::memory_order_relaxed);
   for (auto& bucket : latency_hist_) {
     bucket.store(0, std::memory_order_relaxed);
   }

@@ -58,7 +58,6 @@ struct ServiceMetrics {
   uint64_t generation = 1;
   uint64_t publishes = 0;
   uint64_t pinned_readers = 0;
-  double total_latency_ms = 0.0;
   /// Log2-bucketed latency histogram of answered queries (see
   /// kServiceLatencyBuckets); feeds the percentile estimates below.
   std::vector<uint64_t> latency_histogram_ns;
@@ -131,8 +130,7 @@ class ResolutionService {
   /// DEADLINE_EXCEEDED), and returns the status unchanged.
   util::Status Fail(util::Status status);
 
-  /// Records the latency of an answered query into the total and the
-  /// log2 histogram.
+  /// Records the latency of an answered query into the log2 histogram.
   void RecordLatency(std::chrono::steady_clock::time_point start);
 
   IndexManager manager_;
@@ -140,7 +138,6 @@ class ResolutionService {
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> latency_ns_{0};
   std::array<std::atomic<uint64_t>, kServiceLatencyBuckets> latency_hist_{};
 };
 

@@ -376,7 +376,7 @@ void EncodeInfo(const ServerInfo& info, std::string* out) {
   PutU64(&payload, info.metrics.shed);
   PutU64(&payload, info.metrics.deadline_exceeded);
   PutU64(&payload, 0);  // reserved
-  PutF64(&payload, info.metrics.total_latency_ms);
+  PutU64(&payload, 0);  // reserved (was the f64 total latency)
   PutU32(&payload, static_cast<uint32_t>(
                        info.metrics.latency_histogram_ns.size()));
   for (uint64_t bucket : info.metrics.latency_histogram_ns) {
@@ -404,15 +404,15 @@ util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame) {
   PayloadReader r(frame.payload);
   ServerInfo info;
   uint32_t buckets = 0;
-  uint64_t reserved[4] = {0, 0, 0, 0};
+  uint64_t reserved[5] = {0, 0, 0, 0, 0};
   if (!r.ReadU64(&info.num_records) || !r.ReadU64(&info.num_matches) ||
       !r.ReadU64(&info.checksum) || !r.ReadU64(&info.metrics.queries) ||
       !r.ReadU64(&info.metrics.errors) ||
       !r.ReadU64(&reserved[0]) || !r.ReadU64(&reserved[1]) ||
       !r.ReadU64(&info.metrics.shed) ||
       !r.ReadU64(&info.metrics.deadline_exceeded) ||
-      !r.ReadU64(&reserved[2]) ||
-      !r.ReadF64(&info.metrics.total_latency_ms) || !r.ReadU32(&buckets)) {
+      !r.ReadU64(&reserved[2]) || !r.ReadU64(&reserved[3]) ||
+      !r.ReadU32(&buckets)) {
     return Truncated("info");
   }
   if (buckets > 1024 || r.remaining() < static_cast<size_t>(buckets) * 8) {
@@ -427,7 +427,7 @@ util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame) {
   if (!r.ReadU64(&info.metrics.generation) ||
       !r.ReadU64(&info.metrics.publishes) ||
       !r.ReadU64(&info.metrics.pinned_readers) ||
-      !r.ReadU64(&reserved[3]) ||
+      !r.ReadU64(&reserved[4]) ||
       !r.ReadU64(&info.net.open_connections) ||
       !r.ReadU64(&info.net.paused_reads) ||
       !r.ReadU64(&info.net.disconnects_idle) ||
@@ -439,7 +439,8 @@ util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame) {
     return Truncated("info");
   }
   if (!r.Done()) return TrailingBytes("info");
-  if ((reserved[0] | reserved[1] | reserved[2] | reserved[3]) != 0) {
+  if ((reserved[0] | reserved[1] | reserved[2] | reserved[3] |
+       reserved[4]) != 0) {
     return util::Status::InvalidArgument("nonzero reserved info slot");
   }
   return info;

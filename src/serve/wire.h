@@ -168,8 +168,9 @@ void EncodeInfoRequest(std::string* out);
 void EncodeInfo(const ServerInfo& info, std::string* out);
 
 /// Decodes a kInfo frame. DATA_LOSS on size mismatch, INVALID_ARGUMENT
-/// when any of the four reserved u64 slots (the two after errors, the one
-/// after deadline_exceeded and the one after pinned_readers) is nonzero.
+/// when any of the five reserved 8-byte slots (the two after errors, the
+/// two after deadline_exceeded and the one after pinned_readers) is
+/// nonzero.
 util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame);
 
 // ---------------------------------------------------------------------------

@@ -69,6 +69,13 @@ class ThreadPool {
   /// worker has stopped, and the pool stays usable.
   void ParallelForDynamic(size_t n, const std::function<void(size_t)>& fn);
 
+  /// ParallelForDynamic, but fn(worker, i) also receives the index, below
+  /// num_threads(), of the worker loop that claimed i, so callers can keep
+  /// one scratch per worker instead of one per index. Which worker ran an
+  /// index depends on scheduling; the index order does not.
+  void ParallelForDynamicWorkers(
+      size_t n, const std::function<void(size_t, size_t)>& fn);
+
   /// Splits [0, n) into contiguous chunks and runs fn(begin, end) for each
   /// across the pool, then waits. One fn call per task, so callers can
   /// amortize per-task state (scratch buffers) over a whole chunk. Chunk

@@ -1,23 +1,29 @@
-// Equivalence of the blocking stage's batch kernels with the serial code
-// they replaced: grouped-bitset support sets (blocking::GroupedSupports)
-// against per-itemset posting intersections (data::InvertedIndex::
-// Support), and the stamp-array sparse-neighborhood threshold
-// (blocking::ComputeMinThreshold) against the unordered_set version kept
-// in tests/support/reference_min_threshold.h.
+// Equivalence of the blocking stage with the code it replaced: RunMfiBlocks
+// against the FPMax / FPClose + GroupedSupports run kept in
+// tests/support/reference_mfi_blocks.h, the grouped-bitset support sets of
+// that oracle (blocking::GroupedSupports) against per-itemset posting
+// intersections (data::InvertedIndex::Support), and the stamp-array
+// sparse-neighborhood threshold (blocking::ComputeMinThreshold) against
+// the unordered_set version kept in tests/support/reference_min_threshold.h,
+// including its independence of block order.
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "blocking/block.h"
+#include "blocking/mfi_blocks.h"
 #include "blocking/neighborhood.h"
-#include "blocking/support_sets.h"
-#include "data/inverted_index.h"
 #include "data/item_dictionary.h"
 #include "mining/itemset.h"
+#include "support/reference_grouped_supports.h"
+#include "support/reference_inverted_index.h"
+#include "support/reference_mfi_blocks.h"
 #include "support/reference_min_threshold.h"
+#include "synth/generator.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -227,6 +233,160 @@ TEST(MinThresholdEquivalenceTest, HubRecordAtEitherEnd) {
     EXPECT_EQ(ComputeMinThreshold(blocks, num_records, 2.0, 2), expected)
         << "hub " << hub;
   }
+}
+
+// MFIBlocks' block order within an iteration is the miner's, so the
+// threshold must not depend on it: a tie group of equal-score blocks
+// overflows a record's cap iff their union does, whichever block comes
+// first. Shuffled block lists with many ties and hub records must give
+// the same threshold, bit for bit.
+TEST(MinThresholdEquivalenceTest, OrderInvariantUnderPermutations) {
+  util::Rng rng(2024);
+  size_t raised = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const size_t num_records = static_cast<size_t>(rng.UniformInt(4, 60));
+    const size_t num_blocks = static_cast<size_t>(rng.UniformInt(1, 90));
+    const auto num_hubs = static_cast<int64_t>(rng.UniformInt(1, 3));
+    const int num_scores = static_cast<int>(rng.UniformInt(1, 3));
+    std::vector<Block> blocks(num_blocks);
+    for (Block& block : blocks) {
+      // Most blocks hold a hub, so hubs collect many tied blocks.
+      if (rng.Bernoulli(0.8)) {
+        block.records.push_back(
+            static_cast<data::RecordIdx>(rng.UniformInt(0, num_hubs - 1)));
+      }
+      const size_t size = static_cast<size_t>(
+          rng.UniformInt(2, std::min<int64_t>(8, num_records)));
+      while (block.records.size() < size) {
+        block.records.push_back(static_cast<data::RecordIdx>(
+            rng.UniformInt(0, static_cast<int64_t>(num_records) - 1)));
+        std::sort(block.records.begin(), block.records.end());
+        block.records.erase(
+            std::unique(block.records.begin(), block.records.end()),
+            block.records.end());
+      }
+      block.score = 0.25 * static_cast<double>(rng.UniformInt(1, num_scores));
+    }
+    const double ng = 1.0 + 0.5 * static_cast<double>(rng.UniformInt(0, 4));
+    const auto minsup = static_cast<uint32_t>(rng.UniformInt(2, 4));
+    const double expected =
+        ComputeMinThreshold(blocks, num_records, ng, minsup);
+    if (expected > 0.0) ++raised;
+    for (int shuffle = 0; shuffle < 8; ++shuffle) {
+      rng.Shuffle(blocks);
+      const double got = ComputeMinThreshold(blocks, num_records, ng, minsup);
+      EXPECT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
+          << "trial " << trial << " shuffle " << shuffle << ": " << got
+          << " vs " << expected;
+    }
+  }
+  EXPECT_GT(raised, 40u);  // the cap must actually bind
+}
+
+// ---------------------------------------------------------------------------
+// RunMfiBlocks against the FP-Growth + GroupedSupports oracle
+
+data::EncodedDataset GenerateCorpus(size_t num_persons) {
+  synth::GeneratorConfig config = synth::ItalyConfig();
+  config.num_persons = num_persons;
+  config.include_mv = true;
+  config.seed = 23;
+  return data::EncodeDataset(synth::Generate(config).dataset);
+}
+
+const data::EncodedDataset& GeneratedCorpus() {
+  static const auto* encoded = new data::EncodedDataset(GenerateCorpus(900));
+  return *encoded;
+}
+
+std::vector<Block> SortedBlocks(std::vector<Block> blocks) {
+  std::sort(blocks.begin(), blocks.end(), [](const Block& a, const Block& b) {
+    if (a.minsup_level != b.minsup_level) {
+      return a.minsup_level > b.minsup_level;
+    }
+    return a.records < b.records;
+  });
+  return blocks;
+}
+
+// Pairs must match field by field (score bits and minsup level included;
+// the struct's padding is not compared), blocks as a multiset: within an iteration the miner emits them in its
+// own order.
+void ExpectMatchesOracle(const MfiBlocksConfig& config) {
+  const data::EncodedDataset& encoded = GeneratedCorpus();
+  const MfiBlocksResult expected = ReferenceRunMfiBlocks(encoded, config);
+  ASSERT_GT(expected.pairs.size(), 100u);
+  for (const auto& pool : PoolMatrix()) {
+    const MfiBlocksResult got = RunMfiBlocks(encoded, config, pool.get());
+    const size_t threads = Threads(pool);
+    ASSERT_EQ(got.pairs.size(), expected.pairs.size()) << threads;
+    size_t mismatches = 0;
+    for (size_t i = 0; i < got.pairs.size(); ++i) {
+      const CandidatePair& a = got.pairs[i];
+      const CandidatePair& b = expected.pairs[i];
+      if (!(a.pair == b.pair) || a.minsup_level != b.minsup_level ||
+          std::memcmp(&a.block_score, &b.block_score, sizeof(double)) != 0) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "pairs differ at " << threads << " threads";
+    EXPECT_EQ(SortedBlocks(got.blocks), SortedBlocks(expected.blocks))
+        << threads;
+    EXPECT_EQ(got.num_mfis_mined, expected.num_mfis_mined) << threads;
+    EXPECT_EQ(got.num_blocks_considered, expected.num_blocks_considered)
+        << threads;
+    EXPECT_EQ(got.num_records_covered, expected.num_records_covered)
+        << threads;
+  }
+}
+
+TEST(MfiBlocksOracleEquivalenceTest, MaximalMatchesFpMaxRun) {
+  MfiBlocksConfig config;
+  config.max_minsup = 5;
+  config.ng = 3.5;
+  config.expert_weighting = true;
+  ExpectMatchesOracle(config);
+  config.prune_frequent_fraction = 0.002;
+  config.score_kind = BlockScoreKind::kExpertSim;
+  ExpectMatchesOracle(config);
+}
+
+TEST(MfiBlocksOracleEquivalenceTest, ClosedMatchesFpCloseRun) {
+  MfiBlocksConfig config;
+  config.max_minsup = 5;
+  config.ng = 3.5;
+  config.expert_weighting = true;
+  config.itemset_kind = ItemsetKind::kClosed;
+  ExpectMatchesOracle(config);
+}
+
+// The closed run keys every distinct support set, so its first iteration
+// (all records uncovered in both runs) considers every maximal block's
+// record set and more.
+TEST(MfiBlocksOracleEquivalenceTest, ClosedBlocksContainMaximalBlocks) {
+  // Small: without a cap, blocks reach hundreds of records.
+  const data::EncodedDataset encoded = GenerateCorpus(300);
+  MfiBlocksConfig config;
+  config.max_minsup = 3;
+  config.ng = 1e6;  // no size cap and no threshold: every block is kept
+  config.expert_weighting = true;
+  const MfiBlocksResult maximal = RunMfiBlocks(encoded, config);
+  config.itemset_kind = ItemsetKind::kClosed;
+  const MfiBlocksResult closed = RunMfiBlocks(encoded, config);
+  std::vector<std::vector<data::RecordIdx>> closed_sets;
+  for (const Block& b : closed.blocks) {
+    if (b.minsup_level == config.max_minsup) closed_sets.push_back(b.records);
+  }
+  std::sort(closed_sets.begin(), closed_sets.end());
+  size_t checked = 0;
+  for (const Block& b : maximal.blocks) {
+    if (b.minsup_level != config.max_minsup) continue;
+    EXPECT_TRUE(std::binary_search(closed_sets.begin(), closed_sets.end(),
+                                   b.records));
+    ++checked;
+  }
+  EXPECT_GT(checked, 50u);
+  EXPECT_GT(closed_sets.size(), checked);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@
 #include "core/pipeline.h"
 #include "core/resolution_io.h"
 #include "mining/brute_force_miner.h"
-#include "mining/fp_growth.h"
+#include "mining/vertical_miner.h"
 #include "serve/ingest.h"
 #include "serve/query.h"
 #include "serve/resolution_index.h"
@@ -163,9 +163,9 @@ TEST(DeterminismTest, BlockingThreadMatrixProducesIdenticalResults) {
   }
 }
 
-// The parallel per-rank FP-Growth decomposition must agree with the
-// brute-force reference miner (itemsets and supports) AND return the
-// byte-identical vector — order included — for every pool size.
+// The vertical miner's parallel per-root decomposition must agree with
+// the brute-force reference miner (itemsets and support sets) AND return
+// the byte-identical slots — order included — for every pool size.
 TEST(DeterminismTest, ParallelMaximalMinerMatchesBruteForce) {
   util::Rng rng(77);
   for (int trial = 0; trial < 6; ++trial) {
@@ -186,25 +186,33 @@ TEST(DeterminismTest, ParallelMaximalMinerMatchesBruteForce) {
     mining::MinerOptions opts;
     opts.minsup = 2 + static_cast<uint32_t>(rng.UniformInt(0, 2));
 
-    auto serial = mining::MineMaximalItemsets(bags, opts, nullptr);
-    auto brute = mining::BruteForceMaximalItemsets(bags, opts.minsup);
-    auto as_set = [](const std::vector<mining::FrequentItemset>& fis) {
-      std::vector<std::vector<data::ItemId>> out;
-      for (const auto& fi : fis) out.push_back(fi.items);
-      std::sort(out.begin(), out.end());
-      return out;
-    };
-    EXPECT_EQ(as_set(serial), as_set(brute)) << "trial " << trial;
-    for (const auto& mfi : serial) {
-      EXPECT_EQ(mining::CountSupport(bags, mfi.items), mfi.support);
+    auto serial = mining::MineItemsets(bags, opts, nullptr);
+    std::vector<std::vector<data::ItemId>> mined;
+    for (const auto& slot : serial.by_root) {
+      for (const auto& mfi : slot) {
+        mined.push_back(mfi.items);
+        EXPECT_EQ(mining::CountSupport(bags, mfi.items), mfi.tids.size());
+        for (data::RecordIdx t : mfi.tids) {
+          EXPECT_TRUE(mining::IsSubsetOf(mfi.items, bags[t]));
+        }
+      }
     }
+    EXPECT_EQ(mined.size(), serial.num_mined);
+    std::vector<std::vector<data::ItemId>> brute;
+    for (const auto& fi : mining::BruteForceMaximalItemsets(bags, opts.minsup)) {
+      brute.push_back(fi.items);
+    }
+    std::sort(mined.begin(), mined.end());
+    std::sort(brute.begin(), brute.end());
+    EXPECT_EQ(mined, brute) << "trial " << trial;
 
     for (size_t num_threads : {size_t{2}, size_t{8}}) {
       util::ThreadPool pool(num_threads);
-      auto parallel = mining::MineMaximalItemsets(bags, opts, &pool);
-      EXPECT_EQ(parallel, serial)
+      auto parallel = mining::MineItemsets(bags, opts, &pool);
+      EXPECT_EQ(parallel.by_root, serial.by_root)
           << "trial " << trial << " diverged at " << num_threads
           << " threads";
+      EXPECT_EQ(parallel.num_mined, serial.num_mined);
     }
   }
 }

@@ -8,11 +8,11 @@
 
 #include "data/csv_io.h"
 #include "data/dataset.h"
-#include "data/inverted_index.h"
 #include "data/item_dictionary.h"
 #include "data/schema.h"
 #include "data/stats.h"
 #include "geo/geo.h"
+#include "support/reference_inverted_index.h"
 
 namespace yver {
 namespace {

@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "data/item_dictionary.h"
-#include "mining/maximal_filter.h"
+#include "support/reference_fp_growth.h"
 #include "support/reference_mfi_merge.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"

@@ -6,9 +6,9 @@
 
 #include "data/item_dictionary.h"
 #include "mining/brute_force_miner.h"
-#include "mining/fp_growth.h"
-#include "mining/fp_tree.h"
 #include "mining/maximal_filter.h"
+#include "support/reference_fp_growth.h"
+#include "support/reference_fp_tree.h"
 #include "util/rng.h"
 
 namespace yver::mining {
@@ -99,7 +99,7 @@ TEST(FpGrowthTest, PaperExample) {
       {0, 2, 4, 5, 6},  // F Yitzhak(5), L Postel(6), Poland, G0, +Avraham
       {2, 4, 5, 6},     // F Yitzhak, L Postel, Poland, G 0
   };
-  MinerOptions opts;
+  FpMinerOptions opts;
   opts.minsup = 2;
   auto mfis = MineMaximalItemsets(bags, opts);
   auto sets = ItemsetsOf(mfis);
@@ -115,7 +115,7 @@ TEST(FpGrowthTest, AllFrequentMatchesBruteForceSmall) {
   std::vector<ItemBag> bags = {
       {0, 1, 2}, {0, 1}, {1, 2, 3}, {0, 2, 3}, {1, 3}};
   for (uint32_t minsup = 1; minsup <= 4; ++minsup) {
-    MinerOptions opts;
+    FpMinerOptions opts;
     opts.minsup = minsup;
     auto fp = MineFrequentItemsets(bags, opts);
     auto bf = BruteForceFrequentItemsets(bags, minsup);
@@ -128,7 +128,7 @@ TEST(FpGrowthTest, AllFrequentMatchesBruteForceSmall) {
 }
 
 TEST(FpGrowthTest, EmptyAndDegenerateInputs) {
-  MinerOptions opts;
+  FpMinerOptions opts;
   opts.minsup = 2;
   EXPECT_TRUE(MineFrequentItemsets({}, opts).empty());
   EXPECT_TRUE(MineMaximalItemsets({}, opts).empty());
@@ -137,7 +137,7 @@ TEST(FpGrowthTest, EmptyAndDegenerateInputs) {
 
 TEST(FpGrowthTest, MinsupOneEmitsEverything) {
   std::vector<ItemBag> bags = {{0}, {1}};
-  MinerOptions opts;
+  FpMinerOptions opts;
   opts.minsup = 1;
   auto mfis = MineMaximalItemsets(bags, opts);
   EXPECT_EQ(ItemsetsOf(mfis), (std::set<std::vector<data::ItemId>>{
@@ -151,7 +151,7 @@ TEST(FpGrowthTest, MaxItemsetsCapStopsEarly) {
     for (data::ItemId i = 0; i < 10; ++i) bag.push_back(i);
     bags.push_back(bag);
   }
-  MinerOptions opts;
+  FpMinerOptions opts;
   opts.minsup = 2;
   opts.max_itemsets = 3;
   auto fis = MineFrequentItemsets(bags, opts);
@@ -164,7 +164,7 @@ TEST(FpGrowthTest, MaxItemsetsCapStopsEarly) {
 TEST(ClosedItemsetsTest, ClosedSupersetOfMaximal) {
   std::vector<ItemBag> bags = {
       {0, 1, 2}, {0, 1}, {1, 2, 3}, {0, 2, 3}, {1, 3}, {0, 1, 2}};
-  MinerOptions opts;
+  FpMinerOptions opts;
   opts.minsup = 2;
   auto closed = ItemsetsOf(MineClosedItemsets(bags, opts));
   auto maximal = ItemsetsOf(MineMaximalItemsets(bags, opts));
@@ -177,7 +177,7 @@ TEST(ClosedItemsetsTest, ClosedSupersetOfMaximal) {
 TEST(ClosedItemsetsTest, ClosednessSemantics) {
   // {0} appears in 3 txns, {0,1} in 3 txns too -> {0} is NOT closed.
   std::vector<ItemBag> bags = {{0, 1}, {0, 1}, {0, 1, 2}};
-  MinerOptions opts;
+  FpMinerOptions opts;
   opts.minsup = 2;
   auto closed = ItemsetsOf(MineClosedItemsets(bags, opts));
   EXPECT_FALSE(closed.count({0}));
@@ -190,7 +190,7 @@ TEST(ClosedItemsetsTest, ClosednessSemantics) {
 TEST(ClosedItemsetsTest, SupportsAreExact) {
   std::vector<ItemBag> bags = {
       {0, 1, 2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}};
-  MinerOptions opts;
+  FpMinerOptions opts;
   opts.minsup = 2;
   for (const auto& fi : MineClosedItemsets(bags, opts)) {
     EXPECT_EQ(CountSupport(bags, fi.items), fi.support);
@@ -209,7 +209,7 @@ TEST(ClosedItemsetsTest, BruteForceClosednessAgreement) {
     bag.erase(std::unique(bag.begin(), bag.end()), bag.end());
     bags.push_back(std::move(bag));
   }
-  MinerOptions opts;
+  FpMinerOptions opts;
   opts.minsup = 2;
   auto closed = MineClosedItemsets(bags, opts);
   // Definition check: no frequent strict superset has equal support.
@@ -265,7 +265,7 @@ TEST_P(FpGrowthRandomTest, MaximalMatchesBruteForce) {
     bags.push_back(std::move(bag));
   }
   for (uint32_t minsup = 2; minsup <= 4; ++minsup) {
-    MinerOptions opts;
+    FpMinerOptions opts;
     opts.minsup = minsup;
     auto fp = MineMaximalItemsets(bags, opts);
     auto bf = BruteForceMaximalItemsets(bags, minsup);

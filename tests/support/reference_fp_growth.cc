@@ -1,10 +1,10 @@
-#include "mining/fp_growth.h"
+#include "support/reference_fp_growth.h"
 
 #include <algorithm>
 #include <unordered_map>
 
-#include "mining/fp_tree.h"
 #include "mining/maximal_filter.h"
+#include "support/reference_fp_tree.h"
 #include "util/check.h"
 
 namespace yver::mining {
@@ -157,7 +157,7 @@ FrequentItemset MakeItemset(std::vector<data::ItemId> items,
 // All frequent itemsets.
 
 struct AllMiner {
-  const MinerOptions& options;
+  const FpMinerOptions& options;
   std::vector<FrequentItemset> out;
   bool capped = false;
   ConditionalScratch scratch;
@@ -261,13 +261,13 @@ class MfiStore {
 };
 
 struct MaxMiner {
-  const MinerOptions& options;
+  const FpMinerOptions& options;
   MfiStore store;
   bool capped = false;
   ConditionalScratch scratch;
   std::vector<data::ItemId> head_tail;
 
-  explicit MaxMiner(const MinerOptions& opts) : options(opts), store(0) {}
+  explicit MaxMiner(const FpMinerOptions& opts) : options(opts), store(0) {}
 
   bool AtCap() const {
     return options.max_itemsets != 0 && store.size() >= options.max_itemsets;
@@ -321,7 +321,7 @@ struct MaxMiner {
 
 std::vector<FrequentItemset> MineFrequentItemsets(
     const std::vector<data::ItemBag>& transactions,
-    const MinerOptions& options) {
+    const FpMinerOptions& options) {
   YVER_CHECK(options.minsup >= 1);
   RankedTree ranked = BuildInitialTree(transactions, options.minsup);
   AllMiner miner{options, {}, false, {}};
@@ -342,7 +342,7 @@ namespace {
 // itemset enumeration blows up as 2^|shared|.
 class ClosedMiner {
  public:
-  explicit ClosedMiner(const MinerOptions& options) : options_(options) {}
+  explicit ClosedMiner(const FpMinerOptions& options) : options_(options) {}
 
   bool AtCap() const {
     return options_.max_itemsets != 0 && cfis_.size() >= options_.max_itemsets;
@@ -417,7 +417,7 @@ class ClosedMiner {
     cfis_.push_back(FrequentItemset{std::move(items), support});
   }
 
-  const MinerOptions& options_;
+  const FpMinerOptions& options_;
   ConditionalScratch scratch_;
   std::vector<FrequentItemset> cfis_;
   // support -> item -> CFI indices containing it at that support.
@@ -430,7 +430,7 @@ class ClosedMiner {
 
 std::vector<FrequentItemset> MineClosedItemsets(
     const std::vector<data::ItemBag>& transactions,
-    const MinerOptions& options) {
+    const FpMinerOptions& options) {
   YVER_CHECK(options.minsup >= 1);
   RankedTree ranked = BuildInitialTree(transactions, options.minsup);
   ClosedMiner miner(options);
@@ -447,7 +447,7 @@ std::vector<FrequentItemset> MineClosedItemsets(
 
 std::vector<FrequentItemset> MineMaximalItemsets(
     const std::vector<data::ItemBag>& transactions,
-    const MinerOptions& options, util::ThreadPool* pool) {
+    const FpMinerOptions& options, util::ThreadPool* pool) {
   YVER_CHECK(options.minsup >= 1);
   RankedTree ranked = BuildInitialTree(transactions, options.minsup);
   const uint32_t num_ranks = ranked.tree.num_ranks();
@@ -499,6 +499,119 @@ std::vector<FrequentItemset> MineMaximalItemsets(
     out.resize(options.max_itemsets);
   }
   return out;
+}
+
+namespace {
+
+// One bit per item, hashed: items_i ⊆ items_j implies
+// (Signature(i) & ~Signature(j)) == 0, so a non-zero result rejects j
+// without walking either item list.
+uint64_t Signature(const std::vector<data::ItemId>& items) {
+  uint64_t sig = 0;
+  for (data::ItemId item : items) {
+    sig |= uint64_t{1} << ((uint64_t{item} * 0x9E3779B97F4A7C15ULL) >> 58);
+  }
+  return sig;
+}
+
+}  // namespace
+
+std::vector<FrequentItemset> FilterRankOrderedMaximal(
+    std::vector<std::vector<FrequentItemset>> tasks, util::ThreadPool* pool) {
+  size_t total = 0;
+  for (const auto& task : tasks) total += task.size();
+  std::vector<FrequentItemset> candidates;
+  candidates.reserve(total);
+  // task_end[i]: one past the last candidate of i's task. No superset of
+  // candidate i lies at or beyond it.
+  std::vector<uint32_t> task_end;
+  task_end.reserve(total);
+  for (auto& task : tasks) {
+    const uint32_t end = static_cast<uint32_t>(candidates.size() + task.size());
+    for (auto& candidate : task) {
+      YVER_CHECK(!candidate.items.empty());
+      candidates.push_back(std::move(candidate));
+      task_end.push_back(end);
+    }
+  }
+  tasks.clear();
+  if (candidates.empty()) return {};
+
+  // Item -> the candidates containing it, ascending, as one flat array.
+  // Each entry carries what rejects a candidate cheaply (its size and
+  // signature), so a scan streams through the postings without touching
+  // the candidates themselves.
+  struct Posting {
+    uint64_t signature;
+    uint32_t index;
+    uint32_t size;
+  };
+  data::ItemId max_item = 0;
+  for (const auto& c : candidates) max_item = std::max(max_item, c.items.back());
+  std::vector<uint32_t> offsets(static_cast<size_t>(max_item) + 2, 0);
+  for (const auto& c : candidates) {
+    for (data::ItemId item : c.items) ++offsets[item + 1];
+  }
+  for (size_t k = 1; k < offsets.size(); ++k) offsets[k] += offsets[k - 1];
+  std::vector<Posting> postings(offsets.back());
+  {
+    std::vector<uint32_t> fill(offsets.begin(), offsets.end() - 1);
+    for (uint32_t i = 0; i < candidates.size(); ++i) {
+      const std::vector<data::ItemId>& items = candidates[i].items;
+      const Posting posting{Signature(items), i,
+                            static_cast<uint32_t>(items.size())};
+      for (data::ItemId item : items) postings[fill[item]++] = posting;
+    }
+  }
+
+  const Posting* const posting_base = postings.data();
+  std::vector<char> keep(candidates.size(), 0);
+  auto decide = [&](size_t i) {
+    const std::vector<data::ItemId>& items = candidates[i].items;
+    // Scan the item whose postings inside [0, task_end[i]) are fewest;
+    // every possible subsumer contains that item and lies in that range.
+    const Posting* scan_begin = nullptr;
+    const Posting* scan_end = nullptr;
+    for (data::ItemId item : items) {
+      const Posting* begin = posting_base + offsets[item];
+      const Posting* end = std::lower_bound(
+          begin, posting_base + offsets[item + 1], task_end[i],
+          [](const Posting& p, uint32_t index) { return p.index < index; });
+      if (scan_begin == nullptr || end - begin < scan_end - scan_begin) {
+        scan_begin = begin;
+        scan_end = end;
+      }
+    }
+    const size_t size = items.size();
+    const uint64_t signature = Signature(items);
+    for (const Posting* p = scan_begin; p != scan_end; ++p) {
+      // Rejects p when its signature lacks a bit of i's, when it is
+      // smaller, or when it has i's size but does not come before i (a
+      // later candidate subsumes only as a strict superset). Bitwise, not
+      // short-circuit: the size tests alone are coin flips to a branch
+      // predictor, while the combined test almost always rejects.
+      const uint64_t reject =
+          (signature & ~p->signature) | uint64_t{p->size < size} |
+          (uint64_t{p->size == size} & uint64_t{p->index >= i});
+      if (reject != 0) continue;
+      if (IsSubsetOf(items, candidates[p->index].items)) return;
+    }
+    keep[i] = 1;
+  };
+  if (pool != nullptr && pool->num_threads() > 1) {
+    pool->ParallelFor(candidates.size(), decide);
+  } else {
+    for (size_t i = 0; i < candidates.size(); ++i) decide(i);
+  }
+
+  size_t kept = 0;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (!keep[i]) continue;
+    if (kept != i) candidates[kept] = std::move(candidates[i]);
+    ++kept;
+  }
+  candidates.resize(kept);
+  return candidates;
 }
 
 }  // namespace yver::mining

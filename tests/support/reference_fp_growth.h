@@ -1,5 +1,5 @@
-#ifndef YVER_MINING_FP_GROWTH_H_
-#define YVER_MINING_FP_GROWTH_H_
+#ifndef YVER_TESTS_SUPPORT_REFERENCE_FP_GROWTH_H_
+#define YVER_TESTS_SUPPORT_REFERENCE_FP_GROWTH_H_
 
 #include <cstdint>
 #include <vector>
@@ -10,14 +10,19 @@
 
 namespace yver::mining {
 
+// The FP-Growth miners that MFIBlocks used before mining::MineItemsets
+// (FPMax with its parallel per-rank decomposition, and FPClose), kept as
+// test oracles: the vertical miner must return the same itemset families,
+// and the oracles are themselves checked against the brute-force miner.
+// Never link this into production code.
+
 /// Options controlling the FP-Growth miners.
-struct MinerOptions {
+struct FpMinerOptions {
   /// Minimum support (number of transactions) for a frequent itemset.
   uint32_t minsup = 2;
 
   /// Safety cap on the number of reported itemsets (0 = unlimited). When
-  /// hit, mining stops early; MFIBlocks treats this as a signal to tighten
-  /// frequent-item pruning.
+  /// hit, mining stops early.
   size_t max_itemsets = 0;
 
   /// Maximum itemset length to explore (0 = unlimited). Only honored by
@@ -31,7 +36,7 @@ struct MinerOptions {
 /// miner; MFIBlocks uses MineMaximalItemsets.
 std::vector<FrequentItemset> MineFrequentItemsets(
     const std::vector<data::ItemBag>& transactions,
-    const MinerOptions& options);
+    const FpMinerOptions& options);
 
 /// Mines the maximal frequent itemsets (MFIs) via FP-Growth with
 /// FPMax-style subsumption pruning: a branch whose head ∪ tail is contained
@@ -54,7 +59,7 @@ std::vector<FrequentItemset> MineFrequentItemsets(
 /// deterministic) subset than a single global FPMax store would.
 std::vector<FrequentItemset> MineMaximalItemsets(
     const std::vector<data::ItemBag>& transactions,
-    const MinerOptions& options, util::ThreadPool* pool = nullptr);
+    const FpMinerOptions& options, util::ThreadPool* pool = nullptr);
 
 /// Mines the closed frequent itemsets (CFIs): frequent itemsets with no
 /// strict superset of equal support. Implemented as a full FP-Growth
@@ -63,8 +68,28 @@ std::vector<FrequentItemset> MineMaximalItemsets(
 /// blocking ablation.
 std::vector<FrequentItemset> MineClosedItemsets(
     const std::vector<data::ItemBag>& transactions,
-    const MinerOptions& options);
+    const FpMinerOptions& options);
+
+/// The cross-task maximality filter of the parallel FPMax decomposition.
+/// `tasks` is a rank-ordered candidate list: task t's candidates, in
+/// discovery order, concatenated in task order, where every superset of a
+/// candidate lives in the same or an earlier task. Candidates must be
+/// non-empty, with items sorted ascending.
+///
+/// Candidate i of the concatenation survives unless some earlier j has
+/// items_i ⊆ items_j (a duplicate or subset of something seen first) or
+/// some j anywhere has items_i ⊊ items_j. This is the rule a serial store
+/// applies when it inserts every candidate in order, refusing those
+/// subsumed by what it holds, and then harvests the sets nothing stored
+/// strictly contains — but each candidate is decided on its own, so the
+/// decisions run in parallel on `pool` (when non-null). The rank-order
+/// precondition lets a check stop at the end of the candidate's own task.
+/// Survivors are returned in their input order, so the result — contents
+/// and order — does not depend on the pool size.
+std::vector<FrequentItemset> FilterRankOrderedMaximal(
+    std::vector<std::vector<FrequentItemset>> tasks,
+    util::ThreadPool* pool = nullptr);
 
 }  // namespace yver::mining
 
-#endif  // YVER_MINING_FP_GROWTH_H_
+#endif  // YVER_TESTS_SUPPORT_REFERENCE_FP_GROWTH_H_

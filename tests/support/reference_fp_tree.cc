@@ -1,4 +1,4 @@
-#include "mining/fp_tree.h"
+#include "support/reference_fp_tree.h"
 
 #include "util/check.h"
 

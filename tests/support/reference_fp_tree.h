@@ -1,5 +1,5 @@
-#ifndef YVER_MINING_FP_TREE_H_
-#define YVER_MINING_FP_TREE_H_
+#ifndef YVER_TESTS_SUPPORT_REFERENCE_FP_TREE_H_
+#define YVER_TESTS_SUPPORT_REFERENCE_FP_TREE_H_
 
 #include <cstdint>
 #include <deque>
@@ -81,4 +81,4 @@ class FpTree {
 
 }  // namespace yver::mining
 
-#endif  // YVER_MINING_FP_TREE_H_
+#endif  // YVER_TESTS_SUPPORT_REFERENCE_FP_TREE_H_

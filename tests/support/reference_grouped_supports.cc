@@ -1,4 +1,4 @@
-#include "blocking/support_sets.h"
+#include "support/reference_grouped_supports.h"
 
 #include <algorithm>
 #include <bit>

@@ -1,19 +1,22 @@
-#ifndef YVER_BLOCKING_SUPPORT_SETS_H_
-#define YVER_BLOCKING_SUPPORT_SETS_H_
+#ifndef YVER_TESTS_SUPPORT_REFERENCE_GROUPED_SUPPORTS_H_
+#define YVER_TESTS_SUPPORT_REFERENCE_GROUPED_SUPPORTS_H_
 
 #include <vector>
 
-#include "data/inverted_index.h"
 #include "data/item_dictionary.h"
 #include "mining/itemset.h"
+#include "support/reference_inverted_index.h"
 #include "util/thread_pool.h"
 
 namespace yver::blocking {
 
 /// FindSupport of Algorithm 1 for a whole batch of mined itemsets: the
 /// records of `bags` that contain every item of each itemset, sorted
-/// ascending — slot i equals index.Support(itemsets[i].items), which this
-/// replaces in MFIBlocks.
+/// ascending — slot i equals index.Support(itemsets[i].items).
+///
+/// MFIBlocks ran this after FPMax until mining::MineItemsets returned
+/// each itemset with its support set; it is kept as the support half of
+/// the FPMax + GroupedSupports oracle. Test-only.
 ///
 /// Itemsets are grouped by their rarest item a (fewest postings in
 /// `index`, which must be built over `bags`; ties go to the smaller id).
@@ -30,4 +33,4 @@ std::vector<std::vector<data::RecordIdx>> GroupedSupports(
 
 }  // namespace yver::blocking
 
-#endif  // YVER_BLOCKING_SUPPORT_SETS_H_
+#endif  // YVER_TESTS_SUPPORT_REFERENCE_GROUPED_SUPPORTS_H_

@@ -1,4 +1,4 @@
-#include "data/inverted_index.h"
+#include "support/reference_inverted_index.h"
 
 #include <algorithm>
 

@@ -1,5 +1,5 @@
-#ifndef YVER_DATA_INVERTED_INDEX_H_
-#define YVER_DATA_INVERTED_INDEX_H_
+#ifndef YVER_TESTS_SUPPORT_REFERENCE_INVERTED_INDEX_H_
+#define YVER_TESTS_SUPPORT_REFERENCE_INVERTED_INDEX_H_
 
 #include <vector>
 
@@ -7,10 +7,11 @@
 
 namespace yver::data {
 
-/// Item -> sorted record postings, built from an encoded dataset. This is
-/// the index created by the preprocessing step of the system architecture
-/// (paper Fig. 9); MFIBlocks reads its postings to find the support sets
-/// of mined itemsets (blocking::GroupedSupports).
+/// Item -> sorted record postings, built from an encoded dataset: the
+/// index of the preprocessing step of the system architecture (paper
+/// Fig. 9). Test-only: blocking::GroupedSupports reads its postings, and
+/// Support() is the one-itemset-at-a-time specification of both
+/// GroupedSupports and the support sets mining::MineItemsets returns.
 class InvertedIndex {
  public:
   /// Builds the index over the given bags; `num_items` is the dictionary
@@ -35,4 +36,4 @@ class InvertedIndex {
 
 }  // namespace yver::data
 
-#endif  // YVER_DATA_INVERTED_INDEX_H_
+#endif  // YVER_TESTS_SUPPORT_REFERENCE_INVERTED_INDEX_H_

@@ -160,7 +160,6 @@ TEST(WireCodecTest, InfoRoundTrip) {
   info.metrics.errors = 2;
   info.metrics.shed = 1;
   info.metrics.deadline_exceeded = 1;
-  info.metrics.total_latency_ms = 2.5;
   info.metrics.latency_histogram_ns.assign(kServiceLatencyBuckets, 0);
   info.metrics.latency_histogram_ns[20] = 9;
   std::string bytes;
@@ -231,7 +230,6 @@ wire::ServerInfo PinnedInfo() {
   info.metrics.errors = 2;
   info.metrics.shed = 4;
   info.metrics.deadline_exceeded = 1;
-  info.metrics.total_latency_ms = 2.5;
   info.metrics.latency_histogram_ns = {5, 0, 1};
   info.metrics.generation = 5;
   info.metrics.publishes = 4;
@@ -259,13 +257,13 @@ constexpr std::string_view kPinnedInfoHex =
     "0400000000000000"           // shed 4
     "0100000000000000"           // deadline exceeded 1
     "0000000000000000"           // reserved slot 3: always 0
-    "0000000000000440"           // total latency 2.5 ms
+    "0000000000000000"           // reserved slot 4: always 0
     "03000000"                   // three histogram buckets:
     "0500000000000000" "0000000000000000" "0100000000000000"
     "0500000000000000"           // generation 5
     "0400000000000000"           // publishes 4
     "0200000000000000"           // pinned readers 2
-    "0000000000000000"           // reserved slot 4: always 0
+    "0000000000000000"           // reserved slot 5: always 0
     "0300000000000000"           // net: open connections 3
     "0100000000000000"           //      paused reads 1
     "0200000000000000"           //      idle disconnects 2
@@ -324,11 +322,12 @@ TEST(WireCodecTest, NonzeroReservedInfoSlotsAreRejected) {
   wire::EncodeInfo(PinnedInfo(), &bytes);
   wire::Frame frame;
   ASSERT_TRUE(wire::ExtractFrame(bytes, &frame).ok());
-  // Payload offsets of the four reserved u64 slots in kPinnedInfoHex: the
-  // two after errors (5*8, 6*8), the one after the nine leading u64s
-  // (9*8), and the one after the 3-bucket histogram and the three
+  // Payload offsets of the five reserved slots in kPinnedInfoHex: the two
+  // after errors (5*8, 6*8), the two after the nine leading u64s (9*8,
+  // 10*8), and the one after the 3-bucket histogram and the three
   // live-index gauges (9*8 + 8 + 8 + 4 + 3*8 + 3*8).
-  for (size_t offset : {size_t{40}, size_t{48}, size_t{72}, size_t{140}}) {
+  for (size_t offset :
+       {size_t{40}, size_t{48}, size_t{72}, size_t{80}, size_t{140}}) {
     ASSERT_EQ(frame.payload.substr(offset, 8), std::string(8, '\0'));
     for (size_t byte = 0; byte < 8; ++byte) {
       wire::Frame set = frame;

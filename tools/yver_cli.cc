@@ -60,20 +60,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "core/entity_clusters.h"
@@ -103,6 +100,7 @@
 #include "text/normalizer.h"
 #include "util/atomic_io.h"
 #include "util/deadline.h"
+#include "util/flags.h"
 #include "util/retry.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -112,78 +110,7 @@ namespace {
 
 using namespace yver;
 
-// ---------------------------------------------------------------------------
-// Tiny flag parser: --name value / --name (boolean).
-
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-        std::exit(2);
-      }
-      std::string name = arg.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[name] = argv[++i];
-      } else {
-        values_[name] = "";
-      }
-    }
-  }
-
-  bool Has(const std::string& name) const { return values_.count(name) > 0; }
-  std::string Get(const std::string& name,
-                  const std::string& fallback = "") const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-  std::string Require(const std::string& name) const {
-    if (!Has(name)) {
-      std::fprintf(stderr, "missing required flag --%s\n", name.c_str());
-      std::exit(2);
-    }
-    return Get(name);
-  }
-
-  /// Overwrites `*field` with the flag's value when the flag is given and
-  /// leaves it alone otherwise, so the field's current value — usually the
-  /// library's default — is the fallback. The whole value must parse as a
-  /// T: text, trailing junk, a sign on an unsigned field, or a value
-  /// outside T's range exits 2 with a message naming the flag.
-  template <typename T>
-  void Parse(const std::string& name, T* field) const {
-    auto it = values_.find(name);
-    if (it == values_.end()) return;
-    const std::string& text = it->second;
-    const char* end = text.data() + text.size();
-    T value{};
-    auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (text.empty() || ec != std::errc() || ptr != end) {
-      std::string expected = "a number";
-      if constexpr (std::is_integral_v<T>) {
-        expected = "an integer in [" +
-                   std::to_string(std::numeric_limits<T>::min()) + ", " +
-                   std::to_string(std::numeric_limits<T>::max()) + "]";
-      }
-      std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n",
-                   name.c_str(), text.c_str(), expected.c_str());
-      std::exit(2);
-    }
-    *field = value;
-  }
-
-  /// Parse for a local: the flag's value, or `fallback` when absent.
-  template <typename T>
-  T Value(const std::string& name, T fallback) const {
-    Parse(name, &fallback);
-    return fallback;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using util::Flags;
 
 // ---------------------------------------------------------------------------
 // Shared typed options. Each subcommand parses its Flags exactly once into
@@ -246,8 +173,8 @@ void PrintStageProfile(const core::StageTimings& t) {
   };
   const blocking::BlockingTimings& b = t.blocking_substages;
   const Row blocking_rows[] = {
-      {"  mine (FP-Growth itemsets)", b.mine_seconds},
-      {"  support (index intersections)", b.support_seconds},
+      {"  mine (MFIs + support sets)", b.mine_seconds},
+      {"  support (block assembly)", b.support_seconds},
       {"  score (block scoring)", b.score_seconds},
       {"  threshold (sparse neighborhood)", b.threshold_seconds},
       {"  emit (pair maps + coverage)", b.emit_seconds},
@@ -629,8 +556,9 @@ int CmdGenerate(const Flags& flags) {
   flags.Parse("persons", &config.num_persons);
   if (flags.Has("mv")) config.include_mv = true;
   flags.Parse("seed", &config.seed);
-  auto generated = synth::Generate(config);
   std::string out = flags.Require("out");
+  flags.RejectUnread();
+  auto generated = synth::Generate(config);
   if (!data::SaveDatasetCsv(generated.dataset, out)) {
     std::fprintf(stderr, "cannot write %s\n", out.c_str());
     return 1;
@@ -642,7 +570,9 @@ int CmdGenerate(const Flags& flags) {
 }
 
 int CmdStats(const Flags& flags) {
-  data::Dataset dataset = LoadOrDie(flags.Require("in"));
+  const std::string in = flags.Require("in");
+  flags.RejectUnread();
+  data::Dataset dataset = LoadOrDie(in);
   std::printf("records: %zu\n", dataset.size());
   if (HasGroundTruth(dataset)) {
     std::printf("gold matched pairs: %zu\n", dataset.NumGoldPairs());
@@ -671,10 +601,12 @@ int CmdStats(const Flags& flags) {
 }
 
 int CmdNormalize(const Flags& flags) {
-  data::Dataset dataset = LoadOrDie(flags.Require("in"));
+  const std::string in = flags.Require("in");
+  const std::string out = flags.Require("out");
+  flags.RejectUnread();
+  data::Dataset dataset = LoadOrDie(in);
   auto normalizer = text::NameNormalizer::Build(dataset);
   data::Dataset normalized = normalizer.Apply(dataset);
-  std::string out = flags.Require("out");
   if (!data::SaveDatasetCsv(normalized, out)) {
     std::fprintf(stderr, "cannot write %s\n", out.c_str());
     return 1;
@@ -1175,19 +1107,23 @@ int CmdAppend(const ServeOptions& options) {
 }
 
 int CmdSample(const Flags& flags) {
-  data::Dataset dataset = LoadOrDie(flags.Require("in"));
+  const std::string in = flags.Require("in");
+  const std::string out = flags.Require("out");
+  const bool by_country = flags.Has("country");
+  const std::string country = flags.Get("country");
+  const bool by_fraction = flags.Has("fraction");
+  const double fraction = flags.Value("fraction", 1.0);
+  const auto seed = flags.Value<uint64_t>("seed", 42);
+  const bool by_entity = flags.Has("by-entity");
+  flags.RejectUnread();
+  data::Dataset dataset = LoadOrDie(in);
   data::Dataset result = dataset;
-  if (flags.Has("country")) {
-    result = data::FilterByCountry(result, flags.Get("country"));
+  if (by_country) result = data::FilterByCountry(result, country);
+  if (by_fraction) {
+    util::Rng rng(seed);
+    result = by_entity ? data::SampleByEntity(result, fraction, rng)
+                       : data::SampleUniform(result, fraction, rng);
   }
-  if (flags.Has("fraction")) {
-    double fraction = flags.Value("fraction", 1.0);
-    util::Rng rng(flags.Value<uint64_t>("seed", 42));
-    result = flags.Has("by-entity")
-                 ? data::SampleByEntity(result, fraction, rng)
-                 : data::SampleUniform(result, fraction, rng);
-  }
-  std::string out = flags.Require("out");
   if (!data::SaveDatasetCsv(result, out)) {
     std::fprintf(stderr, "cannot write %s\n", out.c_str());
     return 1;
@@ -1280,17 +1216,31 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
+  // Commands given parsed options run only once no flag is left unread;
+  // the Flags-taking ones reject leftovers themselves, before any work.
+  auto checked = [&flags](auto options) {
+    flags.RejectUnread();
+    return options;
+  };
   if (cmd == "generate") return CmdGenerate(flags);
   if (cmd == "stats") return CmdStats(flags);
   if (cmd == "normalize") return CmdNormalize(flags);
-  if (cmd == "resolve") return CmdResolve(ParseResolveOptions(flags));
-  if (cmd == "index") return CmdIndex(ParseQueryOptions(flags));
-  if (cmd == "query") return CmdQuery(ParseQueryOptions(flags));
-  if (cmd == "serve") return CmdServe(ParseServeOptions(flags, true));
-  if (cmd == "loadgen") return CmdLoadGen(ParseServeOptions(flags, false));
-  if (cmd == "append") return CmdAppend(ParseServeOptions(flags, true));
+  if (cmd == "resolve") return CmdResolve(checked(ParseResolveOptions(flags)));
+  if (cmd == "index") return CmdIndex(checked(ParseQueryOptions(flags)));
+  if (cmd == "query") return CmdQuery(checked(ParseQueryOptions(flags)));
+  if (cmd == "serve") {
+    return CmdServe(checked(ParseServeOptions(flags, true)));
+  }
+  if (cmd == "loadgen") {
+    return CmdLoadGen(checked(ParseServeOptions(flags, false)));
+  }
+  if (cmd == "append") {
+    return CmdAppend(checked(ParseServeOptions(flags, true)));
+  }
   if (cmd == "sample") return CmdSample(flags);
-  if (cmd == "graph") return CmdGraph(ParseQueryOptions(flags));
-  if (cmd == "families") return CmdFamilies(ParseQueryOptions(flags));
+  if (cmd == "graph") return CmdGraph(checked(ParseQueryOptions(flags)));
+  if (cmd == "families") {
+    return CmdFamilies(checked(ParseQueryOptions(flags)));
+  }
   return Usage();
 }
