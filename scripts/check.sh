@@ -105,9 +105,12 @@ if [[ "$run_tsan" == 1 ]]; then
   # root tasks claimed dynamically by workers that each keep their own
   # search scratch and write only their own output slot, checked against
   # brute force and the FP-Growth oracle at several pool sizes.
+  # MinThresholdEquivalence* runs the sparse-neighborhood threshold on
+  # pools of 1, 2 and 8 (per-worker stamp arrays over record ranges), and
+  # BlockScoringEquivalence* the arena-backed block scorer.
   # *ResolutionIndex* also picks up the Extend equivalence suites, and
   # LiveIndexBuilder* the builder's extend-and-publish rounds.
-  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTree*:*VerticalMiner*:MinThresholdEquivalence*'
+  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTree*:*VerticalMiner*:MinThresholdEquivalence*:BlockScoringEquivalence*'
 
   echo "==> tier-1: loopback serve/loadgen smoke (TSan binaries, record/replay)"
   # End-to-end over a real socket: a TSan-built server on an ephemeral
@@ -238,14 +241,16 @@ if [[ "$run_asan" == 1 ]]; then
   # is exactly what ASan+UBSan exist to pin down; Gazetteer* covers the
   # owned-resolver lifetime contract the serving path depends on.
   # AdTree* adds the ADTree trainer, whose split search is raw index
-  # arithmetic over the transposed feature columns. *VerticalMiner* and
+  # arithmetic over the 16-bit bucket columns. *VerticalMiner* and
   # MfiBlocksOracleEquivalence* add the miner, whose row views are raw
-  # offsets into CSR levels and whose small nodes are 64-bit row masks. *ResolutionIndex* and
+  # offsets into CSR levels and whose small nodes are 64-bit row masks.
+  # BlockScoringEquivalence* adds the block scorer's stack arena, which
+  # its largest unions overflow onto the heap. *ResolutionIndex* and
   # IncrementalCandidateEquivalence* add the live-append path: Extend's
   # merge and the adjacency it rebuilds are span and offset arithmetic
   # over the match arena, and the dense candidate counter indexes a
   # per-record array by posting entries.
-  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:AdTree*:*VerticalMiner*:MfiBlocksOracleEquivalence*:MinThresholdEquivalence*:*ResolutionIndex*:IncrementalCandidateEquivalence*'
+  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:AdTree*:*VerticalMiner*:MfiBlocksOracleEquivalence*:MinThresholdEquivalence*:BlockScoringEquivalence*:*ResolutionIndex*:IncrementalCandidateEquivalence*'
 fi
 
 echo "==> all checks passed"

@@ -1,6 +1,9 @@
 #include "blocking/block_scoring.h"
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
+#include <memory_resource>
 #include <unordered_set>
 #include <vector>
 
@@ -9,6 +12,10 @@
 namespace yver::blocking {
 
 namespace {
+
+// Stack space for ClusterJaccardScore's union set: room for a few
+// thousand items before the arena spills to the heap.
+constexpr size_t kUnionArenaBytes = 64 * 1024;
 
 double ItemWeight(const data::ItemDictionary& dict,
                   const AttributeWeights& weights, data::ItemId id) {
@@ -57,7 +64,13 @@ double ClusterJaccardScore(const data::EncodedDataset& encoded,
   const auto& dict = encoded.dictionary;
   double key_weight = 0.0;
   for (data::ItemId id : block.key) key_weight += ItemWeight(dict, weights, id);
-  std::unordered_set<data::ItemId> uni;
+  // The union sum is taken in the set's iteration order, so the container,
+  // its hash and its rehash policy are those of std::unordered_set; only
+  // the nodes and bucket arrays come from a bump arena on the stack that
+  // spills to the heap and is released in one go when the call returns.
+  std::array<std::byte, kUnionArenaBytes> arena;
+  std::pmr::monotonic_buffer_resource resource(arena.data(), arena.size());
+  std::pmr::unordered_set<data::ItemId> uni(&resource);
   for (data::RecordIdx r : block.records) {
     for (data::ItemId id : encoded.bags[r]) uni.insert(id);
   }

@@ -14,6 +14,13 @@ namespace yver::blocking {
 /// A block whose members share most of their content scores near 1
 /// (compact set); members with much non-shared content dilute the score.
 /// With uniform weights this is exactly |key| / |union|.
+///
+/// The union weight is summed in the iteration order of a
+/// std::unordered_set of the members' items, so the score's last bits
+/// depend on that order; the set draws its memory from a call-local
+/// arena (64 KB on the stack, then the heap), which changes its cost but
+/// not its order (DESIGN.md §9). tests/support/reference_block_scoring.h
+/// keeps the plain std::unordered_set version as the oracle.
 double ClusterJaccardScore(const data::EncodedDataset& encoded,
                            const Block& block,
                            const AttributeWeights& weights);

@@ -125,7 +125,7 @@ MfiBlocksResult RunMfiBlocks(const data::EncodedDataset& encoded,
     // cap iff their union does), and neither does the pair fold below
     // (ties within an iteration share their minsup).
     timer.Reset();
-    double min_th = ComputeMinThreshold(blocks, n, config.ng, minsup);
+    double min_th = ComputeMinThreshold(blocks, n, config.ng, minsup, pool);
     std::vector<Block> kept;
     kept.reserve(blocks.size());
     for (auto& b : blocks) {

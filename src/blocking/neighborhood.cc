@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace yver::blocking {
 
@@ -14,8 +15,59 @@ size_t NgCap(double ng, uint32_t minsup) {
       2, static_cast<size_t>(std::ceil(ng * static_cast<double>(minsup))));
 }
 
+namespace {
+
+// Record ranges per worker in the parallel scan: enough that a
+// hub-heavy range does not hold back the tail, few enough that claiming
+// one is noise next to scanning it.
+constexpr size_t kTasksPerWorker = 16;
+
+// The scan of one record: its blocks in descending score order until
+// its neighborhood would outgrow `cap`. Returns the score of the block
+// that would overflow it, or 0.0 if none does. Sorts the record's own
+// CSR range in place and marks its neighbors in `stamp` with r + 1, so
+// records can be scanned in any order and on any thread as long as each
+// thread has its own stamp array.
+double RecordThreshold(const std::vector<Block>& blocks, size_t r,
+                       uint32_t* bs_begin, uint32_t* bs_end, size_t cap,
+                       uint32_t* stamp) {
+  if (bs_end - bs_begin <= 1) return 0.0;
+  // Score descending, ties broken by ascending block index: equal-score
+  // blocks must be visited in a specified order or the derived min_th
+  // would hinge on std::sort's unspecified equal-element placement.
+  std::sort(bs_begin, bs_end, [&blocks](uint32_t a, uint32_t b) {
+    if (blocks[a].score != blocks[b].score) {
+      return blocks[a].score > blocks[b].score;
+    }
+    return a < b;
+  });
+  const uint32_t mark = static_cast<uint32_t>(r) + 1;
+  size_t num_neighbors = 0;
+  for (const uint32_t* it = bs_begin; it != bs_end; ++it) {
+    const Block& block = blocks[*it];
+    size_t added = 0;
+    for (data::RecordIdx other : block.records) {
+      if (other != r && stamp[other] != mark) ++added;
+    }
+    if (num_neighbors + added > cap) {
+      // This block (and all lower-scoring ones for r) must go.
+      return block.score;
+    }
+    for (data::RecordIdx other : block.records) {
+      if (other != r && stamp[other] != mark) {
+        stamp[other] = mark;
+        ++num_neighbors;
+      }
+    }
+  }
+  return 0.0;
+}
+
+}  // namespace
+
 double ComputeMinThreshold(const std::vector<Block>& blocks,
-                           size_t num_records, double ng, uint32_t minsup) {
+                           size_t num_records, double ng, uint32_t minsup,
+                           util::ThreadPool* pool) {
   size_t cap = NgCap(ng, minsup);
   // Per-record block indices, ascending, as one flat array.
   std::vector<uint32_t> offsets(num_records + 1, 0);
@@ -33,44 +85,40 @@ double ComputeMinThreshold(const std::vector<Block>& blocks,
       for (data::RecordIdx r : blocks[b].records) record_blocks[fill[r]++] = b;
     }
   }
-  double min_th = 0.0;
   // Record r's neighbor set is {x : stamp[x] == r + 1}; moving on to the
-  // next record empties it without touching it.
-  std::vector<uint32_t> stamp(num_records, 0);
-  for (size_t r = 0; r < num_records; ++r) {
-    auto bs_begin = record_blocks.begin() + offsets[r];
-    auto bs_end = record_blocks.begin() + offsets[r + 1];
-    if (bs_end - bs_begin <= 1) continue;
-    // Score descending, ties broken by ascending block index: equal-score
-    // blocks must be visited in a specified order or the derived min_th
-    // would hinge on std::sort's unspecified equal-element placement.
-    std::sort(bs_begin, bs_end, [&blocks](uint32_t a, uint32_t b) {
-      if (blocks[a].score != blocks[b].score) {
-        return blocks[a].score > blocks[b].score;
-      }
-      return a < b;
-    });
-    const uint32_t mark = static_cast<uint32_t>(r) + 1;
-    size_t num_neighbors = 0;
-    for (auto it = bs_begin; it != bs_end; ++it) {
-      const Block& block = blocks[*it];
-      size_t added = 0;
-      for (data::RecordIdx other : block.records) {
-        if (other != r && stamp[other] != mark) ++added;
-      }
-      if (num_neighbors + added > cap) {
-        // This block (and all lower-scoring ones for r) must go.
-        min_th = std::max(min_th, block.score);
-        break;
-      }
-      for (data::RecordIdx other : block.records) {
-        if (other != r && stamp[other] != mark) {
-          stamp[other] = mark;
-          ++num_neighbors;
-        }
-      }
+  // next record empties it without touching it. std::max keeps 0.0 when
+  // a score is NaN or negative, so the maximum does not depend on the
+  // order records are scanned in.
+  auto scan = [&](size_t begin, size_t end, uint32_t* stamp, double* max) {
+    uint32_t* bs = record_blocks.data();
+    for (size_t r = begin; r < end; ++r) {
+      *max = std::max(*max, RecordThreshold(blocks, r, bs + offsets[r],
+                                            bs + offsets[r + 1], cap, stamp));
     }
+  };
+  if (pool == nullptr || pool->num_threads() <= 1 || num_records <= 1) {
+    std::vector<uint32_t> stamp(num_records, 0);
+    double min_th = 0.0;
+    scan(0, num_records, stamp.data(), &min_th);
+    return min_th;
   }
+  // Fixed ranges of `per_task` records, claimed by the workers. Each
+  // worker keeps its own stamp array and running maximum; a record only
+  // ever sorts its own CSR range, so tasks share nothing writable.
+  const size_t num_tasks =
+      std::min(num_records, pool->num_threads() * kTasksPerWorker);
+  const size_t per_task = (num_records + num_tasks - 1) / num_tasks;
+  std::vector<std::vector<uint32_t>> stamps(pool->num_threads());
+  std::vector<double> maxima(pool->num_threads(), 0.0);
+  pool->ParallelForDynamicWorkers(num_tasks, [&](size_t worker, size_t task) {
+    const size_t begin = std::min(num_records, task * per_task);
+    const size_t end = std::min(num_records, begin + per_task);
+    std::vector<uint32_t>& stamp = stamps[worker];
+    if (stamp.empty()) stamp.assign(num_records, 0);
+    scan(begin, end, stamp.data(), &maxima[worker]);
+  });
+  double min_th = 0.0;
+  for (double m : maxima) min_th = std::max(min_th, m);
   return min_th;
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "blocking/block.h"
+#include "util/thread_pool.h"
 
 namespace yver::blocking {
 
@@ -29,8 +30,16 @@ size_t NgCap(double ng, uint32_t minsup);
 ///
 /// Returns the minimal threshold; blocks with score <= threshold violate
 /// the SN condition for at least one record.
+///
+/// With a pool the per-record scans run over fixed record ranges claimed
+/// by the workers, each with its own neighbor-stamp array and running
+/// maximum (DESIGN.md §9). A record's result depends only on its own
+/// blocks, and the maximum of the per-record results does not depend on
+/// their order, so the threshold is bit-identical for every pool size,
+/// including none.
 double ComputeMinThreshold(const std::vector<Block>& blocks,
-                           size_t num_records, double ng, uint32_t minsup);
+                           size_t num_records, double ng, uint32_t minsup,
+                           util::ThreadPool* pool = nullptr);
 
 /// Neighborhood size helper: number of distinct records co-blocked with
 /// each record across `blocks` (only counting blocks with score >

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "util/check.h"
@@ -10,33 +11,25 @@ namespace yver::ml {
 
 namespace {
 
-// The training set transposed once, feature-major: column f is every
-// instance's value of feature f in instance order, so a split search
-// reads one contiguous array instead of one heap vector per instance.
-class Columns {
- public:
-  Columns(const std::vector<Instance>& instances, size_t num_features)
-      : n_(instances.size()), values_(n_ * num_features) {
-    for (size_t i = 0; i < n_; ++i) {
-      const std::vector<double>& fv = instances[i].features.values;
-      YVER_CHECK(fv.size() == num_features);
-      for (size_t f = 0; f < num_features; ++f) values_[f * n_ + i] = fv[f];
-    }
-  }
+// The bucket of a missing value.
+constexpr uint16_t kMissingBucket = std::numeric_limits<uint16_t>::max();
 
-  const double* column(size_t f) const { return values_.data() + f * n_; }
-
- private:
-  size_t n_;
-  std::vector<double> values_;
-};
-
-// Candidate split conditions for one feature as a flat array the scan
-// loop reads: thresholds (numeric, `value < key`) or coded values
-// (nominal, `value == key`).
+// Candidate split conditions for one feature — thresholds (numeric,
+// `value < key`, ascending) or coded values (nominal, `value == key`) —
+// and every instance's bucket against them, computed once per training
+// run because the keys never change:
+//   numeric: b = upper_bound(keys, v), so condition k holds iff b <= k;
+//   nominal: b = the index of the key equal to (int)v, or keys.size() if
+//            none is, so condition k holds iff b == k;
+// and kMissingBucket where the value is missing.
 struct FeatureCandidates {
   bool nominal = false;
   std::vector<double> keys;
+  std::vector<uint16_t> buckets;
+
+  bool Holds(uint16_t bucket, size_t k) const {
+    return nominal ? bucket == k : bucket <= k;
+  }
 
   AdtCondition Condition(size_t feature, size_t k) const {
     AdtCondition c;
@@ -51,37 +44,64 @@ struct FeatureCandidates {
   }
 };
 
-std::vector<FeatureCandidates> BuildCandidates(const Columns& columns,
-                                               size_t n,
-                                               size_t max_numeric_thresholds) {
+// Builds one feature at a time from the instances' values: the keys,
+// then the bucket column.
+std::vector<FeatureCandidates> BuildCandidates(
+    const std::vector<Instance>& instances, size_t max_numeric_thresholds) {
   const auto& schema = features::FeatureSchema::Get();
+  for (const Instance& inst : instances) {
+    YVER_CHECK(inst.features.values.size() == schema.size());
+  }
   std::vector<FeatureCandidates> out(schema.size());
+  std::vector<double> column(instances.size());
+  std::vector<double> values;
   for (size_t f = 0; f < schema.size(); ++f) {
     const auto& def = schema.def(f);
+    FeatureCandidates& cands = out[f];
+    for (size_t i = 0; i < instances.size(); ++i) {
+      column[i] = instances[i].features.values[f];
+    }
     if (def.kind == features::FeatureKind::kNominal) {
-      out[f].nominal = true;
-      for (int v = 0; v < def.num_nominal_values; ++v) out[f].keys.push_back(v);
-      continue;
+      cands.nominal = true;
+      for (int v = 0; v < def.num_nominal_values; ++v) cands.keys.push_back(v);
+    } else {
+      // Numeric: midpoints between consecutive distinct observed values,
+      // thinned with stride ⌊m/cap⌋ (see AdTreeTrainerOptions).
+      values.clear();
+      for (double v : column) {
+        if (!std::isnan(v)) values.push_back(v);
+      }
+      std::sort(values.begin(), values.end());
+      values.erase(std::unique(values.begin(), values.end()), values.end());
+      if (values.size() < 2) continue;
+      std::vector<double> midpoints;
+      midpoints.reserve(values.size() - 1);
+      for (size_t i = 0; i + 1 < values.size(); ++i) {
+        midpoints.push_back((values[i] + values[i + 1]) / 2.0);
+      }
+      size_t stride =
+          std::max<size_t>(1, midpoints.size() / max_numeric_thresholds);
+      for (size_t i = 0; i < midpoints.size(); i += stride) {
+        cands.keys.push_back(midpoints[i]);
+      }
     }
-    // Numeric: midpoints between consecutive distinct observed values,
-    // thinned with stride ⌊m/cap⌋ (see AdTreeTrainerOptions).
-    const double* col = columns.column(f);
-    std::vector<double> values;
-    for (size_t i = 0; i < n; ++i) {
-      if (!std::isnan(col[i])) values.push_back(col[i]);
-    }
-    std::sort(values.begin(), values.end());
-    values.erase(std::unique(values.begin(), values.end()), values.end());
-    if (values.size() < 2) continue;
-    std::vector<double> midpoints;
-    midpoints.reserve(values.size() - 1);
-    for (size_t i = 0; i + 1 < values.size(); ++i) {
-      midpoints.push_back((values[i] + values[i + 1]) / 2.0);
-    }
-    size_t stride =
-        std::max<size_t>(1, midpoints.size() / max_numeric_thresholds);
-    for (size_t i = 0; i < midpoints.size(); i += stride) {
-      out[f].keys.push_back(midpoints[i]);
+    if (cands.keys.empty()) continue;
+    YVER_CHECK_MSG(cands.keys.size() < kMissingBucket,
+                   "too many split candidates for a 16-bit bucket column");
+    const auto keys_begin = cands.keys.begin();
+    const auto keys_end = cands.keys.end();
+    cands.buckets.resize(instances.size());
+    for (size_t i = 0; i < instances.size(); ++i) {
+      const double v = column[i];
+      if (std::isnan(v)) {
+        cands.buckets[i] = kMissingBucket;
+        continue;
+      }
+      const auto it = cands.nominal
+                          ? std::find(keys_begin, keys_end,
+                                      static_cast<double>(static_cast<int>(v)))
+                          : std::upper_bound(keys_begin, keys_end, v);
+      cands.buckets[i] = static_cast<uint16_t>(it - keys_begin);
     }
   }
   return out;
@@ -108,28 +128,18 @@ struct TaskBest {
   WeightSplit split;
 };
 
-// Adds `w` to true[k] or false[k] for every condition k, branch-free: the
-// other side gets +0.0, which leaves a non-negative sum unchanged, so each
-// accumulator sees exactly the addends, in member order, that a
-// per-condition scan would give it.
-template <typename Truth>
-void Accumulate(size_t k_count, double w, Truth truth, double* on_true,
-                double* on_false) {
-  for (size_t k = 0; k < k_count; ++k) {
-    bool t = truth(k);
-    on_true[k] += t ? w : 0.0;
-    on_false[k] += t ? 0.0 : w;
-  }
-}
-
 // One pass over the members of a prediction node for one feature: the
 // present weight and the four weight sums of every condition, then the
-// task's first minimum of Z.
-TaskBest ScanTask(const std::vector<size_t>& members, const double* column,
+// task's first minimum of Z. A member adds its weight to true[k] for the
+// conditions it satisfies and to false[k] for the rest. The +0.0 a
+// per-condition scan would add to the other side leaves a non-negative
+// sum unchanged, so each accumulator sees exactly the nonzero addends,
+// in member order, of that scan, and the same bits.
+TaskBest ScanTask(const std::vector<size_t>& members,
                   const FeatureCandidates& cands, const double* weights,
                   const int* labels, double total_weight) {
   const size_t k_count = cands.keys.size();
-  const double* keys = cands.keys.data();
+  const uint16_t* buckets = cands.buckets.data();
   // pos_true | pos_false | neg_true | neg_false, k_count each.
   std::vector<double> acc(4 * k_count, 0.0);
   double* pos_true = acc.data();
@@ -138,20 +148,20 @@ TaskBest ScanTask(const std::vector<size_t>& members, const double* column,
   double* neg_false = neg_true + k_count;
   double present_weight = 0.0;
   for (size_t idx : members) {
-    double v = column[idx];
-    if (std::isnan(v)) continue;
+    const size_t b = buckets[idx];
+    if (b == kMissingBucket) continue;
     double w = weights[idx];
     present_weight += w;
     bool pos = labels[idx] > 0;
     double* on_true = pos ? pos_true : neg_true;
     double* on_false = pos ? pos_false : neg_false;
+    // b <= k_count: conditions [0, b) fail either way.
+    for (size_t k = 0; k < b; ++k) on_false[k] += w;
     if (cands.nominal) {
-      double iv = static_cast<int>(v);
-      Accumulate(k_count, w, [&](size_t k) { return iv == keys[k]; }, on_true,
-                 on_false);
+      if (b < k_count) on_true[b] += w;
+      for (size_t k = b + 1; k < k_count; ++k) on_false[k] += w;
     } else {
-      Accumulate(k_count, w, [&](size_t k) { return v < keys[k]; }, on_true,
-                 on_false);
+      for (size_t k = b; k < k_count; ++k) on_true[k] += w;
     }
   }
   TaskBest best;
@@ -202,9 +212,8 @@ AdTree TrainAdTree(const std::vector<Instance>& instances,
   for (size_t i = 0; i < n; ++i) all[i] = i;
   reach.push_back(std::move(all));
 
-  const Columns columns(instances, features::FeatureSchema::Get().size());
-  auto candidates =
-      BuildCandidates(columns, n, options.max_numeric_thresholds);
+  const std::vector<FeatureCandidates> candidates =
+      BuildCandidates(instances, options.max_numeric_thresholds);
 
   struct Task {
     size_t prediction;
@@ -229,9 +238,8 @@ AdTree TrainAdTree(const std::vector<Instance>& instances,
     slots.assign(tasks.size(), TaskBest{});
     auto run = [&](size_t t) {
       const Task& task = tasks[t];
-      slots[t] = ScanTask(reach[task.prediction], columns.column(task.feature),
-                          candidates[task.feature], weights.data(),
-                          labels.data(), total_weight);
+      slots[t] = ScanTask(reach[task.prediction], candidates[task.feature],
+                          weights.data(), labels.data(), total_weight);
     };
     if (pool == nullptr) {
       for (size_t t = 0; t < tasks.size(); ++t) run(t);
@@ -271,13 +279,13 @@ AdTree TrainAdTree(const std::vector<Instance>& instances,
 
     // Route the affected instances and update their weights; instances
     // with the feature missing stay at the parent (un-routed).
-    const double* column = columns.column(task.feature);
+    const FeatureCandidates& cands = candidates[task.feature];
     std::vector<size_t> true_members;
     std::vector<size_t> false_members;
     for (size_t idx : reach[task.prediction]) {
-      double v = column[idx];
-      if (std::isnan(v)) continue;
-      if (best_condition.Evaluate(v)) {
+      const uint16_t bucket = cands.buckets[idx];
+      if (bucket == kMissingBucket) continue;
+      if (cands.Holds(bucket, best.condition)) {
         true_members.push_back(idx);
         weights[idx] *= std::exp(-labels[idx] * a);
       } else {

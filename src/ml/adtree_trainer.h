@@ -20,7 +20,8 @@ struct AdTreeTrainerOptions {
   /// midpoints between consecutive distinct observed values are thinned
   /// with stride max(1, ⌊m/cap⌋), which keeps between min(m, cap) and
   /// 2·cap−1 of them (every midpoint while m < 2·cap) — a target, not an
-  /// upper bound. Must be positive.
+  /// upper bound. Must be positive, and the kept count must stay below
+  /// 65535, the reach of the trainer's 16-bit bucket columns (checked).
   size_t max_numeric_thresholds = 32;
 
   /// Laplace smoothing added inside the prediction-value logs (Weka's
@@ -39,11 +40,18 @@ struct AdTreeTrainerOptions {
 /// Instances whose split feature is missing stay un-routed (counted in the
 /// residual W(¬p) term), matching the scorer's skip-on-missing semantics.
 ///
-/// The split search runs over a feature-major copy of the instances, one
-/// pass per (prediction node, feature) task; with a pool the tasks of a
-/// round run in parallel into per-task slots and are reduced serially in
-/// (node, feature) order. The tree is bit-identical for every pool size,
-/// including none (DESIGN.md §7).
+/// The candidate conditions are fixed for a whole run, so every
+/// instance's value is reduced once to a 16-bit bucket per feature — the
+/// number of thresholds at or below it (numeric), or the index of its
+/// nominal value — and the split search and the routing read only those
+/// bucket columns. The split search is one pass per (prediction node,
+/// feature) task that adds each member's weight to the true side of the
+/// conditions it satisfies and the false side of the rest, skipping the
+/// +0.0 addends a per-condition scan would make, which change no bits.
+/// With a pool the tasks of a round run in parallel into per-task slots
+/// and are reduced serially in (node, feature) order. The tree is
+/// bit-identical for every pool size, including none, and to the
+/// instance-major reference trainer (DESIGN.md §7).
 AdTree TrainAdTree(const std::vector<Instance>& instances,
                    const AdTreeTrainerOptions& options,
                    util::ThreadPool* pool = nullptr);

@@ -5,11 +5,12 @@
 // intersections (data::InvertedIndex::Support), and the stamp-array
 // sparse-neighborhood threshold (blocking::ComputeMinThreshold) against
 // the unordered_set version kept in tests/support/reference_min_threshold.h,
-// including its independence of block order.
+// including its independence of block order and of the pool size.
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -179,7 +180,17 @@ TEST(GroupedSupportsEquivalenceTest, NoItemsets) {
 // ---------------------------------------------------------------------------
 // Stamp-array minimum threshold
 
+// Every threshold test runs with no pool and on pools of 1, 2 and 8
+// workers; each result must carry the serial reference's bits.
+void ExpectSameBits(double got, double expected, const std::string& context,
+                    const std::unique_ptr<util::ThreadPool>& pool) {
+  EXPECT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
+      << context << " (" << Threads(pool) << " threads): " << got << " vs "
+      << expected;
+}
+
 TEST(MinThresholdEquivalenceTest, MatchesUnorderedSetVersionWithScoreTies) {
+  const auto pools = PoolMatrix();
   util::Rng rng(99);
   size_t raised = 0;
   for (int trial = 0; trial < 200; ++trial) {
@@ -205,8 +216,11 @@ TEST(MinThresholdEquivalenceTest, MatchesUnorderedSetVersionWithScoreTies) {
     const auto minsup = static_cast<uint32_t>(rng.UniformInt(2, 5));
     const double expected =
         ReferenceComputeMinThreshold(blocks, num_records, ng, minsup);
-    EXPECT_EQ(ComputeMinThreshold(blocks, num_records, ng, minsup), expected)
-        << "trial " << trial;
+    for (const auto& pool : pools) {
+      ExpectSameBits(
+          ComputeMinThreshold(blocks, num_records, ng, minsup, pool.get()),
+          expected, "trial " + std::to_string(trial), pool);
+    }
     if (expected > 0.0) ++raised;
   }
   EXPECT_GT(raised, 50u);  // the cap must actually bind
@@ -215,6 +229,7 @@ TEST(MinThresholdEquivalenceTest, MatchesUnorderedSetVersionWithScoreTies) {
 // Only the hub record sits in more than one block, so it alone can raise
 // the threshold — at either end of the record range.
 TEST(MinThresholdEquivalenceTest, HubRecordAtEitherEnd) {
+  const auto pools = PoolMatrix();
   const size_t num_records = 40;
   for (data::RecordIdx hub : {data::RecordIdx{0}, data::RecordIdx{39}}) {
     std::vector<Block> blocks;
@@ -230,8 +245,11 @@ TEST(MinThresholdEquivalenceTest, HubRecordAtEitherEnd) {
     const double expected =
         ReferenceComputeMinThreshold(blocks, num_records, 2.0, 2);
     EXPECT_GT(expected, 0.0);
-    EXPECT_EQ(ComputeMinThreshold(blocks, num_records, 2.0, 2), expected)
-        << "hub " << hub;
+    for (const auto& pool : pools) {
+      ExpectSameBits(ComputeMinThreshold(blocks, num_records, 2.0, 2,
+                                         pool.get()),
+                     expected, "hub " + std::to_string(hub), pool);
+    }
   }
 }
 
@@ -239,8 +257,9 @@ TEST(MinThresholdEquivalenceTest, HubRecordAtEitherEnd) {
 // threshold must not depend on it: a tie group of equal-score blocks
 // overflows a record's cap iff their union does, whichever block comes
 // first. Shuffled block lists with many ties and hub records must give
-// the same threshold, bit for bit.
+// the reference's threshold on the unshuffled list, bit for bit.
 TEST(MinThresholdEquivalenceTest, OrderInvariantUnderPermutations) {
+  const auto pools = PoolMatrix();
   util::Rng rng(2024);
   size_t raised = 0;
   for (int trial = 0; trial < 150; ++trial) {
@@ -270,14 +289,18 @@ TEST(MinThresholdEquivalenceTest, OrderInvariantUnderPermutations) {
     const double ng = 1.0 + 0.5 * static_cast<double>(rng.UniformInt(0, 4));
     const auto minsup = static_cast<uint32_t>(rng.UniformInt(2, 4));
     const double expected =
-        ComputeMinThreshold(blocks, num_records, ng, minsup);
+        ReferenceComputeMinThreshold(blocks, num_records, ng, minsup);
     if (expected > 0.0) ++raised;
     for (int shuffle = 0; shuffle < 8; ++shuffle) {
       rng.Shuffle(blocks);
-      const double got = ComputeMinThreshold(blocks, num_records, ng, minsup);
-      EXPECT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
-          << "trial " << trial << " shuffle " << shuffle << ": " << got
-          << " vs " << expected;
+      for (const auto& pool : pools) {
+        ExpectSameBits(
+            ComputeMinThreshold(blocks, num_records, ng, minsup, pool.get()),
+            expected,
+            "trial " + std::to_string(trial) + " shuffle " +
+                std::to_string(shuffle),
+            pool);
+      }
     }
   }
   EXPECT_GT(raised, 40u);  // the cap must actually bind

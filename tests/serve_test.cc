@@ -315,34 +315,36 @@ class ResolutionServiceTest : public testing::Test {
 TEST_F(ResolutionServiceTest, CertaintyEdgeCases) {
   ResolutionService service(index_);
   // certainty is a strict lower bound: at 0.0, confidence-0 matches drop.
-  Query at_zero{3, 0.0, 0, Granularity::kMatches};
+  Query at_zero{3, 0.0, 0, Granularity::kMatches,
+                util::Deadline::Infinite()};
   auto r0 = service.QueryRecord(at_zero);
   ASSERT_TRUE(r0.ok());
   for (const auto& m : r0->matches) EXPECT_GT(m.confidence, 0.0);
 
   // At 1.0 nothing above the synthetic max of 2.0 except high scores; all
   // returned matches must be strictly greater.
-  Query at_one{3, 1.0, 0, Granularity::kMatches};
+  Query at_one{3, 1.0, 0, Granularity::kMatches, util::Deadline::Infinite()};
   auto r1 = service.QueryRecord(at_one);
   ASSERT_TRUE(r1.ok());
   for (const auto& m : r1->matches) EXPECT_GT(m.confidence, 1.0);
 
   // Beyond the maximum confidence: empty, not an error.
-  Query above_all{3, 1e9, 0, Granularity::kMatches};
+  Query above_all{3, 1e9, 0, Granularity::kMatches,
+                  util::Deadline::Infinite()};
   auto r2 = service.QueryRecord(above_all);
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(r2->matches.empty());
 
   // NaN certainty is rejected.
   Query nan_query{3, std::numeric_limits<double>::quiet_NaN(), 0,
-                  Granularity::kMatches};
+                  Granularity::kMatches, util::Deadline::Infinite()};
   auto rejected = service.QueryRecord(nan_query);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument);
 
   // Out-of-corpus record is rejected.
   Query beyond{static_cast<data::RecordIdx>(kRecords), 0.0, 0,
-               Granularity::kMatches};
+               Granularity::kMatches, util::Deadline::Infinite()};
   auto out_of_range = service.QueryRecord(beyond);
   ASSERT_FALSE(out_of_range.ok());
   EXPECT_EQ(out_of_range.status().code(), util::StatusCode::kOutOfRange);
@@ -353,14 +355,15 @@ TEST_F(ResolutionServiceTest, EntityGranularityMatchesClusters) {
   ResolutionService service(index_);
   core::EntityClusters clusters = index_->ClustersAt(0.3);
   for (data::RecordIdx r = 0; r < kRecords; r += 41) {
-    Query query{r, 0.3, 0, Granularity::kEntity};
+    Query query{r, 0.3, 0, Granularity::kEntity, util::Deadline::Infinite()};
     auto result = service.QueryRecord(query);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->entity, clusters.Members(r));
     EXPECT_TRUE(result->matches.empty());
   }
   // k truncates entity members too.
-  Query truncated{0, 0.3, 1, Granularity::kEntity};
+  Query truncated{0, 0.3, 1, Granularity::kEntity,
+                  util::Deadline::Infinite()};
   auto result = service.QueryRecord(truncated);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->entity.size(), 1u);

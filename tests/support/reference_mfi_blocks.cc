@@ -6,9 +6,11 @@
 
 #include "blocking/block_scoring.h"
 #include "blocking/neighborhood.h"
+#include "support/reference_block_scoring.h"
 #include "support/reference_fp_growth.h"
 #include "support/reference_grouped_supports.h"
 #include "support/reference_inverted_index.h"
+#include "support/reference_min_threshold.h"
 #include "util/check.h"
 
 namespace yver::blocking {
@@ -88,10 +90,11 @@ MfiBlocksResult ReferenceRunMfiBlocks(const data::EncodedDataset& encoded,
 
     for (Block& b : blocks) {
       b.score = config.score_kind == BlockScoreKind::kClusterJaccard
-                    ? ClusterJaccardScore(encoded, b, weights)
+                    ? ReferenceClusterJaccardScore(encoded, b, weights)
                     : ExpertSimScore(encoded, b, weights);
     }
-    const double min_th = ComputeMinThreshold(blocks, n, config.ng, minsup);
+    const double min_th =
+        ReferenceComputeMinThreshold(blocks, n, config.ng, minsup);
     for (Block& b : blocks) {
       if (b.score <= min_th) continue;
       for (size_t i = 0; i < b.records.size(); ++i) {

@@ -12,8 +12,11 @@ namespace yver::blocking {
 /// recomputes every support set with GroupedSupports over a fresh
 /// InvertedIndex, drops blocks outside [2, NgCap(ng, minsup)],
 /// deduplicates record sets in mining order keeping the longer key, and
-/// then scores, thresholds and emits exactly as RunMfiBlocks does.
-/// Serial; timings are left zero.
+/// then scores, thresholds and emits as RunMfiBlocks does, but with the
+/// reference kernels: ClusterJaccard through ReferenceClusterJaccardScore
+/// and the threshold through ReferenceComputeMinThreshold, so a drift in
+/// either production kernel cannot reach the oracle. Serial; timings are
+/// left zero.
 ///
 /// Test-only: tests/blocking_equivalence_test.cc checks that RunMfiBlocks
 /// returns the same pairs, bit for bit, and the same blocks as a

@@ -16,7 +16,8 @@ namespace yver::blocking {
 ///
 /// Test-only: tests/blocking_equivalence_test.cc checks that the
 /// production stamp-array version returns the same threshold, bit for
-/// bit. Never link this into production code.
+/// bit, and the reference MFIBlocks run (reference_mfi_blocks.h)
+/// thresholds with it. Never link this into production code.
 double ReferenceComputeMinThreshold(const std::vector<Block>& blocks,
                                     size_t num_records, double ng,
                                     uint32_t minsup);
