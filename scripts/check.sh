@@ -95,9 +95,10 @@ if [[ "$run_tsan" == 1 ]]; then
   # TSan exists for — readers pin generations while a writer publishes —
   # and ChaosTest.SwapUnderLoad* drives the full swap-under-load
   # consistency proof race-checked.
-  # Wal* is the durability layer (DESIGN.md §14): group-commit batching
-  # means concurrent appenders hand frames to a leader thread, so the
-  # WAL unit and WAL-backed ingest suites run race-checked as well.
+  # Wal* is the durability layer (DESIGN.md §14): the epoll loop thread
+  # appends while the builder thread calls Retire and any thread reads
+  # stats(), all under the log's one mutex, so the WAL unit and
+  # WAL-backed ingest suites run race-checked as well.
   # AdTree* covers the parallel ADTree trainer: each round's split-search
   # tasks run across the pool and write into per-task slots.
   # *VerticalMiner* and the blocking equivalence suites (the oracle

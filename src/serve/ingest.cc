@@ -82,31 +82,11 @@ LiveIndexBuilder::~LiveIndexBuilder() { Stop(); }
 
 util::StatusOr<data::RecordIdx> LiveIndexBuilder::Submit(
     data::Record record) {
-  if (options_.wal == nullptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      return util::Status::Unavailable("live ingest is shutting down");
-    }
-    if (queue_.size() >= options_.max_queue_depth) {
-      return util::Status::ResourceExhausted("ingest queue is full");
-    }
-    // The index is assigned here, at enqueue: base corpus + arrival
-    // position. The builder applies strictly in queue order, so the record
-    // is guaranteed to land at exactly this index in every generation that
-    // contains it.
-    data::RecordIdx idx =
-        static_cast<data::RecordIdx>(base_records_ + submitted_);
-    ++submitted_;
-    queue_.push_back(std::move(record));
-    work_cv_.notify_one();
-    return idx;
-  }
-
-  // Durable path: submitters serialize through submit_mu_ so the WAL's
-  // sequence order is exactly the queue's arrival order — the property
-  // that lets replay reassign the same corpus indices the acks promised.
-  // The fsync wait happens under submit_mu_ only; queries, stats, and the
-  // builder's drain never block on it.
+  // Submitters serialize through submit_mu_, so with a WAL its sequence
+  // order is exactly the queue's arrival order — the property that lets
+  // replay reassign the same corpus indices the acks promised. The fsync
+  // happens under submit_mu_ only; queries, stats, and the builder's drain
+  // never block on it.
   std::lock_guard<std::mutex> submit_lock(submit_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -117,19 +97,27 @@ util::StatusOr<data::RecordIdx> LiveIndexBuilder::Submit(
       return util::Status::ResourceExhausted("ingest queue is full");
     }
   }
-  auto sequence = options_.wal->Append(record);
-  if (!sequence.ok()) return sequence.status();
+  uint64_t sequence = 0;
+  if (options_.wal != nullptr) {
+    auto appended = options_.wal->Append(record);
+    if (!appended.ok()) return appended.status();
+    sequence = *appended;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) {
-    // The record is durable but the builder is gone: it will replay (and
-    // take this same index) on the next startup. The caller still gets a
-    // typed refusal — an ack must mean "in the index soon", not "maybe
-    // after a restart".
+    // Stop began during the append. A durable record will replay (and
+    // take this same index) on the next startup, but the caller still
+    // gets a typed refusal — an ack must mean "in the index soon", not
+    // "maybe after a restart".
     return util::Status::Unavailable("live ingest is shutting down");
   }
+  // The index is assigned here, at enqueue: base corpus + arrival
+  // position. The builder applies strictly in queue order, so the record
+  // is guaranteed to land at exactly this index in every generation that
+  // contains it.
   data::RecordIdx idx =
       static_cast<data::RecordIdx>(base_records_ + submitted_);
-  YVER_CHECK_MSG(WalSequenceFor(idx) == *sequence,
+  YVER_CHECK_MSG(!durable() || WalSequenceFor(idx) == sequence,
                  "wal sequence diverged from the corpus index");
   ++submitted_;
   queue_.push_back(std::move(record));

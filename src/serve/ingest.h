@@ -120,13 +120,13 @@ class LiveIndexBuilder {
   /// Enqueues one report and returns the corpus index it will occupy once
   /// published. RESOURCE_EXHAUSTED when the queue is full, UNAVAILABLE
   /// after Stop. Thread-safe; arrival order across concurrent submitters
-  /// is whatever order they won the queue lock in — each caller's records
+  /// is whatever order they won the submit lock in — each caller's records
   /// keep their relative order.
   ///
-  /// With a WAL configured, Submit persists the record first (group
-  /// commit; the call blocks on the fsync) and only then lets the builder
-  /// see it, so a successful return means the record survives a crash.
-  /// Submitters serialize through the log: WAL order *is* arrival order,
+  /// With a WAL configured, Submit persists the record first (the call
+  /// blocks on its fsync) and only then lets the builder see it, so a
+  /// successful return means the record survives a crash. Submitters
+  /// serialize around the append: WAL order *is* arrival order,
   /// which is what makes replay reproduce the exact corpus indices that
   /// were acked.
   util::StatusOr<data::RecordIdx> Submit(data::Record record);
@@ -176,10 +176,10 @@ class LiveIndexBuilder {
   size_t base_records_ = 0;
   uint64_t last_snapshot_count_ = 0;  // appended records covered (builder thread)
 
-  /// Serializes durable submits: the WAL append (including the group-
-  /// commit wait) and the enqueue happen under this lock so the log order
-  /// equals the queue order. Never held while mu_ is wanted by others for
-  /// long — the fsync wait happens here, not under mu_.
+  /// Serializes submits: the WAL append (including its fsync) and the
+  /// enqueue happen under this lock so the log order equals the queue
+  /// order. The fsync wait happens here, not under mu_, so nothing else
+  /// that wants mu_ waits on the disk.
   std::mutex submit_mu_;
 
   mutable std::mutex mu_;

@@ -29,13 +29,22 @@ constexpr size_t kReadChunk = 64 * 1024;
 // frame larger than the cap still grows `in` one chunk per wakeup until
 // it completes.
 constexpr size_t kInSoftCap = 256 * 1024;
-// 512 slots x the (default 20ms) tick ≈ a 10s horizon: every defense
-// timeout inside it fires without spurious wakeups; longer ones (idle)
-// cost one early wake per wheel round.
-constexpr size_t kWheelSlots = 512;
+constexpr int kListenBacklog = 128;
 
 std::chrono::steady_clock::duration MillisDuration(double ms) {
   return std::chrono::nanoseconds(static_cast<int64_t>(ms * 1e6));
+}
+
+// The epoll_wait timeout that wakes the loop at `deadline`: whole ms,
+// rounded up so a timer never fires early; -1 (sleep until an event)
+// when there is no deadline.
+int MillisUntil(std::chrono::steady_clock::time_point deadline) {
+  if (deadline == std::chrono::steady_clock::time_point::max()) return -1;
+  auto left = deadline - std::chrono::steady_clock::now();
+  if (left <= std::chrono::steady_clock::duration::zero()) return 0;
+  auto ms = std::chrono::ceil<std::chrono::milliseconds>(left).count();
+  return static_cast<int>(
+      std::min<int64_t>(ms, std::numeric_limits<int>::max()));
 }
 
 void BumpPeak(std::atomic<uint64_t>& peak, uint64_t value) {
@@ -73,7 +82,6 @@ Server::Server(std::shared_ptr<ResolutionService> service,
       builder_(std::move(builder)) {
   YVER_CHECK_MSG(service_ != nullptr, "Server needs a ResolutionService");
   if (options_.max_batch == 0) options_.max_batch = 1;
-  if (options_.timer_tick_ms <= 0) options_.timer_tick_ms = 20;
 }
 
 Server::~Server() { Shutdown(); }
@@ -91,7 +99,7 @@ size_t Server::MaxFramePayload() const {
 
 util::Status Server::Start() {
   if (running()) return util::Status::Ok();
-  auto listener = util::Socket::Listen(options_.port, options_.backlog);
+  auto listener = util::Socket::Listen(options_.port, kListenBacklog);
   if (!listener.ok()) return listener.status();
   listener_ = std::move(*listener);
   auto port = listener_.LocalPort();
@@ -116,8 +124,6 @@ util::Status Server::Start() {
   ev.data.u64 = kWakeId;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
-  wheel_ = std::make_unique<DeadlineWheel>(
-      MillisDuration(options_.timer_tick_ms), kWheelSlots);
   global_bucket_ = TokenBucket{};
   stop_requested_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
@@ -134,7 +140,6 @@ void Server::Shutdown() {
   // The loop has exited and every connection is closed. Tear down the fds.
   conns_.clear();
   ready_.clear();
-  wheel_.reset();
   listener_.Close();
   if (epoll_fd_ >= 0) {
     ::close(epoll_fd_);
@@ -210,6 +215,7 @@ void Server::Loop() {
   std::vector<epoll_event> events(128);
   bool draining = false;
   Clock::time_point drain_deadline{};
+  Clock::time_point next_deadline = Clock::time_point::max();
   for (;;) {
     if (!draining && stop_requested_.load(std::memory_order_acquire)) {
       // Graceful shutdown begins: no new connections, no new reads; every
@@ -242,7 +248,7 @@ void Server::Loop() {
       for (auto& [id, conn] : conns_) {
         if (!conn.dead && conn.pending.empty() &&
             conn.out_off >= conn.out.size()) {
-          MarkDead(id, conn);
+          MarkDead(conn);
         }
       }
     }
@@ -256,7 +262,7 @@ void Server::Loop() {
     // blocking so they go out this turn, after any new readiness.
     int timeout_ms = !ready_.empty() ? 0
                      : draining      ? 10
-                                     : wheel_->MillisUntilNext(Clock::now());
+                                     : MillisUntil(next_deadline);
     int n = ::epoll_wait(epoll_fd_, events.data(),
                          static_cast<int>(events.size()), timeout_ms);
     if (n < 0) {
@@ -281,7 +287,7 @@ void Server::Loop() {
       if (it == conns_.end() || it->second.dead) continue;
       Connection& conn = it->second;
       if ((mask & (EPOLLHUP | EPOLLERR)) != 0 && conn.pending.empty()) {
-        MarkDead(id, conn);
+        MarkDead(conn);
         continue;
       }
       // EPOLLRDHUP (peer half-closed) rides the read path: the next read
@@ -292,18 +298,12 @@ void Server::Loop() {
       if (!conn.dead && (mask & EPOLLOUT) != 0) HandleWritable(id, conn);
     }
     ServeReady();
-    if (!draining) {
-      for (uint64_t id : wheel_->ExpireUntil(Clock::now())) {
-        auto it = conns_.find(id);
-        if (it == conns_.end() || it->second.dead) continue;
-        OnConnDeadline(id, it->second);
-      }
-    }
+    if (!draining) next_deadline = ExpireDeadlines();
   }
   // Drain-deadline expiry or epoll failure: force-close stragglers so
   // peers see EOF rather than a hung connection.
   for (auto& [id, conn] : conns_) {
-    if (!conn.dead) MarkDead(id, conn);
+    if (!conn.dead) MarkDead(conn);
   }
   ReapDead();
 }
@@ -363,7 +363,7 @@ void Server::HandleReadable(uint64_t id, Connection& conn) {
       // Hard or injected socket error: the stream is gone; drop the
       // connection (in-flight work completes and is discarded).
       socket_errors_.fetch_add(1, std::memory_order_relaxed);
-      MarkDead(id, conn);
+      MarkDead(conn);
       return;
     }
     if (r->would_block) break;
@@ -378,7 +378,7 @@ void Server::HandleReadable(uint64_t id, Connection& conn) {
     BumpPeak(peak_in_buffer_, conn.in.size());
     if (options_.max_in_buffer > 0 &&
         conn.in.size() > options_.max_in_buffer) {
-      Disconnect(id, conn, DisconnectReason::kOversize);
+      Disconnect(conn, DisconnectReason::kOversize);
       return;
     }
     if (r->bytes < sizeof(buf)) break;  // level-triggered: rest next round
@@ -392,7 +392,7 @@ void Server::HandleReadable(uint64_t id, Connection& conn) {
     return;
   }
   if (conn.closing && conn.in.empty() && conn.out_off >= conn.out.size()) {
-    MarkDead(id, conn);  // EOF with nothing outstanding: close now
+    MarkDead(conn);  // EOF with nothing outstanding: close now
     return;
   }
   UpdateConnState(id, conn);
@@ -449,7 +449,7 @@ void Server::DecodeFrames(uint64_t id, Connection& conn) {
           &bytes);
       responses_sent_.fetch_add(1, std::memory_order_relaxed);
       QueueWrite(id, conn, std::move(bytes));
-      if (!conn.dead) Disconnect(id, conn, DisconnectReason::kOversize);
+      if (!conn.dead) Disconnect(conn, DisconnectReason::kOversize);
       return;
     }
     if (rest.size() < wire::kHeaderSize + header.payload_length) {
@@ -480,7 +480,7 @@ void Server::DecodeFrames(uint64_t id, Connection& conn) {
           // drop the connection.
           AnswerPending(id, conn, conn.pending.size());
           if (!conn.dead) {
-            Disconnect(id, conn, DisconnectReason::kRateLimited);
+            Disconnect(conn, DisconnectReason::kRateLimited);
           }
           return;
         }
@@ -588,7 +588,7 @@ void Server::ServeReady() {
       MarkReady(id, conn);
     } else if (conn.closing && conn.in.empty() &&
                conn.out_off >= conn.out.size()) {
-      MarkDead(id, conn);
+      MarkDead(conn);
       continue;
     }
     UpdateConnState(id, conn);
@@ -674,7 +674,7 @@ void Server::QueueWrite(uint64_t id, Connection& conn, std::string bytes) {
   // peer hold server memory hostage.
   if (options_.max_out_buffer > 0 &&
       conn.out.size() - conn.out_off > options_.max_out_buffer) {
-    Disconnect(id, conn, DisconnectReason::kWriteStall);
+    Disconnect(conn, DisconnectReason::kWriteStall);
   }
 }
 
@@ -685,7 +685,7 @@ void Server::HandleWritable(uint64_t id, Connection& conn) {
                                  conn.out.size() - conn.out_off);
     if (!r.ok()) {
       socket_errors_.fetch_add(1, std::memory_order_relaxed);
-      MarkDead(id, conn);
+      MarkDead(conn);
       return;
     }
     if (r->would_block || r->bytes == 0) break;
@@ -697,7 +697,7 @@ void Server::HandleWritable(uint64_t id, Connection& conn) {
     conn.out.clear();
     conn.out_off = 0;
     if (conn.closing && conn.in.empty() && conn.pending.empty()) {
-      MarkDead(id, conn);
+      MarkDead(conn);
       return;
     }
   }
@@ -742,7 +742,7 @@ void Server::UpdateConnState(uint64_t id, Connection& conn) {
     conn.window_start_bytes = conn.bytes_read;
   }
   if (stopping) return;  // drain mode: the drain deadline governs
-  // Schedule the connection's nearest defense deadline on the wheel.
+  // The connection's nearest defense deadline.
   Clock::time_point next = Clock::time_point::max();
   size_t backlog = conn.out.size() - conn.out_off;
   bool quiescent =
@@ -762,11 +762,20 @@ void Server::UpdateConnState(uint64_t id, Connection& conn) {
                     conn.last_write_progress +
                         MillisDuration(options_.write_stall_timeout_ms));
   }
-  if (next == Clock::time_point::max()) {
-    wheel_->Cancel(id);
-  } else {
-    wheel_->Schedule(id, next);
+  conn.deadline = next;
+}
+
+Server::Clock::time_point Server::ExpireDeadlines() {
+  Clock::time_point now = Clock::now();
+  Clock::time_point earliest = Clock::time_point::max();
+  // OnConnDeadline only flags a connection dead (ReapDead erases it at
+  // the top of the next turn), so iterating conns_ here stays valid.
+  for (auto& [id, conn] : conns_) {
+    if (conn.dead) continue;
+    if (conn.deadline <= now) OnConnDeadline(id, conn);
+    if (!conn.dead) earliest = std::min(earliest, conn.deadline);
   }
+  return earliest;
 }
 
 void Server::OnConnDeadline(uint64_t id, Connection& conn) {
@@ -777,7 +786,7 @@ void Server::OnConnDeadline(uint64_t id, Connection& conn) {
   if (options_.idle_timeout_ms > 0 && quiescent && !conn.closing &&
       now - conn.last_activity >=
           MillisDuration(options_.idle_timeout_ms)) {
-    Disconnect(id, conn, DisconnectReason::kIdle);
+    Disconnect(conn, DisconnectReason::kIdle);
     return;
   }
   if (conn.partial_frame && conn.reads_armed &&
@@ -791,7 +800,7 @@ void Server::OnConnDeadline(uint64_t id, Connection& conn) {
     double got =
         static_cast<double>(conn.bytes_read - conn.window_start_bytes);
     if (got < needed) {
-      Disconnect(id, conn, DisconnectReason::kSlowloris);
+      Disconnect(conn, DisconnectReason::kSlowloris);
       return;
     }
     // Progress was made: a fresh window.
@@ -801,14 +810,13 @@ void Server::OnConnDeadline(uint64_t id, Connection& conn) {
   if (backlog > 0 && options_.write_stall_timeout_ms > 0 &&
       now - conn.last_write_progress >=
           MillisDuration(options_.write_stall_timeout_ms)) {
-    Disconnect(id, conn, DisconnectReason::kWriteStall);
+    Disconnect(conn, DisconnectReason::kWriteStall);
     return;
   }
   UpdateConnState(id, conn);  // reschedules whatever deadline is next
 }
 
-void Server::Disconnect(uint64_t id, Connection& conn,
-                        DisconnectReason reason) {
+void Server::Disconnect(Connection& conn, DisconnectReason reason) {
   if (conn.dead) return;
   switch (reason) {
     case DisconnectReason::kIdle:
@@ -827,12 +835,11 @@ void Server::Disconnect(uint64_t id, Connection& conn,
       disconnects_write_stall_.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-  MarkDead(id, conn);
+  MarkDead(conn);
 }
 
-void Server::MarkDead(uint64_t id, Connection& conn) {
+void Server::MarkDead(Connection& conn) {
   if (conn.dead) return;
-  if (wheel_ != nullptr) wheel_->Cancel(id);
   if (conn.read_paused) {
     conn.read_paused = false;
     paused_reads_.fetch_sub(1, std::memory_order_relaxed);

@@ -13,7 +13,6 @@
 
 #include "data/record.h"
 #include "serve/ingest.h"
-#include "serve/net/deadline_wheel.h"
 #include "serve/resolution_service.h"
 #include "serve/wire.h"
 #include "util/socket.h"
@@ -25,7 +24,6 @@ namespace yver::serve::net {
 struct ServerOptions {
   /// TCP port on 127.0.0.1 (0 = kernel-assigned; read back via port()).
   uint16_t port = 0;
-  int backlog = 128;
   /// The per-turn fairness quantum: pending frames a connection gets
   /// answered per event-loop turn, in one write (see Server).
   size_t max_batch = 64;
@@ -91,9 +89,6 @@ struct ServerOptions {
   /// (no admitted frame in between) is disconnected (reason:
   /// rate-limited). 0 = never disconnect, keep answering typed errors.
   size_t rate_limit_disconnect_streak = 1024;
-  /// Granularity of the loop's deadline wheel (timers fire up to one tick
-  /// late).
-  double timer_tick_ms = 20;
 };
 
 /// Monotonic counters, readable while the server runs.
@@ -142,9 +137,10 @@ struct ServerStats {
 /// Connection lifecycle (DESIGN.md §15): reading → paused → draining →
 /// dead. Reads pause (EPOLLIN deregistered) while the pending queue is at
 /// its cap — TCP flow control then pushes back on the peer instead of the
-/// server buffering unboundedly. A deadline wheel in the loop drives idle
-/// timeouts, slow-loris progress timeouts, and write-stall detection;
-/// token buckets rate-limit query/append frames. Every defensive
+/// server buffering unboundedly. Each connection carries its nearest
+/// defense deadline (idle timeout, slow-loris progress window, write
+/// stall); the loop sleeps until the earliest one and checks them all
+/// after every turn; token buckets rate-limit query/append frames. Every defensive
 /// disconnect is typed (idle / slowloris / oversize / rate-limited /
 /// write-stall) and surfaced both in ServerStats and on the wire via the
 /// kInfo NetGauges.
@@ -251,6 +247,8 @@ class Server {
     Clock::time_point last_write_progress{};
     Clock::time_point window_start{};       // slow-loris progress window
     uint64_t window_start_bytes = 0;
+    // Nearest defense deadline (max = none); set by UpdateConnState.
+    Clock::time_point deadline = Clock::time_point::max();
     TokenBucket bucket;
     uint64_t rate_limited_streak = 0;
   };
@@ -272,11 +270,15 @@ class Server {
   /// order, and queues their encoded responses as one write.
   void AnswerPending(uint64_t id, Connection& conn, size_t limit);
   /// Recomputes and applies the connection's epoll interest set (pause /
-  /// resume reads, write interest) and its next wheel deadline. The one
-  /// place connection state maps to kernel + timer state; call after any
-  /// state change.
+  /// resume reads, write interest) and its next deadline. The one place
+  /// connection state maps to kernel + timer state; call after any state
+  /// change.
   void UpdateConnState(uint64_t id, Connection& conn);
-  /// Fires when the wheel expires a connection's deadline: decides idle /
+  /// Calls OnConnDeadline for every live connection whose deadline has
+  /// passed and returns the earliest deadline left (max = none). One pass
+  /// over conns_, so O(max_connections) per loop turn.
+  Clock::time_point ExpireDeadlines();
+  /// Fires when a connection's deadline has passed: decides idle /
   /// slowloris / write-stall, disconnects or reschedules.
   void OnConnDeadline(uint64_t id, Connection& conn);
   /// Appends bytes to the connection's write buffer and pushes them into
@@ -284,11 +286,11 @@ class Server {
   /// Enforces the out-buffer cap.
   void QueueWrite(uint64_t id, Connection& conn, std::string bytes);
   /// Counts the typed reason, then MarkDead.
-  void Disconnect(uint64_t id, Connection& conn, DisconnectReason reason);
+  void Disconnect(Connection& conn, DisconnectReason reason);
   /// Closes the socket and flags the connection; the entry itself is
   /// erased only by ReapDead at the top of a loop turn, so nested
   /// handlers never hold a dangling Connection reference.
-  void MarkDead(uint64_t id, Connection& conn);
+  void MarkDead(Connection& conn);
   void ReapDead();
   wire::ServerInfo MakeInfo() const;
   size_t PendingCap() const;
@@ -309,9 +311,8 @@ class Server {
   std::unordered_map<uint64_t, Connection> conns_;
   uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = wake fd
 
-  // Loop-thread only: connection deadlines, the global rate bucket, and
-  // the ready list with the scratch list ServeReady swaps it into.
-  std::unique_ptr<DeadlineWheel> wheel_;
+  // Loop-thread only: the global rate bucket, and the ready list with the
+  // scratch list ServeReady swaps it into.
   TokenBucket global_bucket_;
   std::vector<uint64_t> ready_;
   std::vector<uint64_t> serving_;

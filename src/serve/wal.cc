@@ -328,7 +328,6 @@ util::StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     if (!synced.ok()) return synced;
   }
 
-  wal->next_sequence_ = next_expected;
   wal->durable_sequence_ = next_expected - 1;
   wal->recovered_records_ = recovered->size();
   return wal;
@@ -361,46 +360,6 @@ util::Status WriteAheadLog::RotateLocked(uint64_t first_sequence) {
   return util::Status::Ok();
 }
 
-util::Status WriteAheadLog::WriteAndSync(const std::string& batch,
-                                         uint64_t first_sequence_in_batch) {
-  // Called with flushing_ held (the leader token), never with mu_: other
-  // appenders keep buffering while this batch hits the disk.
-  if (active_size_ >= options_.segment_bytes) {
-    std::lock_guard<std::mutex> lock(mu_);
-    util::Status rotated = RotateLocked(first_sequence_in_batch);
-    if (!rotated.ok()) return rotated;
-    util::Status synced = FsyncDir(dir_);
-    if (!synced.ok()) return synced;
-  }
-  uint64_t offset_before = active_size_;
-  util::Status wrote = WriteFully(fd_, batch.data(), batch.size(),
-                                  static_cast<off_t>(offset_before));
-  if (wrote.ok()) {
-    wrote = util::FaultInjector::Global().InjectIo(
-        util::FaultPoint::kWalFsync);
-    if (wrote.ok() && ::fsync(fd_) != 0) wrote = Errno("wal fsync");
-  }
-  if (!wrote.ok()) {
-    // Roll the segment back to the last durable byte: a failed (unacked)
-    // batch must never survive to replay. If even the rollback fails the
-    // on-disk state is unknowable and the log refuses further appends.
-    if (::ftruncate(fd_, static_cast<off_t>(offset_before)) != 0) {
-      std::lock_guard<std::mutex> lock(mu_);
-      poisoned_ = true;
-      return util::Status::DataLoss(
-          "wal rollback failed after a write error; log is poisoned (" +
-          wrote.message() + ")");
-    }
-    return wrote;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    active_size_ = offset_before + batch.size();
-    ++fsyncs_;
-  }
-  return util::Status::Ok();
-}
-
 util::StatusOr<uint64_t> WriteAheadLog::Append(const data::Record& record) {
   util::Status injected =
       util::FaultInjector::Global().InjectIo(util::FaultPoint::kWalAppend);
@@ -410,53 +369,46 @@ util::StatusOr<uint64_t> WriteAheadLog::Append(const data::Record& record) {
   std::string payload;
   wire::EncodeAppend(record, &payload);
 
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (poisoned_) {
     return util::Status::DataLoss(
         "wal is poisoned (a rollback failed; on-disk state is unknowable)");
   }
-  uint64_t sequence = next_sequence_++;
-  uint64_t my_epoch = abort_epoch_;
-  FrameRecord(sequence, payload, &pending_);
-
-  for (;;) {
-    if (abort_epoch_ != my_epoch) {
-      // A leader failed the batch this record was buffered into; the
-      // bytes were rolled back and the sequence will be reassigned.
-      return last_error_;
-    }
-    if (durable_sequence_ >= sequence) {
-      ++appends_;
-      return sequence;
-    }
-    if (!flushing_) break;  // no leader in flight — become one
-    cv_.wait(lock);
+  // A failed append leaves durable_sequence_ alone, so its sequence is
+  // reused by the next one.
+  uint64_t sequence = durable_sequence_ + 1;
+  std::string framed;
+  FrameRecord(sequence, payload, &framed);
+  if (active_size_ >= options_.segment_bytes) {
+    util::Status rotated = RotateLocked(sequence);
+    if (!rotated.ok()) return rotated;
+    util::Status synced = FsyncDir(dir_);
+    if (!synced.ok()) return synced;
   }
-
-  flushing_ = true;
-  std::string batch;
-  std::swap(batch, pending_);
-  uint64_t batch_first = durable_sequence_ + 1;
-  uint64_t batch_last = next_sequence_ - 1;
-  lock.unlock();
-  util::Status flushed = WriteAndSync(batch, batch_first);
-  lock.lock();
-  flushing_ = false;
-  if (flushed.ok()) {
-    durable_sequence_ = batch_last;
-    ++appends_;
-    cv_.notify_all();
-    return sequence;
+  util::Status wrote = WriteFully(fd_, framed.data(), framed.size(),
+                                  static_cast<off_t>(active_size_));
+  if (wrote.ok()) {
+    wrote = util::FaultInjector::Global().InjectIo(
+        util::FaultPoint::kWalFsync);
+    if (wrote.ok() && ::fsync(fd_) != 0) wrote = Errno("wal fsync");
   }
-  // Fail everything buffered for or during this flush: their bytes are
-  // gone (rolled back or never written) and their sequences are reused,
-  // so on-disk bytes stay exactly the acked records.
-  pending_.clear();
-  next_sequence_ = durable_sequence_ + 1;
-  ++abort_epoch_;
-  last_error_ = flushed;
-  cv_.notify_all();
-  return flushed;
+  if (!wrote.ok()) {
+    // Roll the segment back to the last durable byte: a failed (unacked)
+    // record must never survive to replay. If even the rollback fails the
+    // on-disk state is unknowable and the log refuses further appends.
+    if (::ftruncate(fd_, static_cast<off_t>(active_size_)) != 0) {
+      poisoned_ = true;
+      return util::Status::DataLoss(
+          "wal rollback failed after a write error; log is poisoned (" +
+          wrote.message() + ")");
+    }
+    return wrote;
+  }
+  active_size_ += framed.size();
+  durable_sequence_ = sequence;
+  ++appends_;
+  ++fsyncs_;
+  return sequence;
 }
 
 util::Status WriteAheadLog::Retire(uint64_t through_sequence) {

@@ -1,7 +1,6 @@
 #ifndef YVER_SERVE_WAL_H_
 #define YVER_SERVE_WAL_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -16,7 +15,7 @@ namespace yver::serve {
 /// Tuning knobs for a WriteAheadLog.
 struct WalOptions {
   /// A segment that has grown past this many bytes is sealed and the next
-  /// batch opens a fresh one. Small values exercise rotation; production
+  /// append opens a fresh one. Small values exercise rotation; production
   /// wants megabytes so retirement reclaims space in coarse units.
   size_t segment_bytes = 4u << 20;
 };
@@ -24,7 +23,7 @@ struct WalOptions {
 /// Point-in-time WAL counters.
 struct WalStats {
   uint64_t appends = 0;            // records durably appended since Open
-  uint64_t fsyncs = 0;             // group-commit fsync calls issued
+  uint64_t fsyncs = 0;             // data fsyncs issued, one per append
   uint64_t rotations = 0;          // segments sealed since Open
   uint64_t segments = 0;           // segment files currently on disk
   uint64_t durable_sequence = 0;   // highest sequence known durable
@@ -60,11 +59,11 @@ struct WalRecoveredRecord {
 ///     u64    FNV-1a over (length, sequence, payload) bytes
 ///
 /// Durability contract: the bytes on disk are exactly the acked records.
-/// Group commit batches concurrent appenders behind one fsync (a leader
-/// writes everybody's buffered bytes and syncs once); a failed write or
-/// fsync truncates the segment back to the last durable offset and fails
-/// every append in the batch typed — a failed (unacked) append can never
-/// reappear at recovery. The only permitted divergence is the
+/// Each append is one write and one fsync under the log's lock (its one
+/// production caller, live ingest, appends one record at a time); a
+/// failed write or fsync truncates the segment back to the last durable
+/// offset and fails the append typed — a failed (unacked) append can
+/// never reappear at recovery. The only permitted divergence is the
 /// durable-but-unacked window: a crash after fsync but before the ack
 /// reaches the client may replay a few records the client never saw the
 /// ack for; those are always a contiguous suffix of the durable stream,
@@ -78,8 +77,8 @@ struct WalRecoveredRecord {
 /// with valid bytes after it — is corruption, not a crash artifact, and
 /// Open fails with DATA_LOSS rather than silently dropping acked records.
 ///
-/// Thread-safe: Append may be called from any number of threads; Retire
-/// and stats may race with appends.
+/// Thread-safe: concurrent Appends serialize on the lock; Retire and stats
+/// may race with appends.
 class WriteAheadLog {
  public:
   /// Opens (creating the directory and first segment if needed) and
@@ -96,8 +95,7 @@ class WriteAheadLog {
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
   /// Durably appends one record and returns its sequence. Blocks until
-  /// the record's batch is fsync'd (group commit: concurrent appenders
-  /// share one fsync). On failure (typed UNAVAILABLE / DATA_LOSS) the
+  /// the record is fsync'd. On failure (typed UNAVAILABLE / DATA_LOSS) the
   /// record is guaranteed NOT to be on disk and its sequence is reused —
   /// on-disk bytes always equal the acked records exactly.
   util::StatusOr<uint64_t> Append(const data::Record& record);
@@ -123,29 +121,17 @@ class WriteAheadLog {
 
   WriteAheadLog(std::string dir, WalOptions options);
 
-  /// Leader half of group commit: writes `batch` (rotating first when the
-  /// active segment is full), fsyncs, and on failure truncates back to
-  /// the pre-batch offset. Called without mu_ held.
-  util::Status WriteAndSync(const std::string& batch,
-                            uint64_t first_sequence_in_batch);
-
   util::Status RotateLocked(uint64_t first_sequence);
 
   std::string dir_;
   WalOptions options_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<Segment> segments_;  // oldest first; back() is active
   int fd_ = -1;                    // active segment, O_APPEND-less plain fd
   uint64_t active_size_ = 0;       // bytes in the active segment
-  uint64_t next_sequence_ = 1;     // next sequence to assign
   uint64_t durable_sequence_ = 0;  // highest fsync'd sequence
-  std::string pending_;            // encoded records awaiting the leader
-  bool flushing_ = false;          // a leader is inside WriteAndSync
   bool poisoned_ = false;          // a rollback failed; refuse all appends
-  uint64_t abort_epoch_ = 0;       // bumped when a batch fails; fails waiters
-  util::Status last_error_ = util::Status::Ok();
   uint64_t appends_ = 0;
   uint64_t fsyncs_ = 0;
   uint64_t rotations_ = 0;

@@ -25,7 +25,7 @@ enum class FaultPoint : uint8_t {
   kIndexPublish,        // serve: installing a new index generation
   kIndexSave,           // serve: writing the .yvx artifact
   kWalAppend,           // serve: appending a record to the write-ahead log
-  kWalFsync,            // serve: the group-commit fsync of a WAL batch
+  kWalFsync,            // serve: the fsync of one WAL append
   kWalReplay,           // serve: per-record reads during WAL recovery
   kNumPoints,           // sentinel — keep last
 };

@@ -1,7 +1,7 @@
-// Tests of the connection-lifecycle defense layer (DESIGN.md §15): the
-// deadline wheel that drives it, each typed disconnect reason (idle,
-// slow-loris, oversize, rate-limited, write-stall) observed end-to-end
-// through the v4 kInfo gauges, bounded buffer memory against a client
+// Tests of the connection-lifecycle defense layer (DESIGN.md §15): each
+// typed disconnect reason (idle, slow-loris, oversize, rate-limited,
+// write-stall) and the re-arming of a connection's deadline, observed
+// end-to-end through the v4 kInfo gauges, bounded buffer memory against a client
 // that never reads, the client-side read timeout against a silent
 // server, and the chaos test: a well-behaved query fleet stays
 // byte-equal to the serial baseline — and never loses a connection —
@@ -22,7 +22,6 @@
 #include "data/record.h"
 #include "serve/net/adversary.h"
 #include "serve/net/client.h"
-#include "serve/net/deadline_wheel.h"
 #include "serve/net/server.h"
 #include "serve/query.h"
 #include "serve/resolution_index.h"
@@ -37,6 +36,7 @@ namespace yver::serve {
 namespace {
 
 using util::StatusCode;
+using Clock = std::chrono::steady_clock;
 
 constexpr size_t kNumRecords = 200;
 constexpr size_t kNumMatches = 800;
@@ -102,88 +102,11 @@ std::vector<std::string> ReferenceBytes(
 }
 
 // ---------------------------------------------------------------------------
-// DeadlineWheel: the timer structure under every defense timeout
-
-using Clock = std::chrono::steady_clock;
-
-TEST(DeadlineWheelTest, ExpiresInDeadlineOrderAcrossSlots) {
-  net::DeadlineWheel wheel(std::chrono::milliseconds(10), 8);
-  Clock::time_point base = Clock::now();
-  wheel.Schedule(1, base + std::chrono::milliseconds(25));
-  wheel.Schedule(2, base + std::chrono::milliseconds(5));
-  wheel.Schedule(3, base + std::chrono::milliseconds(45));
-  EXPECT_EQ(wheel.size(), 3u);
-
-  auto fired = wheel.ExpireUntil(base + std::chrono::milliseconds(30));
-  std::sort(fired.begin(), fired.end());
-  EXPECT_EQ(fired, (std::vector<uint64_t>{1, 2}));
-  EXPECT_EQ(wheel.size(), 1u);
-
-  fired = wheel.ExpireUntil(base + std::chrono::milliseconds(60));
-  EXPECT_EQ(fired, (std::vector<uint64_t>{3}));
-  EXPECT_EQ(wheel.size(), 0u);
-}
-
-TEST(DeadlineWheelTest, RescheduleReplacesTheOldDeadline) {
-  net::DeadlineWheel wheel(std::chrono::milliseconds(10), 8);
-  Clock::time_point base = Clock::now();
-  wheel.Schedule(7, base + std::chrono::milliseconds(500));
-  wheel.Schedule(7, base + std::chrono::milliseconds(10));  // moved earlier
-  auto fired = wheel.ExpireUntil(base + std::chrono::milliseconds(20));
-  EXPECT_EQ(fired, (std::vector<uint64_t>{7}));
-  // The stale far-future entry must not fire again.
-  fired = wheel.ExpireUntil(base + std::chrono::milliseconds(600));
-  EXPECT_TRUE(fired.empty());
-  EXPECT_EQ(wheel.size(), 0u);
-}
-
-TEST(DeadlineWheelTest, CancelPreventsFiring) {
-  net::DeadlineWheel wheel(std::chrono::milliseconds(10), 8);
-  Clock::time_point base = Clock::now();
-  wheel.Schedule(4, base + std::chrono::milliseconds(15));
-  wheel.Cancel(4);
-  EXPECT_EQ(wheel.size(), 0u);
-  EXPECT_TRUE(wheel.ExpireUntil(base + std::chrono::seconds(1)).empty());
-}
-
-TEST(DeadlineWheelTest, FutureRoundEntriesDoNotFireEarly) {
-  // 8 slots x 10 ms = an 80 ms round; a 250 ms deadline shares a slot
-  // with near-term ticks and must survive the earlier passes.
-  net::DeadlineWheel wheel(std::chrono::milliseconds(10), 8);
-  Clock::time_point base = Clock::now();
-  wheel.Schedule(9, base + std::chrono::milliseconds(250));
-  EXPECT_TRUE(
-      wheel.ExpireUntil(base + std::chrono::milliseconds(100)).empty());
-  EXPECT_TRUE(
-      wheel.ExpireUntil(base + std::chrono::milliseconds(200)).empty());
-  auto fired = wheel.ExpireUntil(base + std::chrono::milliseconds(260));
-  EXPECT_EQ(fired, (std::vector<uint64_t>{9}));
-}
-
-TEST(DeadlineWheelTest, MillisUntilNextIsConservative) {
-  net::DeadlineWheel wheel(std::chrono::milliseconds(10), 8);
-  Clock::time_point base = Clock::now();
-  EXPECT_EQ(wheel.MillisUntilNext(base), -1);  // empty: sleep forever
-  wheel.Schedule(1, base + std::chrono::milliseconds(35));
-  int ms = wheel.MillisUntilNext(base);
-  ASSERT_GE(ms, 1);   // never a busy-loop zero while nothing is due
-  EXPECT_LE(ms, 35);  // never oversleeps past the deadline
-  // Once due, the wait collapses to zero.
-  EXPECT_EQ(wheel.MillisUntilNext(base + std::chrono::milliseconds(40)), 0);
-}
-
-// ---------------------------------------------------------------------------
 // Targeted defenses, each observed over the wire through the v4 gauges
-
-net::ServerOptions FastTickOptions() {
-  net::ServerOptions options;
-  options.timer_tick_ms = 5;
-  return options;
-}
 
 TEST(HostileNetTest, IdleConnectionIsDisconnectedAndCounted) {
   auto service = std::make_shared<ResolutionService>(MakeIndex());
-  net::ServerOptions options = FastTickOptions();
+  net::ServerOptions options;
   options.idle_timeout_ms = 100;
   net::Server server(service, options);
   ASSERT_TRUE(server.Start().ok());
@@ -211,9 +134,41 @@ TEST(HostileNetTest, IdleConnectionIsDisconnectedAndCounted) {
   EXPECT_EQ(server.stats().disconnects_idle, 1u);
 }
 
+TEST(HostileNetTest, TrafficKeepsReArmingTheIdleTimer) {
+  auto service = std::make_shared<ResolutionService>(MakeIndex());
+  net::ServerOptions options;
+  options.idle_timeout_ms = 150;
+  net::Server server(service, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto conn = net::Client::Connect(server.port());
+  ASSERT_TRUE(conn.ok());
+  // One query every 50 ms for three idle timeouts: every answer pushes
+  // the connection's deadline out again, so a deadline left at its first
+  // value would drop the connection mid-conversation.
+  auto workload = MakeWorkload(9, 5);
+  auto start = Clock::now();
+  for (size_t i = 0; i < workload.size(); ++i) {
+    std::this_thread::sleep_until(start + std::chrono::milliseconds(50 * i));
+    auto answer = conn->Call(workload[i], 0.0,
+                             util::Deadline::AfterMillis(5000));
+    ASSERT_TRUE(answer.ok()) << "query " << i << ": "
+                             << answer.status().ToString();
+  }
+  EXPECT_EQ(server.stats().disconnects_idle, 0u);
+
+  // Then silence: the last deadline still fires.
+  auto next = conn->ReadFrameBytes(util::Deadline::AfterMillis(5000));
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.status().code(), StatusCode::kUnavailable)
+      << next.status().ToString();
+  server.Shutdown();
+  EXPECT_EQ(server.stats().disconnects_idle, 1u);
+}
+
 TEST(HostileNetTest, SlowlorisIsDisconnectedWithTypedReason) {
   auto service = std::make_shared<ResolutionService>(MakeIndex());
-  net::ServerOptions options = FastTickOptions();
+  net::ServerOptions options;
   options.min_read_bytes_per_sec = 50;
   options.progress_window_ms = 200;
   net::Server server(service, options);
@@ -241,7 +196,7 @@ TEST(HostileNetTest, SlowlorisIsDisconnectedWithTypedReason) {
 
 TEST(HostileNetTest, DribblePacedAboveMinRateIsServedNotDisconnected) {
   auto service = std::make_shared<ResolutionService>(MakeIndex());
-  net::ServerOptions options = FastTickOptions();
+  net::ServerOptions options;
   options.min_read_bytes_per_sec = 50;
   options.progress_window_ms = 200;
   net::Server server(service, options);
@@ -268,7 +223,7 @@ TEST(HostileNetTest, DribblePacedAboveMinRateIsServedNotDisconnected) {
 
 TEST(HostileNetTest, RateLimitedQueriesGetTypedErrorsInOrder) {
   auto service = std::make_shared<ResolutionService>(MakeIndex());
-  net::ServerOptions options = FastTickOptions();
+  net::ServerOptions options;
   options.conn_rate_limit = 5;
   options.conn_rate_burst = 1;
   options.rate_limit_disconnect_streak = 0;  // typed answers, never drop
@@ -313,7 +268,7 @@ TEST(HostileNetTest, RateLimitedQueriesGetTypedErrorsInOrder) {
 
 TEST(HostileNetTest, SustainedRateFloodIsDisconnected) {
   auto service = std::make_shared<ResolutionService>(MakeIndex());
-  net::ServerOptions options = FastTickOptions();
+  net::ServerOptions options;
   options.conn_rate_limit = 2;
   options.conn_rate_burst = 1;
   options.rate_limit_disconnect_streak = 3;
@@ -352,7 +307,7 @@ TEST(HostileNetTest, SustainedRateFloodIsDisconnected) {
 
 TEST(HostileNetTest, OversizeDeclaredFrameIsRejectedBeforeBuffering) {
   auto service = std::make_shared<ResolutionService>(MakeIndex());
-  net::ServerOptions options = FastTickOptions();
+  net::ServerOptions options;
   options.max_frame_payload = 1024;
   net::Server server(service, options);
   ASSERT_TRUE(server.Start().ok());
@@ -390,7 +345,7 @@ TEST(HostileNetTest, OversizeDeclaredFrameIsRejectedBeforeBuffering) {
 
 TEST(HostileNetTest, NeverReadClientIsBoundedAndDropped) {
   auto service = std::make_shared<ResolutionService>(MakeIndex());
-  net::ServerOptions options = FastTickOptions();
+  net::ServerOptions options;
   options.max_out_buffer = 64u << 10;
   // Without the clamp the kernel send buffer auto-tunes to megabytes and
   // absorbs responses the dead reader never drains, so the userspace
@@ -421,7 +376,7 @@ TEST(HostileNetTest, NeverReadClientIsBoundedAndDropped) {
 
 TEST(HostileNetTest, GarbageGetsOneTypedErrorThenEof) {
   auto service = std::make_shared<ResolutionService>(MakeIndex());
-  net::Server server(service, FastTickOptions());
+  net::Server server(service);
   ASSERT_TRUE(server.Start().ok());
 
   net::AdversaryOptions attack;
@@ -440,7 +395,7 @@ TEST(HostileNetTest, GarbageGetsOneTypedErrorThenEof) {
 
 TEST(HostileNetTest, HalfCloseDeliversEveryAnswerThenCleanEof) {
   auto service = std::make_shared<ResolutionService>(MakeIndex());
-  net::Server server(service, FastTickOptions());
+  net::Server server(service);
   ASSERT_TRUE(server.Start().ok());
 
   net::AdversaryOptions attack;
@@ -495,7 +450,7 @@ TEST(HostileNetTest, FleetStaysByteEqualToSerialBaselineUnderAttack) {
 
   for (size_t threads : {1u, 2u, 8u}) {
     auto service = std::make_shared<ResolutionService>(index);
-    net::ServerOptions server_options = FastTickOptions();
+    net::ServerOptions server_options;
     server_options.max_batch = 16;
     // Defenses armed the way a hostile deployment would run them — except
     // rate limits, which would throttle the legitimate fleet too.

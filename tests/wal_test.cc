@@ -1,5 +1,5 @@
 // Tests of the durable-ingest layer (DESIGN.md §14): WriteAheadLog
-// framing, group commit, segment rotation/retirement, and the recovery
+// framing, concurrent appenders, segment rotation/retirement, and the recovery
 // contract — acked records always survive, unacked records never
 // reappear, torn tails are truncated, mid-file corruption is a typed
 // refusal. The kill-and-restart process-level harness lives in
@@ -193,7 +193,7 @@ TEST(WalTest, AppendAndReopenRoundTrip) {
 }
 
 TEST(WalTest, ConcurrentAppendersGroupCommit) {
-  std::string dir = FreshDir("wal_group_commit");
+  std::string dir = FreshDir("wal_concurrent_appenders");
   std::vector<WalRecoveredRecord> recovered;
   auto wal = OpenWal(dir, &recovered);
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
@@ -221,11 +221,8 @@ TEST(WalTest, ConcurrentAppendersGroupCommit) {
   auto stats = (*wal)->stats();
   EXPECT_EQ(stats.appends, kTotal);
   EXPECT_EQ(stats.durable_sequence, kTotal);
-  // Group commit: never more fsyncs than appends; with 8 contending
-  // appenders batches almost always coalesce, but a fully serialized
-  // schedule (one fsync per append) is legal, so only the bound is hard.
-  EXPECT_LE(stats.fsyncs, kTotal);
-  EXPECT_GT(stats.fsyncs, 0u);
+  // Concurrent appenders serialize on the log: one fsync per append.
+  EXPECT_EQ(stats.fsyncs, kTotal);
 
   // Sequences are exactly 1..N, each acked once.
   std::sort(acked.begin(), acked.end());
@@ -482,8 +479,8 @@ TEST(WalTest, AppendFaultChaosKeepsDiskEqualToAcks) {
       }
     }
     // The mix must have exercised both injection points, including the
-    // group-commit fsync (reachable only when the append-point roll
-    // spares the record).
+    // per-append fsync (reachable only when the append-point roll spares
+    // the record).
     EXPECT_GT(FaultInjector::Global().injections(FaultPoint::kWalAppend), 0u);
     EXPECT_GT(FaultInjector::Global().injections(FaultPoint::kWalFsync), 0u);
   }
@@ -612,6 +609,35 @@ TEST(WalIngestTest, AckedRecordsSurviveAndReplayDeterministically) {
   EXPECT_EQ(rebuilt.num_records(), 4 + acked.size());
   EXPECT_EQ(rebuilt.Checksum(), served_checksum)
       << "replayed index diverged from the one served before the restart";
+}
+
+// Submit refuses before it touches the log: a record the builder will
+// not enqueue must not become durable either.
+TEST(WalIngestTest, FullQueueShedsBeforeTheLog) {
+  std::string dir = FreshDir("wal_ingest_full_queue");
+  std::vector<WalRecoveredRecord> recovered;
+  auto wal = OpenWal(dir, &recovered);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  IngestOptions options;
+  options.max_queue_depth = 0;
+  LiveServing live = MakeWalServing(wal->get(), options);
+  auto shed = live.builder->Submit(MakeReport(9, "a", "b", "c"));
+  ASSERT_FALSE(shed.ok());
+  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ((*wal)->stats().appends, 0u);
+}
+
+TEST(WalIngestTest, SubmitAfterStopIsUnavailableAndNotLogged) {
+  std::string dir = FreshDir("wal_ingest_stopped");
+  std::vector<WalRecoveredRecord> recovered;
+  auto wal = OpenWal(dir, &recovered);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  LiveServing live = MakeWalServing(wal->get());
+  live.builder->Stop();
+  auto refused = live.builder->Submit(MakeReport(9, "a", "b", "c"));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ((*wal)->stats().appends, 0u);
 }
 
 // Snapshots bound replay: every snapshot_every applied records the

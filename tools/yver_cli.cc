@@ -852,7 +852,7 @@ int CmdServe(const ServeOptions& options) {
   }
   if (recovery.wal) {
     auto wal_stats = recovery.wal->stats();
-    std::printf("wal: %llu append(s) in %llu fsync batch(es), %llu "
+    std::printf("wal: %llu append(s), %llu fsync(s), %llu "
                 "rotation(s), %llu segment(s) on disk, %llu snapshot(s)\n",
                 static_cast<unsigned long long>(wal_stats.appends),
                 static_cast<unsigned long long>(wal_stats.fsyncs),
