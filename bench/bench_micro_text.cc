@@ -87,9 +87,13 @@ void BM_ClusterJaccardScore(benchmark::State& state) {
   block.key = {0, 1};
   for (data::RecordIdx r = 0; r < 6; ++r) block.records.push_back(r);
   auto weights = blocking::DefaultExpertWeights();
+  // One stamp array for the run and a fresh mark per call, as a
+  // RunMfiBlocks worker scores its blocks.
+  std::vector<uint32_t> stamp(encoded.dictionary.size(), 0);
+  uint32_t mark = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        blocking::ClusterJaccardScore(encoded, block, weights));
+        blocking::ClusterJaccardScore(encoded, block, weights, stamp, ++mark));
   }
 }
 BENCHMARK(BM_ClusterJaccardScore);

@@ -107,8 +107,10 @@ if [[ "$run_tsan" == 1 ]]; then
   # search scratch and write only their own output slot, checked against
   # brute force and the FP-Growth oracle at several pool sizes.
   # MinThresholdEquivalence* runs the sparse-neighborhood threshold on
-  # pools of 1, 2 and 8 (per-worker stamp arrays over record ranges), and
-  # BlockScoringEquivalence* the arena-backed block scorer.
+  # pools of 1, 2 and 8 (per-worker stamp arrays over record ranges, and
+  # the per-record CSR filled from block chunks with atomic slot claims),
+  # and BlockScoringEquivalence* the block scorer's item-stamp arrays,
+  # which RunMfiBlocks keeps one per worker.
   # *ResolutionIndex* also picks up the Extend equivalence suites, and
   # LiveIndexBuilder* the builder's extend-and-publish rounds.
   ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTree*:*VerticalMiner*:MinThresholdEquivalence*:BlockScoringEquivalence*'
@@ -242,11 +244,12 @@ if [[ "$run_asan" == 1 ]]; then
   # is exactly what ASan+UBSan exist to pin down; Gazetteer* covers the
   # owned-resolver lifetime contract the serving path depends on.
   # AdTree* adds the ADTree trainer, whose split search is raw index
-  # arithmetic over the 16-bit bucket columns. *VerticalMiner* and
+  # arithmetic over the 16-bit bucket columns and the per-bucket
+  # histograms indexed by them. *VerticalMiner* and
   # MfiBlocksOracleEquivalence* add the miner, whose row views are raw
   # offsets into CSR levels and whose small nodes are 64-bit row masks.
-  # BlockScoringEquivalence* adds the block scorer's stack arena, which
-  # its largest unions overflow onto the heap. *ResolutionIndex* and
+  # BlockScoringEquivalence* adds the block scorer, which indexes its
+  # item-stamp array by item id and its attribute counts by attribute. *ResolutionIndex* and
   # IncrementalCandidateEquivalence* add the live-append path: Extend's
   # merge and the adjacency it rebuilds are span and offset arithmetic
   # over the match arena, and the dense candidate counter indexes a

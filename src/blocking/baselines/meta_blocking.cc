@@ -54,14 +54,20 @@ std::vector<data::RecordPair> CleanComparisons(
     return 0.0;
   };
 
+  // Edges in pair-key order: the weight sum below and the top-k ties are
+  // taken in this order, never in the hash table's.
+  std::vector<std::pair<uint64_t, uint32_t>> edges(common.begin(),
+                                                   common.end());
+  std::sort(edges.begin(), edges.end());
+
   std::vector<data::RecordPair> kept;
   if (options.pruning == PruningScheme::kWeightedEdge) {
     // WEP: global mean weight threshold.
     double sum = 0.0;
-    for (const auto& [key, cbs] : common) sum += weight_of(key, cbs);
-    double mean = common.empty() ? 0.0 : sum / static_cast<double>(
-                                                   common.size());
-    for (const auto& [key, cbs] : common) {
+    for (const auto& [key, cbs] : edges) sum += weight_of(key, cbs);
+    double mean = edges.empty() ? 0.0 : sum / static_cast<double>(
+                                                  edges.size());
+    for (const auto& [key, cbs] : edges) {
       if (weight_of(key, cbs) > mean) {
         kept.emplace_back(static_cast<data::RecordIdx>(key >> 32),
                           static_cast<data::RecordIdx>(key & 0xffffffffu));
@@ -75,19 +81,21 @@ std::vector<data::RecordPair> CleanComparisons(
       uint64_t key;
     };
     std::vector<std::vector<Edge>> per_record(num_records);
-    for (const auto& [key, cbs] : common) {
+    for (const auto& [key, cbs] : edges) {
       double w = weight_of(key, cbs);
       per_record[key >> 32].push_back(Edge{w, key});
       per_record[key & 0xffffffffu].push_back(Edge{w, key});
     }
     std::unordered_map<uint64_t, bool> retained;
-    for (auto& edges : per_record) {
-      size_t k = std::min(options.node_top_k, edges.size());
-      std::partial_sort(edges.begin(), edges.begin() + static_cast<long>(k),
-                        edges.end(), [](const Edge& x, const Edge& y) {
-                          return x.weight > y.weight;
+    for (auto& record_edges : per_record) {
+      size_t k = std::min(options.node_top_k, record_edges.size());
+      std::partial_sort(record_edges.begin(),
+                        record_edges.begin() + static_cast<long>(k),
+                        record_edges.end(), [](const Edge& x, const Edge& y) {
+                          if (x.weight != y.weight) return x.weight > y.weight;
+                          return x.key < y.key;
                         });
-      for (size_t i = 0; i < k; ++i) retained[edges[i].key] = true;
+      for (size_t i = 0; i < k; ++i) retained[record_edges[i].key] = true;
     }
     kept.reserve(retained.size());
     for (const auto& [key, keep] : retained) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <memory_resource>
-#include <unordered_set>
 #include <vector>
 
 #include "util/check.h"
@@ -13,9 +11,17 @@ namespace yver::blocking {
 
 namespace {
 
-// Stack space for ClusterJaccardScore's union set: room for a few
-// thousand items before the arena spills to the heap.
-constexpr size_t kUnionArenaBytes = 64 * 1024;
+using AttributeCounts = std::array<uint32_t, data::kNumAttributes>;
+
+// Σ_a w_a · n_a in AttributeId order.
+double WeightedCount(const AttributeCounts& counts,
+                     const AttributeWeights& weights) {
+  double sum = 0.0;
+  for (size_t a = 0; a < counts.size(); ++a) {
+    sum += weights[a] * static_cast<double>(counts[a]);
+  }
+  return sum;
+}
 
 double ItemWeight(const data::ItemDictionary& dict,
                   const AttributeWeights& weights, data::ItemId id) {
@@ -58,26 +64,35 @@ double SoftBagSimilarity(const data::EncodedDataset& encoded,
 }  // namespace
 
 double ClusterJaccardScore(const data::EncodedDataset& encoded,
+                           const Block& block, const AttributeWeights& weights,
+                           std::span<uint32_t> stamp, uint32_t mark) {
+  YVER_CHECK(!block.records.empty());
+  YVER_CHECK(mark != 0);
+  const auto& dict = encoded.dictionary;
+  YVER_CHECK(stamp.size() >= dict.size());
+  // Key items are distinct (an itemset), so each counts once.
+  AttributeCounts key_counts{};
+  for (data::ItemId id : block.key) {
+    ++key_counts[static_cast<size_t>(dict.attribute(id))];
+  }
+  AttributeCounts union_counts{};
+  for (data::RecordIdx r : block.records) {
+    for (data::ItemId id : encoded.bags[r]) {
+      if (stamp[id] == mark) continue;
+      stamp[id] = mark;
+      ++union_counts[static_cast<size_t>(dict.attribute(id))];
+    }
+  }
+  const double union_weight = WeightedCount(union_counts, weights);
+  if (union_weight <= 0.0) return 0.0;
+  return WeightedCount(key_counts, weights) / union_weight;
+}
+
+double ClusterJaccardScore(const data::EncodedDataset& encoded,
                            const Block& block,
                            const AttributeWeights& weights) {
-  YVER_CHECK(!block.records.empty());
-  const auto& dict = encoded.dictionary;
-  double key_weight = 0.0;
-  for (data::ItemId id : block.key) key_weight += ItemWeight(dict, weights, id);
-  // The union sum is taken in the set's iteration order, so the container,
-  // its hash and its rehash policy are those of std::unordered_set; only
-  // the nodes and bucket arrays come from a bump arena on the stack that
-  // spills to the heap and is released in one go when the call returns.
-  std::array<std::byte, kUnionArenaBytes> arena;
-  std::pmr::monotonic_buffer_resource resource(arena.data(), arena.size());
-  std::pmr::unordered_set<data::ItemId> uni(&resource);
-  for (data::RecordIdx r : block.records) {
-    for (data::ItemId id : encoded.bags[r]) uni.insert(id);
-  }
-  double union_weight = 0.0;
-  for (data::ItemId id : uni) union_weight += ItemWeight(dict, weights, id);
-  if (union_weight <= 0.0) return 0.0;
-  return key_weight / union_weight;
+  std::vector<uint32_t> stamp(encoded.dictionary.size(), 0);
+  return ClusterJaccardScore(encoded, block, weights, stamp, 1);
 }
 
 double ExpertSimScore(const data::EncodedDataset& encoded, const Block& block,

@@ -1,6 +1,9 @@
 #ifndef YVER_BLOCKING_BLOCK_SCORING_H_
 #define YVER_BLOCKING_BLOCK_SCORING_H_
 
+#include <cstdint>
+#include <span>
+
 #include "blocking/block.h"
 #include "blocking/item_similarity.h"
 #include "data/item_dictionary.h"
@@ -15,12 +18,24 @@ namespace yver::blocking {
 /// (compact set); members with much non-shared content dilute the score.
 /// With uniform weights this is exactly |key| / |union|.
 ///
-/// The union weight is summed in the iteration order of a
-/// std::unordered_set of the members' items, so the score's last bits
-/// depend on that order; the set draws its memory from a call-local
-/// arena (64 KB on the stack, then the heap), which changes its cost but
-/// not its order (DESIGN.md §9). tests/support/reference_block_scoring.h
-/// keeps the plain std::unordered_set version as the oracle.
+/// Both weights are Σ_a w_a · n_a, summed over attributes a in AttributeId
+/// order, where n_a counts the distinct items of attribute a in the key
+/// or in the union. The counts are integers, so the score depends only
+/// on the two item sets: not on the order of the records or of their
+/// items, nor on the ids the dictionary gave the items (DESIGN.md §9).
+/// tests/support/reference_block_scoring.h spells the same sums out over
+/// a std::set as the executable specification.
+///
+/// `stamp` is the caller's scratch, one entry per dictionary item: the
+/// call marks the union's items with `mark`, so every block scored on
+/// the same array needs its own nonzero mark and the array must start
+/// out holding none of them (RunMfiBlocks gives each pool worker its own
+/// zeroed array and marks block i with i + 1).
+double ClusterJaccardScore(const data::EncodedDataset& encoded,
+                           const Block& block, const AttributeWeights& weights,
+                           std::span<uint32_t> stamp, uint32_t mark);
+
+/// The same score on a stamp array of its own, for one-off calls.
 double ClusterJaccardScore(const data::EncodedDataset& encoded,
                            const Block& block,
                            const AttributeWeights& weights);

@@ -12,6 +12,10 @@ namespace yver::blocking {
 
 namespace {
 
+// Block ranges per worker in the parallel scoring: enough that a range of
+// large blocks does not hold back the tail.
+constexpr size_t kTasksPerWorker = 16;
+
 using PairMap =
     std::unordered_map<data::RecordPair, CandidatePair, data::RecordPairHash>;
 
@@ -105,17 +109,38 @@ MfiBlocksResult RunMfiBlocks(const data::EncodedDataset& encoded,
 
     // Score blocks (parallelized; this is the paper's Spark stage). Each
     // score lands in its own slot, so scheduling never reorders anything.
+    // Workers claim fixed block ranges; ClusterJaccard marks each union in
+    // an item-stamp array of the worker's own, with the block index + 1.
     timer.Reset();
-    auto score_one = [&](size_t i) {
-      Block& b = blocks[i];
-      b.score = config.score_kind == BlockScoreKind::kClusterJaccard
-                    ? ClusterJaccardScore(encoded, b, weights)
-                    : ExpertSimScore(encoded, b, weights);
+    YVER_CHECK(blocks.size() < UINT32_MAX);
+    const size_t num_workers = pool != nullptr ? pool->num_threads() : 1;
+    std::vector<std::vector<uint32_t>> stamps(num_workers);
+    auto score_range = [&](size_t worker, size_t begin, size_t end) {
+      std::vector<uint32_t>& stamp = stamps[worker];
+      if (stamp.empty() &&
+          config.score_kind == BlockScoreKind::kClusterJaccard) {
+        stamp.assign(encoded.dictionary.size(), 0);
+      }
+      for (size_t i = begin; i < end; ++i) {
+        Block& b = blocks[i];
+        b.score = config.score_kind == BlockScoreKind::kClusterJaccard
+                      ? ClusterJaccardScore(encoded, b, weights, stamp,
+                                            static_cast<uint32_t>(i) + 1)
+                      : ExpertSimScore(encoded, b, weights);
+      }
     };
-    if (pool != nullptr) {
-      pool->ParallelFor(blocks.size(), score_one);
+    if (pool != nullptr && !blocks.empty()) {
+      const size_t num_tasks =
+          std::min(blocks.size(), num_workers * kTasksPerWorker);
+      const size_t per_task = (blocks.size() + num_tasks - 1) / num_tasks;
+      pool->ParallelForDynamicWorkers(num_tasks, [&](size_t worker,
+                                                     size_t task) {
+        const size_t begin = std::min(blocks.size(), task * per_task);
+        score_range(worker, begin,
+                    std::min(blocks.size(), begin + per_task));
+      });
     } else {
-      for (size_t i = 0; i < blocks.size(); ++i) score_one(i);
+      score_range(0, 0, blocks.size());
     }
     result.timings.score_seconds += timer.ElapsedSeconds();
 

@@ -22,23 +22,28 @@ namespace {
 // one is noise next to scanning it.
 constexpr size_t kTasksPerWorker = 16;
 
+// Block chunks of the parallel CSR fill. Each chunk keeps one counter
+// per record, so the cap bounds that memory on wide pools; the fill is
+// bound by memory traffic well before eight workers.
+constexpr size_t kMaxFillChunks = 8;
+
 // The scan of one record: its blocks in descending score order until
 // its neighborhood would outgrow `cap`. Returns the score of the block
 // that would overflow it, or 0.0 if none does. Sorts the record's own
-// CSR range in place and marks its neighbors in `stamp` with r + 1, so
+// CSR range in place (reading `scores`, the block scores copied into one
+// contiguous array) and marks its neighbors in `stamp` with r + 1, so
 // records can be scanned in any order and on any thread as long as each
 // thread has its own stamp array.
-double RecordThreshold(const std::vector<Block>& blocks, size_t r,
+double RecordThreshold(const std::vector<Block>& blocks,
+                       const double* scores, size_t r,
                        uint32_t* bs_begin, uint32_t* bs_end, size_t cap,
                        uint32_t* stamp) {
   if (bs_end - bs_begin <= 1) return 0.0;
   // Score descending, ties broken by ascending block index: equal-score
   // blocks must be visited in a specified order or the derived min_th
   // would hinge on std::sort's unspecified equal-element placement.
-  std::sort(bs_begin, bs_end, [&blocks](uint32_t a, uint32_t b) {
-    if (blocks[a].score != blocks[b].score) {
-      return blocks[a].score > blocks[b].score;
-    }
+  std::sort(bs_begin, bs_end, [scores](uint32_t a, uint32_t b) {
+    if (scores[a] != scores[b]) return scores[a] > scores[b];
     return a < b;
   });
   const uint32_t mark = static_cast<uint32_t>(r) + 1;
@@ -69,22 +74,63 @@ double ComputeMinThreshold(const std::vector<Block>& blocks,
                            size_t num_records, double ng, uint32_t minsup,
                            util::ThreadPool* pool) {
   size_t cap = NgCap(ng, minsup);
-  // Per-record block indices, ascending, as one flat array.
-  std::vector<uint32_t> offsets(num_records + 1, 0);
-  for (const Block& block : blocks) {
-    for (data::RecordIdx r : block.records) {
-      YVER_CHECK(r < num_records);
-      ++offsets[r + 1];
+  const bool parallel =
+      pool != nullptr && pool->num_threads() > 1 && num_records > 1;
+  // Per-record block indices, ascending, as one flat array. The blocks
+  // are cut into contiguous chunks, one per worker up to kMaxFillChunks:
+  // each chunk counts its own members per record, a serial pass over the
+  // records turns the counts into every chunk's first slot in each
+  // record's range, and each chunk fills its own slots. A record's range
+  // thus holds chunk 0's blocks, then chunk 1's, and so on, each run
+  // ascending: the array is the serial one for every pool size.
+  const size_t num_chunks =
+      parallel ? std::min(pool->num_threads(), kMaxFillChunks) : 1;
+  const size_t per_chunk = (blocks.size() + num_chunks - 1) / num_chunks;
+  auto for_chunks = [&](const auto& fn) {
+    if (num_chunks == 1) {
+      fn(size_t{0}, size_t{0}, blocks.size());
+      return;
+    }
+    pool->ParallelForDynamic(num_chunks, [&](size_t c) {
+      const size_t begin = std::min(blocks.size(), c * per_chunk);
+      fn(c, begin, std::min(blocks.size(), begin + per_chunk));
+    });
+  };
+  // slots[c * num_records + r]: chunk c's member count of record r, then
+  // chunk c's next free slot in r's range.
+  std::vector<uint32_t> slots(num_chunks * num_records, 0);
+  for_chunks([&](size_t c, size_t begin, size_t end) {
+    uint32_t* count = slots.data() + c * num_records;
+    for (size_t b = begin; b < end; ++b) {
+      for (data::RecordIdx r : blocks[b].records) {
+        YVER_CHECK(r < num_records);
+        ++count[r];
+      }
+    }
+  });
+  std::vector<uint32_t> offsets(num_records + 1);
+  uint32_t next = 0;
+  for (size_t r = 0; r < num_records; ++r) {
+    offsets[r] = next;
+    for (size_t c = 0; c < num_chunks; ++c) {
+      uint32_t& slot = slots[c * num_records + r];
+      const uint32_t count = slot;
+      slot = next;
+      next += count;
     }
   }
-  for (size_t r = 0; r < num_records; ++r) offsets[r + 1] += offsets[r];
-  std::vector<uint32_t> record_blocks(offsets.back());
-  {
-    std::vector<uint32_t> fill(offsets.begin(), offsets.end() - 1);
-    for (uint32_t b = 0; b < blocks.size(); ++b) {
-      for (data::RecordIdx r : blocks[b].records) record_blocks[fill[r]++] = b;
+  offsets[num_records] = next;
+  std::vector<uint32_t> record_blocks(next);
+  std::vector<double> scores(blocks.size());  // read by every record's sort
+  for_chunks([&](size_t c, size_t begin, size_t end) {
+    uint32_t* slot = slots.data() + c * num_records;
+    for (size_t b = begin; b < end; ++b) {
+      scores[b] = blocks[b].score;
+      for (data::RecordIdx r : blocks[b].records) {
+        record_blocks[slot[r]++] = static_cast<uint32_t>(b);
+      }
     }
-  }
+  });
   // Record r's neighbor set is {x : stamp[x] == r + 1}; moving on to the
   // next record empties it without touching it. std::max keeps 0.0 when
   // a score is NaN or negative, so the maximum does not depend on the
@@ -92,11 +138,12 @@ double ComputeMinThreshold(const std::vector<Block>& blocks,
   auto scan = [&](size_t begin, size_t end, uint32_t* stamp, double* max) {
     uint32_t* bs = record_blocks.data();
     for (size_t r = begin; r < end; ++r) {
-      *max = std::max(*max, RecordThreshold(blocks, r, bs + offsets[r],
+      *max = std::max(*max, RecordThreshold(blocks, scores.data(), r,
+                                            bs + offsets[r],
                                             bs + offsets[r + 1], cap, stamp));
     }
   };
-  if (pool == nullptr || pool->num_threads() <= 1 || num_records <= 1) {
+  if (!parallel) {
     std::vector<uint32_t> stamp(num_records, 0);
     double min_th = 0.0;
     scan(0, num_records, stamp.data(), &min_th);

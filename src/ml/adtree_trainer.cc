@@ -128,48 +128,62 @@ struct TaskBest {
   WeightSplit split;
 };
 
-// One pass over the members of a prediction node for one feature: the
-// present weight and the four weight sums of every condition, then the
-// task's first minimum of Z. A member adds its weight to true[k] for the
-// conditions it satisfies and to false[k] for the rest. The +0.0 a
-// per-condition scan would add to the other side leaves a non-negative
-// sum unchanged, so each accumulator sees exactly the nonzero addends,
-// in member order, of that scan, and the same bits.
+// One pass over the members of a prediction node for one feature, then
+// one over its buckets. Each present member adds its weight once, in
+// member order, to the present weight and to its bucket's entry of the
+// positive or the negative histogram (k_count + 1 buckets). Condition k's
+// four sums are then histogram entries added in a fixed bucket order:
+//   numeric (holds iff b <= k): true = h[0] + ... + h[k], a running
+//     prefix; false = h[k_count] + ... + h[k + 1], a running suffix
+//     taken from the top bucket down;
+//   nominal (holds iff b == k): true = h[k]; false = the prefix up to
+//     h[k - 1] plus the suffix down to h[k + 1].
+// So a task costs O(members + k_count), and the sums depend on which
+// members reach each bucket, not on how they interleave across buckets.
+// tests/support/reference_adtree_trainer.h spells the same sums out per
+// condition.
 TaskBest ScanTask(const std::vector<size_t>& members,
                   const FeatureCandidates& cands, const double* weights,
                   const int* labels, double total_weight) {
   const size_t k_count = cands.keys.size();
+  const size_t num_buckets = k_count + 1;
   const uint16_t* buckets = cands.buckets.data();
-  // pos_true | pos_false | neg_true | neg_false, k_count each.
-  std::vector<double> acc(4 * k_count, 0.0);
-  double* pos_true = acc.data();
-  double* pos_false = pos_true + k_count;
-  double* neg_true = pos_false + k_count;
-  double* neg_false = neg_true + k_count;
+  // pos | neg histograms, num_buckets each; then pos | neg suffix sums,
+  // num_buckets + 1 each (suffix[b] = h[k_count] + ... + h[b], and
+  // suffix[num_buckets] = 0).
+  std::vector<double> acc(4 * num_buckets + 2, 0.0);
+  double* pos_hist = acc.data();
+  double* neg_hist = pos_hist + num_buckets;
+  double* pos_suffix = neg_hist + num_buckets;
+  double* neg_suffix = pos_suffix + num_buckets + 1;
   double present_weight = 0.0;
   for (size_t idx : members) {
-    const size_t b = buckets[idx];
+    const uint16_t b = buckets[idx];
     if (b == kMissingBucket) continue;
-    double w = weights[idx];
+    const double w = weights[idx];
     present_weight += w;
-    bool pos = labels[idx] > 0;
-    double* on_true = pos ? pos_true : neg_true;
-    double* on_false = pos ? pos_false : neg_false;
-    // b <= k_count: conditions [0, b) fail either way.
-    for (size_t k = 0; k < b; ++k) on_false[k] += w;
-    if (cands.nominal) {
-      if (b < k_count) on_true[b] += w;
-      for (size_t k = b + 1; k < k_count; ++k) on_false[k] += w;
-    } else {
-      for (size_t k = b; k < k_count; ++k) on_true[k] += w;
-    }
+    (labels[idx] > 0 ? pos_hist : neg_hist)[b] += w;
   }
   TaskBest best;
   if (present_weight <= 0.0) return best;
-  double residual = total_weight - present_weight;
+  for (size_t b = num_buckets; b-- > 0;) {
+    pos_suffix[b] = pos_suffix[b + 1] + pos_hist[b];
+    neg_suffix[b] = neg_suffix[b + 1] + neg_hist[b];
+  }
+  const double residual = total_weight - present_weight;
+  double pos_prefix = 0.0;  // h[0] + ... + h[k - 1]
+  double neg_prefix = 0.0;
   for (size_t k = 0; k < k_count; ++k) {
-    WeightSplit split{pos_true[k], neg_true[k], pos_false[k], neg_false[k]};
-    double z = ZValue(split, residual);
+    const WeightSplit split =
+        cands.nominal
+            ? WeightSplit{pos_hist[k], neg_hist[k],
+                          pos_prefix + pos_suffix[k + 1],
+                          neg_prefix + neg_suffix[k + 1]}
+            : WeightSplit{pos_prefix + pos_hist[k], neg_prefix + neg_hist[k],
+                          pos_suffix[k + 1], neg_suffix[k + 1]};
+    pos_prefix += pos_hist[k];
+    neg_prefix += neg_hist[k];
+    const double z = ZValue(split, residual);
     if (z < best.z) {
       best.z = z;
       best.condition = k;

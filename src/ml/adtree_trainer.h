@@ -44,14 +44,15 @@ struct AdTreeTrainerOptions {
 /// instance's value is reduced once to a 16-bit bucket per feature — the
 /// number of thresholds at or below it (numeric), or the index of its
 /// nominal value — and the split search and the routing read only those
-/// bucket columns. The split search is one pass per (prediction node,
-/// feature) task that adds each member's weight to the true side of the
-/// conditions it satisfies and the false side of the rest, skipping the
-/// +0.0 addends a per-condition scan would make, which change no bits.
-/// With a pool the tasks of a round run in parallel into per-task slots
-/// and are reduced serially in (node, feature) order. The tree is
-/// bit-identical for every pool size, including none, and to the
-/// instance-major reference trainer (DESIGN.md §7).
+/// bucket columns. The split search is one task per (prediction node,
+/// feature): each member adds its weight once to its bucket's entry of a
+/// positive or negative histogram, in member order, and every
+/// condition's four weight sums are then prefix and suffix sums of the
+/// histograms taken in a fixed bucket order. With a pool the tasks of a
+/// round run in parallel into per-task slots and are reduced serially in
+/// (node, feature) order. The tree is bit-identical for every pool size,
+/// including none, and to the per-condition reference trainer
+/// (DESIGN.md §7).
 AdTree TrainAdTree(const std::vector<Instance>& instances,
                    const AdTreeTrainerOptions& options,
                    util::ThreadPool* pool = nullptr);

@@ -1,12 +1,19 @@
 // Bit-identity of the column-major ADTree trainer (ml::TrainAdTree)
-// against the preserved instance-major reference
-// (tests/support/reference_adtree_trainer.*). The parallel split search
-// must give the same tree for every pool size — same structure, same
-// conditions, and the same bits in every prediction value and threshold —
-// on inputs chosen to hit its edge cases: NaN-heavy columns, nominal
-// features, duplicated values whose conditions tie on Z, one or two
-// instances, a single label class, and real pipeline instances.
+// against the instance-major reference
+// (tests/support/reference_adtree_trainer.*), which sums each condition's
+// weights through the same per-bucket histograms. The parallel split
+// search must give the same tree for every pool size — same structure,
+// same conditions, and the same bits in every prediction value and
+// threshold — on inputs chosen to hit its edge cases: NaN-heavy columns,
+// nominal features, duplicated values whose conditions tie on Z, one or
+// two instances, a single label class, and real pipeline instances.
+//
+// Every case also bounds the change from the member-by-member sums the
+// histograms replaced (MemberSumTrainAdTree): the same splitters, and
+// prediction values within a small relative error.
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -65,12 +72,55 @@ void ExpectSameTree(const AdTree& expected, const AdTree& actual,
   }
 }
 
+// How far a prediction value may move from the member-by-member sums'
+// value: relative to max(1, |value|), since values near zero carry the
+// absolute error of the weight sums they are logs of.
+constexpr double kMaxPredictionError = 1e-12;
+
+// The member-by-member tree and the histogram tree must have the same
+// splitters (feature, condition, order, attachment), the same children
+// under every prediction node, and prediction values within
+// kMaxPredictionError.
+void ExpectWithinBound(const AdTree& member_sums, const AdTree& actual,
+                       const std::string& context) {
+  ASSERT_EQ(member_sums.splitters().size(), actual.splitters().size())
+      << context;
+  for (size_t i = 0; i < actual.splitters().size(); ++i) {
+    const auto& e = member_sums.splitters()[i];
+    const auto& a = actual.splitters()[i];
+    EXPECT_EQ(e.condition.feature, a.condition.feature) << context;
+    EXPECT_EQ(e.condition.is_nominal, a.condition.is_nominal) << context;
+    EXPECT_EQ(e.condition.nominal_value, a.condition.nominal_value) << context;
+    EXPECT_TRUE(SameBits(e.condition.threshold, a.condition.threshold))
+        << context << ": splitter " << i;
+    EXPECT_EQ(e.order, a.order) << context;
+    EXPECT_EQ(e.true_prediction, a.true_prediction) << context;
+    EXPECT_EQ(e.false_prediction, a.false_prediction) << context;
+  }
+  ASSERT_EQ(member_sums.predictions().size(), actual.predictions().size())
+      << context;
+  for (size_t i = 0; i < actual.predictions().size(); ++i) {
+    EXPECT_EQ(member_sums.predictions()[i].child_splitters,
+              actual.predictions()[i].child_splitters)
+        << context;
+    const double e = member_sums.predictions()[i].value;
+    const double a = actual.predictions()[i].value;
+    if (a == e) continue;  // including equal infinities (no smoothing)
+    EXPECT_LE(std::abs(a - e),
+              kMaxPredictionError * std::max(1.0, std::abs(e)))
+        << context << ": prediction " << i << " " << e << " vs " << a;
+  }
+}
+
 // Trains with the reference, then with the production trainer serially and
-// on pools of 1, 2 and 8 workers; every tree must match the reference.
+// on pools of 1, 2 and 8 workers; every tree must match the reference, and
+// the reference must stay within the bound of the member-by-member sums.
 void ExpectEquivalent(const std::vector<Instance>& instances,
                       const AdTreeTrainerOptions& options,
                       const std::string& context) {
   AdTree expected = ReferenceTrainAdTree(instances, options);
+  ExpectWithinBound(MemberSumTrainAdTree(instances, options), expected,
+                    context + " (member-by-member sums)");
   ExpectSameTree(expected, TrainAdTree(instances, options),
                  context + " (no pool)");
   for (size_t threads : {1, 2, 8}) {

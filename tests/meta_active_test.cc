@@ -87,6 +87,41 @@ TEST(MetaBlockingTest, EmptyBlocksGiveNoPairs) {
   EXPECT_TRUE(CleanComparisons({}, 5).empty());
 }
 
+// The blocking graph is one set of weighted edges whatever order the
+// blocks come in: the WEP mean and the CNP top-k ties must not follow the
+// order edges land in a hash table.
+TEST(MetaBlockingTest, SamePairsForPermutedBlocks) {
+  synth::GeneratorConfig config;
+  config.num_persons = 250;
+  config.seed = 8;
+  auto generated = synth::Generate(config);
+  blocking::baselines::StandardBlocking stbl;
+  const auto blocks = stbl.BuildBlocks(generated.dataset);
+  util::Rng rng(3);
+  for (WeightScheme weights : {WeightScheme::kCommonBlocks,
+                               WeightScheme::kEcbs, WeightScheme::kJaccard}) {
+    for (PruningScheme pruning :
+         {PruningScheme::kWeightedEdge, PruningScheme::kCardinalityNode}) {
+      MetaBlockingOptions options;
+      options.weights = weights;
+      options.pruning = pruning;
+      options.node_top_k = 2;
+      const auto expected =
+          CleanComparisons(blocks, generated.dataset.size(), options);
+      ASSERT_FALSE(expected.empty());
+      for (int trial = 0; trial < 3; ++trial) {
+        auto shuffled = blocks;
+        rng.Shuffle(shuffled);
+        EXPECT_EQ(CleanComparisons(shuffled, generated.dataset.size(),
+                                   options),
+                  expected)
+            << "weights " << static_cast<int>(weights) << " pruning "
+            << static_cast<int>(pruning) << " trial " << trial;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Active learning
 

@@ -1,5 +1,7 @@
-// The instance-major ADTree trainer, kept as the reference the production
-// column-major trainer must match bit for bit. Any behavioral edit here
+// The instance-major ADTree trainer in two variants that differ only in
+// how a condition's four weight sums are added up: the histogram spec the
+// production trainer must match bit for bit, and the member-by-member
+// sums it replaced, which bound the change. Any behavioral edit here
 // changes the specification — don't "optimize" this file.
 
 #include "support/reference_adtree_trainer.h"
@@ -76,10 +78,108 @@ double ZValue(const WeightSplit& w, double residual) {
          residual;
 }
 
-}  // namespace
+enum class SumOrder { kHistogram, kMemberByMember };
 
-AdTree ReferenceTrainAdTree(const std::vector<Instance>& instances,
-                            const AdTreeTrainerOptions& options) {
+// Condition `k` of `conditions`: every present member, in member order,
+// adds its weight to the one of the four sums it falls in.
+WeightSplit MemberByMemberSplit(const std::vector<Instance>& instances,
+                                const std::vector<double>& weights,
+                                const std::vector<size_t>& members,
+                                const std::vector<AdtCondition>& conditions,
+                                size_t k) {
+  const AdtCondition& cond = conditions[k];
+  WeightSplit split;
+  for (size_t idx : members) {
+    double v = instances[idx].features.values[cond.feature];
+    if (std::isnan(v)) continue;
+    bool truth = cond.Evaluate(v);
+    double w = weights[idx];
+    if (instances[idx].label > 0) {
+      (truth ? split.pos_true : split.pos_false) += w;
+    } else {
+      (truth ? split.neg_true : split.neg_false) += w;
+    }
+  }
+  return split;
+}
+
+// The bucket of a present value among one feature's conditions: the
+// index of the first condition that holds, or conditions.size() when
+// none does. Numeric thresholds ascend, so condition k holds iff
+// bucket <= k; at most one nominal condition holds, so it is k iff
+// bucket == k.
+size_t Bucket(const std::vector<AdtCondition>& conditions, double v) {
+  size_t b = 0;
+  while (b < conditions.size() && !conditions[b].Evaluate(v)) ++b;
+  return b;
+}
+
+// Per-bucket weight sums of one feature's present members, split by
+// label: every member, in member order, adds its weight to its bucket
+// (conditions.size() + 1 buckets).
+struct Histograms {
+  std::vector<double> pos;
+  std::vector<double> neg;
+};
+
+Histograms BuildHistograms(const std::vector<Instance>& instances,
+                           const std::vector<double>& weights,
+                           const std::vector<size_t>& members,
+                           const std::vector<AdtCondition>& conditions) {
+  const size_t num_buckets = conditions.size() + 1;
+  const size_t feature = conditions.front().feature;
+  Histograms h{std::vector<double>(num_buckets, 0.0),
+               std::vector<double>(num_buckets, 0.0)};
+  for (size_t idx : members) {
+    double v = instances[idx].features.values[feature];
+    if (std::isnan(v)) continue;
+    size_t b = Bucket(conditions, v);
+    (instances[idx].label > 0 ? h.pos : h.neg)[b] += weights[idx];
+  }
+  return h;
+}
+
+// Condition `k`'s four sums from the histograms, added bucket by bucket,
+// each starting from 0.0 (K = conditions.size()):
+//   numeric, true:  h[0] + h[1] + ... + h[k]          (ascending)
+//   numeric, false: h[K] + h[K - 1] + ... + h[k + 1]  (descending)
+//   nominal, true:  h[k]
+//   nominal, false: (h[0] + ... + h[k - 1]) + (h[K] + ... + h[k + 1])
+WeightSplit HistogramSplit(const Histograms& h,
+                           const std::vector<AdtCondition>& conditions,
+                           size_t k) {
+  const size_t num_buckets = conditions.size() + 1;
+  auto ascending = [](const std::vector<double>& hist, size_t begin,
+                      size_t end) {
+    double sum = 0.0;
+    for (size_t b = begin; b < end; ++b) sum += hist[b];
+    return sum;
+  };
+  auto descending = [](const std::vector<double>& hist, size_t begin,
+                       size_t end) {
+    double sum = 0.0;
+    for (size_t b = end; b > begin; --b) sum += hist[b - 1];
+    return sum;
+  };
+  WeightSplit split;
+  if (conditions[k].is_nominal) {
+    split.pos_true = h.pos[k];
+    split.neg_true = h.neg[k];
+    split.pos_false =
+        ascending(h.pos, 0, k) + descending(h.pos, k + 1, num_buckets);
+    split.neg_false =
+        ascending(h.neg, 0, k) + descending(h.neg, k + 1, num_buckets);
+  } else {
+    split.pos_true = ascending(h.pos, 0, k + 1);
+    split.neg_true = ascending(h.neg, 0, k + 1);
+    split.pos_false = descending(h.pos, k + 1, num_buckets);
+    split.neg_false = descending(h.neg, k + 1, num_buckets);
+  }
+  return split;
+}
+
+AdTree TrainWith(SumOrder order, const std::vector<Instance>& instances,
+                 const AdTreeTrainerOptions& options) {
   YVER_CHECK(!instances.empty());
   const size_t n = instances.size();
   const double s = options.smoothing;
@@ -129,19 +229,20 @@ AdTree ReferenceTrainAdTree(const std::vector<Instance>& instances,
         }
         if (present_weight <= 0.0) continue;
         double residual = total_weight - present_weight;
-        for (const AdtCondition& cond : candidates[f].conditions) {
-          WeightSplit split;
-          for (size_t idx : members) {
-            double v = instances[idx].features.values[f];
-            if (std::isnan(v)) continue;
-            bool truth = cond.Evaluate(v);
-            double w = weights[idx];
-            if (instances[idx].label > 0) {
-              (truth ? split.pos_true : split.pos_false) += w;
-            } else {
-              (truth ? split.neg_true : split.neg_false) += w;
-            }
-          }
+        const std::vector<AdtCondition>& conditions =
+            candidates[f].conditions;
+        Histograms histograms;
+        if (order == SumOrder::kHistogram) {
+          histograms =
+              BuildHistograms(instances, weights, members, conditions);
+        }
+        for (size_t k = 0; k < conditions.size(); ++k) {
+          const AdtCondition& cond = conditions[k];
+          WeightSplit split =
+              order == SumOrder::kHistogram
+                  ? HistogramSplit(histograms, conditions, k)
+                  : MemberByMemberSplit(instances, weights, members,
+                                        conditions, k);
           double z = ZValue(split, residual);
           if (z < best_z) {
             best_z = z;
@@ -181,6 +282,18 @@ AdTree ReferenceTrainAdTree(const std::vector<Instance>& instances,
     reach.push_back(std::move(false_members));  // false prediction node
   }
   return tree;
+}
+
+}  // namespace
+
+AdTree ReferenceTrainAdTree(const std::vector<Instance>& instances,
+                            const AdTreeTrainerOptions& options) {
+  return TrainWith(SumOrder::kHistogram, instances, options);
+}
+
+AdTree MemberSumTrainAdTree(const std::vector<Instance>& instances,
+                            const AdTreeTrainerOptions& options) {
+  return TrainWith(SumOrder::kMemberByMember, instances, options);
 }
 
 }  // namespace yver::ml
