@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <cstring>
 #include <utility>
 
 namespace yver::serve::net {
@@ -44,25 +45,52 @@ util::Deadline Client::EffectiveDeadline(
   return util::Deadline::AfterMillis(read_timeout_ms_);
 }
 
+util::Status Client::Buffer(size_t need, const util::Deadline& deadline) {
+  if (recv_end_ - recv_begin_ >= need) return util::Status::Ok();
+  if (recv_begin_ > 0) {  // less than one frame is left: move it up front
+    std::memmove(recv_.data(), recv_.data() + recv_begin_,
+                 recv_end_ - recv_begin_);
+    recv_end_ -= recv_begin_;
+    recv_begin_ = 0;
+  }
+  if (need > recv_.size()) recv_.resize(need);
+  while (recv_end_ < need) {
+    util::Status ready = sock_.AwaitReady(util::IoDirection::kRead, deadline);
+    if (!ready.ok()) return ready;
+    auto r = sock_.ReadSome(recv_.data() + recv_end_,
+                            recv_.size() - recv_end_);
+    if (!r.ok()) return r.status();
+    if (r->eof) return util::Status::Unavailable("connection closed");
+    recv_end_ += r->bytes;
+  }
+  return util::Status::Ok();
+}
+
 util::StatusOr<std::string> Client::ReadFrameBytes(
     const util::Deadline& deadline) {
+  if (recv_.empty()) {  // the first read, or a moved-from client
+    recv_.resize(kRecvBufferBytes);
+    recv_begin_ = recv_end_ = 0;
+  }
   // Header first: PeekFrameHeader validates the whole envelope (magic,
   // version, type, declared length bound) from the 8 header bytes, so a
-  // hostile length field is rejected before a single payload byte is
-  // reserved or awaited — the same pre-allocation check the server runs.
+  // hostile length field is rejected before the buffer grows or a single
+  // payload byte is awaited — the same pre-allocation check the server
+  // runs.
   util::Deadline budget = EffectiveDeadline(deadline);
-  std::string frame(wire::kHeaderSize, '\0');
-  util::Status st = sock_.ReadFull(frame.data(), wire::kHeaderSize, budget);
+  util::Status st = Buffer(wire::kHeaderSize, budget);
   if (!st.ok()) return st;
   wire::FrameHeader header;
-  auto peeked = wire::PeekFrameHeader(frame, &header);
+  auto peeked = wire::PeekFrameHeader(
+      std::string_view(recv_.data() + recv_begin_, wire::kHeaderSize),
+      &header);
   if (!peeked.ok()) return peeked.status();
-  size_t off = frame.size();
-  frame.resize(off + header.payload_length);
-  if (header.payload_length > 0) {
-    st = sock_.ReadFull(frame.data() + off, header.payload_length, budget);
-    if (!st.ok()) return st;
-  }
+  size_t frame_size = wire::kHeaderSize + header.payload_length;
+  st = Buffer(frame_size, budget);
+  if (!st.ok()) return st;
+  std::string frame(recv_.data() + recv_begin_, frame_size);
+  recv_begin_ += frame_size;
+  if (recv_begin_ == recv_end_) recv_begin_ = recv_end_ = 0;
   return frame;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "serve/query.h"
 #include "serve/wire.h"
@@ -22,7 +23,17 @@ namespace yver::serve::net {
 /// response frame bytes (ReadFrameBytes) — the raw form is what the
 /// byte-equality tests and the load generator's response hash consume.
 ///
-/// Not thread-safe; one Client per thread.
+/// Responses are read by the burst: the client keeps a receive buffer and
+/// returns whole frames out of it, touching the socket only when no whole
+/// frame is buffered — then with one deadline-bounded readiness wait and
+/// one large read, however many answers that read brings in.
+///
+/// Thread contract: one sender plus one reader. One thread may call the
+/// Send* methods and FinishSending while another calls the Read* methods
+/// (the open-loop load generators do exactly that); the receive buffer
+/// and the read timeout belong to the reader alone. Call, Info and Append
+/// send and read, so they count as both. Connect, Close, moves and
+/// set_read_timeout_ms need the Client to themselves.
 class Client {
  public:
   Client() = default;
@@ -60,7 +71,11 @@ class Client {
   util::Status SendInfoRequest();
 
   /// Reads exactly one response frame and returns its raw bytes (header +
-  /// payload). UNAVAILABLE when the server closed the connection first.
+  /// payload). The header is checked (wire::PeekFrameHeader) before any
+  /// payload is awaited, so a hostile length is refused from the header
+  /// alone. UNAVAILABLE when the server closed the connection first,
+  /// mid-frame included; DEADLINE_EXCEEDED when the frame is not whole
+  /// by the deadline.
   util::StatusOr<std::string> ReadFrameBytes(
       const util::Deadline& deadline = {});
 
@@ -99,8 +114,22 @@ class Client {
   /// from read_timeout_ms (infinite when the knob is unset).
   util::Deadline EffectiveDeadline(const util::Deadline& deadline) const;
 
+  /// Reads from the socket until at least `need` bytes are buffered from
+  /// recv_begin_. The unread tail moves to the front before a read, and
+  /// the buffer grows only when `need` (one header-checked frame) is
+  /// larger than it.
+  util::Status Buffer(size_t need, const util::Deadline& deadline);
+
+  /// Receive buffer size: 64 KiB holds hundreds of answers, so a
+  /// pipelined burst comes in with one read.
+  static constexpr size_t kRecvBufferBytes = 64 << 10;
+
   util::Socket sock_;
   double read_timeout_ms_ = 0;
+  /// Bytes [recv_begin_, recv_end_) of recv_ are read but not returned.
+  std::vector<char> recv_;
+  size_t recv_begin_ = 0;
+  size_t recv_end_ = 0;
 };
 
 }  // namespace yver::serve::net

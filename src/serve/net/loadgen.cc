@@ -92,7 +92,7 @@ void RunOpenLoop(Client& client, const std::vector<std::string>& frames,
   std::vector<std::chrono::steady_clock::time_point> send_times(
       frames.size());
   std::atomic<size_t> sent_count{0};
-  std::atomic<bool> send_failed{false};
+  util::Status send_status = util::Status::Ok();  // read after join
   std::thread sender([&] {
     auto t0 = std::chrono::steady_clock::now();
     for (size_t i = 0; i < frames.size(); ++i) {
@@ -102,26 +102,25 @@ void RunOpenLoop(Client& client, const std::vector<std::string>& frames,
       send_times[i] = std::chrono::steady_clock::now();
       // Publish the timestamp before the bytes can generate a response.
       sent_count.store(i + 1, std::memory_order_release);
-      if (!client.SendBytes(frames[i]).ok()) {
-        send_failed.store(true, std::memory_order_release);
+      util::Status sent = client.SendBytes(frames[i]);
+      if (!sent.ok()) {
+        send_status = std::move(sent);
+        // The server answers what it got, then closes: the reader sees
+        // the end of the stream instead of waiting for the rest.
+        (void)client.FinishSending();
         return;
       }
     }
   });
   for (size_t i = 0; i < frames.size(); ++i) {
-    while (sent_count.load(std::memory_order_acquire) <= i) {
-      if (send_failed.load(std::memory_order_acquire)) break;
-      std::this_thread::yield();
-    }
-    if (send_failed.load(std::memory_order_acquire) &&
-        sent_count.load(std::memory_order_acquire) <= i) {
-      break;
-    }
     auto response = client.ReadFrameBytes();
     if (!response.ok()) {
       stats.status = response.status();
       break;
     }
+    // Answer i cannot arrive before request i went out, so its send
+    // time is published by now; the acquire makes it visible.
+    (void)sent_count.load(std::memory_order_acquire);
     auto elapsed = std::chrono::steady_clock::now() - send_times[i];
     RecordLatencyNs(stats,
                     static_cast<uint64_t>(
@@ -132,8 +131,10 @@ void RunOpenLoop(Client& client, const std::vector<std::string>& frames,
   }
   sender.join();
   stats.sent = sent_count.load(std::memory_order_acquire);
-  if (send_failed.load(std::memory_order_acquire) && stats.status.ok()) {
-    stats.status = util::Status::Unavailable("load generator send failed");
+  // A failed send is the cause; the read error it led to is not.
+  if (!send_status.ok()) {
+    stats.status = util::Status::Unavailable("load generator send failed: " +
+                                             send_status.message());
   }
 }
 

@@ -176,21 +176,19 @@ StatusOr<IoResult> Socket::WriteSome(const void* buf, size_t n) {
   return result;
 }
 
-namespace {
-
-/// Waits for readiness so a finite deadline actually interrupts a blocking
-/// socket (a bare read(2) would sleep past any expiry check).
-Status AwaitReady(int fd, short events, const Deadline& deadline,
-                  const char* what) {
+Status Socket::AwaitReady(IoDirection direction,
+                          const Deadline& deadline) const {
   if (deadline.is_infinite()) return Status::Ok();
+  const char* what =
+      direction == IoDirection::kRead ? "socket read" : "socket write";
   double remaining = deadline.RemainingMillis();
   if (remaining <= 0) {
     return Status::DeadlineExceeded(std::string("deadline expired at ") +
                                     what);
   }
   pollfd pfd{};
-  pfd.fd = fd;
-  pfd.events = events;
+  pfd.fd = fd_;
+  pfd.events = direction == IoDirection::kRead ? POLLIN : POLLOUT;
   int rc;
   do {
     rc = ::poll(&pfd, 1, static_cast<int>(remaining) + 1);
@@ -203,13 +201,11 @@ Status AwaitReady(int fd, short events, const Deadline& deadline,
   return Status::Ok();
 }
 
-}  // namespace
-
 Status Socket::ReadFull(void* buf, size_t n, const Deadline& deadline) {
   auto* p = static_cast<char*>(buf);
   size_t done = 0;
   while (done < n) {
-    Status ready = AwaitReady(fd_, POLLIN, deadline, "socket read");
+    Status ready = AwaitReady(IoDirection::kRead, deadline);
     if (!ready.ok()) return ready;
     auto r = ReadSome(p + done, n - done);
     if (!r.ok()) return r.status();
@@ -223,7 +219,7 @@ Status Socket::WriteFull(const void* buf, size_t n, const Deadline& deadline) {
   const auto* p = static_cast<const char*>(buf);
   size_t done = 0;
   while (done < n) {
-    Status ready = AwaitReady(fd_, POLLOUT, deadline, "socket write");
+    Status ready = AwaitReady(IoDirection::kWrite, deadline);
     if (!ready.ok()) return ready;
     auto r = WriteSome(p + done, n - done);
     if (!r.ok()) return r.status();

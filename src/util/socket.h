@@ -19,6 +19,9 @@ struct IoResult {
   bool would_block = false;
 };
 
+/// Which readiness Socket::AwaitReady waits for.
+enum class IoDirection { kRead, kWrite };
+
 /// A minimal owning TCP socket for the serving layer: loopback-friendly
 /// listen/connect/accept plus Status-typed partial reads and writes.
 ///
@@ -75,6 +78,14 @@ class Socket {
 
   /// One write(2), EINTR-retried, short writes allowed.
   StatusOr<IoResult> WriteSome(const void* buf, size_t n);
+
+  /// Waits until the descriptor is readable (kRead: bytes or EOF pending)
+  /// or writable (kWrite), so a finite deadline actually interrupts a
+  /// blocking socket — a bare read(2) would sleep past any expiry check.
+  /// An infinite deadline returns OK at once and leaves the blocking to
+  /// the next ReadSome/WriteSome; an expired one, or one that runs out
+  /// while waiting, is DEADLINE_EXCEEDED. One poll(2), EINTR-retried.
+  Status AwaitReady(IoDirection direction, const Deadline& deadline) const;
 
   /// Blocking helpers for the client side: loop until exactly `n` bytes
   /// moved, the peer closes (ReadFull: UNAVAILABLE "connection closed"),

@@ -1,12 +1,13 @@
 // Integration tests of the TCP front end (DESIGN.md §12): the wire
 // answers must be byte-equal to the in-process API at every service thread
 // count, responses must come back in request order under pipelining, a
-// pipelining firehose must not starve another connection, a wire query
-// must be answered while an in-process query stalls in the same service,
-// malformed bytes must produce typed error frames (never a crash), a
-// graceful shutdown must drain every accepted query, a recorded capture
-// must replay to an identical response hash, and injected socket faults
-// must only ever fragment or fail I/O — never corrupt an answer.
+// pipelining firehose must not starve another connection, one thread
+// sending while another reads on the same client must get the same bytes,
+// a wire query must be answered while an in-process query stalls in the
+// same service, malformed bytes must produce typed error frames (never a
+// crash), a graceful shutdown must drain every accepted query, a recorded
+// capture must replay to an identical response hash, and injected socket
+// faults must only ever fragment or fail I/O — never corrupt an answer.
 
 #include <gtest/gtest.h>
 
@@ -172,6 +173,45 @@ TEST(NetServerTest, PipelinedResponsesComeBackInRequestOrder) {
     EXPECT_EQ(*response, expected[i]) << "response " << i;
   }
   server.Shutdown();
+}
+
+TEST(NetServerTest, OneSenderThreadAndOneReaderThreadShareAClient) {
+  // The client's thread contract: one thread sends while another reads
+  // (the open-loop load generators' shape). The receive buffer is the
+  // reader's alone, so the answers must still be byte-equal and in order.
+  auto index = MakeIndex();
+  auto workload = MakeWorkload(2000, /*seed=*/31);
+  auto expected = ReferenceBytes(index, workload);
+
+  auto service = std::make_shared<ResolutionService>(index);
+  net::Server server(service);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = net::Client::Connect(server.port());
+  ASSERT_TRUE(client.ok());
+  client->set_read_timeout_ms(10000);
+
+  std::atomic<size_t> sent{0};
+  std::thread sender([&] {
+    for (const Query& query : workload) {
+      if (!client->SendQuery(query).ok()) break;
+      sent.fetch_add(1, std::memory_order_relaxed);
+    }
+    (void)client->FinishSending();
+  });
+  std::vector<std::string> got;
+  for (size_t i = 0; i < workload.size(); ++i) {
+    auto response = client->ReadFrameBytes();
+    if (!response.ok()) break;
+    got.push_back(std::move(*response));
+  }
+  sender.join();
+  server.Shutdown();
+
+  EXPECT_EQ(sent.load(), workload.size());
+  ASSERT_EQ(got.size(), workload.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i]) << "response " << i;
+  }
 }
 
 TEST(NetServerTest, ConcurrentConnectionsEachGetOrderedByteEqualAnswers) {
