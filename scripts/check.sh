@@ -77,6 +77,7 @@ expect_flag_rejected max-batch ./build/tools/yver_cli serve --in missing.csv --m
 expect_flag_rejected threads ./build/tools/yver_cli resolve --in missing.csv --out missing-out.csv --threads -1
 # A flag the command never reads (a removed knob, a typo) exits 2 too.
 expect_flag_rejected max-bach ./build/tools/yver_cli serve --in missing.csv --max-bach 3
+expect_flag_rejected max-pending ./build/tools/yver_cli serve --in missing.csv --max-pending 4
 
 if [[ "$run_tsan" == 1 ]]; then
   echo "==> tier-1: ThreadSanitizer race check (serve layer + pipeline/blocking determinism)"

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -20,9 +21,9 @@ namespace {
 constexpr uint64_t kListenerId = 0;
 constexpr uint64_t kWakeId = 1;
 constexpr size_t kReadChunk = 64 * 1024;
-// Per-wakeup ceiling on buffered-but-undecoded input. Without it a
+// Per-wakeup ceiling on buffered-but-unanswered input. Without it a
 // firehose peer gets its whole kernel receive queue slurped into `in`
-// even though the pending cap will only admit a handful of frames —
+// even though one quantum answers only max_batch frames of it —
 // megabytes of user-space buffer doing the kernel's job. Stopping here
 // leaves the backlog in the socket where TCP flow control pushes back on
 // the sender; level-triggered epoll re-fires while bytes remain, and a
@@ -85,11 +86,6 @@ Server::Server(std::shared_ptr<ResolutionService> service,
 }
 
 Server::~Server() { Shutdown(); }
-
-size_t Server::PendingCap() const {
-  return options_.max_pending > 0 ? options_.max_pending
-                                  : 2 * options_.max_batch;
-}
 
 size_t Server::MaxFramePayload() const {
   size_t cap = options_.max_frame_payload > 0 ? options_.max_frame_payload
@@ -162,18 +158,18 @@ ServerStats Server::stats() const {
   s.responses_sent = responses_sent_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.socket_errors = socket_errors_.load(std::memory_order_relaxed);
-  s.open_connections = open_connections_.load(std::memory_order_relaxed);
-  s.paused_reads = paused_reads_.load(std::memory_order_relaxed);
-  s.disconnects_idle = disconnects_idle_.load(std::memory_order_relaxed);
-  s.disconnects_slowloris =
+  s.net.open_connections = open_connections_.load(std::memory_order_relaxed);
+  s.net.paused_reads = paused_reads_.load(std::memory_order_relaxed);
+  s.net.disconnects_idle = disconnects_idle_.load(std::memory_order_relaxed);
+  s.net.disconnects_slowloris =
       disconnects_slowloris_.load(std::memory_order_relaxed);
-  s.disconnects_oversize =
+  s.net.disconnects_oversize =
       disconnects_oversize_.load(std::memory_order_relaxed);
-  s.disconnects_rate_limited =
+  s.net.disconnects_rate_limited =
       disconnects_rate_limited_.load(std::memory_order_relaxed);
-  s.disconnects_write_stall =
+  s.net.disconnects_write_stall =
       disconnects_write_stall_.load(std::memory_order_relaxed);
-  s.rate_limited_frames =
+  s.net.rate_limited_frames =
       rate_limited_frames_.load(std::memory_order_relaxed);
   s.peak_out_buffer = peak_out_buffer_.load(std::memory_order_relaxed);
   s.peak_in_buffer = peak_in_buffer_.load(std::memory_order_relaxed);
@@ -189,25 +185,10 @@ wire::ServerInfo Server::MakeInfo() const {
   info.num_matches = pin->num_matches();
   info.checksum = pin->Checksum();
   info.metrics = service_->metrics();
+  info.net = stats().net;
   // The rate limiter is the one RESOURCE_EXHAUSTED answer on the query
   // path, so it is what the service-level shed counter reports.
-  info.metrics.shed = rate_limited_frames_.load(std::memory_order_relaxed);
-  // v4: the defense layer's observable state.
-  info.net.open_connections =
-      open_connections_.load(std::memory_order_relaxed);
-  info.net.paused_reads = paused_reads_.load(std::memory_order_relaxed);
-  info.net.disconnects_idle =
-      disconnects_idle_.load(std::memory_order_relaxed);
-  info.net.disconnects_slowloris =
-      disconnects_slowloris_.load(std::memory_order_relaxed);
-  info.net.disconnects_oversize =
-      disconnects_oversize_.load(std::memory_order_relaxed);
-  info.net.disconnects_rate_limited =
-      disconnects_rate_limited_.load(std::memory_order_relaxed);
-  info.net.disconnects_write_stall =
-      disconnects_write_stall_.load(std::memory_order_relaxed);
-  info.net.rate_limited_frames =
-      rate_limited_frames_.load(std::memory_order_relaxed);
+  info.metrics.shed = info.net.rate_limited_frames;
   return info;
 }
 
@@ -219,18 +200,14 @@ void Server::Loop() {
   for (;;) {
     if (!draining && stop_requested_.load(std::memory_order_acquire)) {
       // Graceful shutdown begins: no new connections, no new reads; every
-      // already-decoded query still gets answered and flushed.
+      // whole frame already read still gets answered and flushed (a
+      // trailing partial frame is dropped by ServeFrames).
       draining = true;
       drain_deadline = Clock::now() + MillisDuration(options_.drain_timeout_ms);
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener_.fd(), nullptr);
       for (auto& [id, conn] : conns_) {
         if (conn.dead) continue;
         conn.closing = true;
-        // Buffered-but-undecoded bytes are abandoned at drain: decode
-        // while closing is reserved for peer EOF, where every complete
-        // frame already received still deserves its answer.
-        conn.in.clear();
-        conn.partial_frame = false;
         conn.reads_armed = false;
         if (conn.read_paused) {
           conn.read_paused = false;
@@ -241,12 +218,12 @@ void Server::Loop() {
                                     : 0u;  // reads off
         ev.data.u64 = id;
         ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.sock.fd(), &ev);
-        if (!conn.pending.empty()) MarkReady(id, conn);
+        if (!conn.in.empty()) MarkReady(id, conn);
       }
     }
     if (draining) {
       for (auto& [id, conn] : conns_) {
-        if (!conn.dead && conn.pending.empty() &&
+        if (!conn.dead && conn.in.empty() &&
             conn.out_off >= conn.out.size()) {
           MarkDead(conn);
         }
@@ -286,7 +263,7 @@ void Server::Loop() {
       auto it = conns_.find(id);
       if (it == conns_.end() || it->second.dead) continue;
       Connection& conn = it->second;
-      if ((mask & (EPOLLHUP | EPOLLERR)) != 0 && conn.pending.empty()) {
+      if ((mask & (EPOLLHUP | EPOLLERR)) != 0 && !conn.ready) {
         MarkDead(conn);
         continue;
       }
@@ -382,64 +359,85 @@ void Server::HandleReadable(uint64_t id, Connection& conn) {
       return;
     }
     if (r->bytes < sizeof(buf)) break;  // level-triggered: rest next round
-    if (conn.in.size() >= kInSoftCap) break;  // decode before slurping more
+    if (conn.in.size() >= kInSoftCap) break;  // answer before slurping more
   }
-  DecodeFrames(id, conn);
-  if (conn.dead) return;
-  if (!conn.pending.empty()) {
-    // Answered after this turn's events; ServeReady updates its state.
-    MarkReady(id, conn);
-    return;
-  }
-  if (conn.closing && conn.in.empty() && conn.out_off >= conn.out.size()) {
-    MarkDead(conn);  // EOF with nothing outstanding: close now
-    return;
-  }
-  UpdateConnState(id, conn);
+  // Answered after this turn's events; ServeFrames updates its state.
+  MarkReady(id, conn);
 }
 
-void Server::DecodeFrames(uint64_t id, Connection& conn) {
-  // Frame decode loop over whatever accumulated. It stops at the pending
-  // cap (backpressure: reads pause, frames stay buffered in `in` and the
-  // kernel) and on a partial frame (slow-loris tracking takes over).
-  // Consumed frames advance `off`; one erase at the end keeps the cost
-  // linear even when the cap leaves many decoded-but-not-admitted frames
-  // buffered (per-frame front erases on a large `in` are quadratic).
-  bool partial = false;
+void Server::MarkReady(uint64_t id, Connection& conn) {
+  if (conn.ready) return;
+  conn.ready = true;
+  ready_.push_back(id);
+}
+
+void Server::ServeReady() {
+  // Connections ServeFrames re-lists land on the fresh ready_ and wait
+  // for the next turn: one quantum per connection per turn.
+  serving_.swap(ready_);
+  for (uint64_t id : serving_) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) continue;
+    Connection& conn = it->second;
+    conn.ready = false;
+    if (!conn.dead) ServeFrames(id, conn);
+  }
+  serving_.clear();
+}
+
+void Server::ServeFrames(uint64_t id, Connection& conn) {
+  // Walks the whole frames at the head of `in` and answers each where it
+  // lies, so responses leave in arrival order by construction. The walk
+  // stops after max_batch answers (fairness), on a partial frame
+  // (slow-loris tracking takes over), or on a frame that ends the
+  // connection. Answered frames advance `off`; one erase at the end keeps
+  // the cost linear (per-frame front erases on a large `in` are
+  // quadratic).
+  std::string bytes;
+  size_t answered = 0;
   size_t off = 0;
+  bool partial = false;
+  bool more = false;      // a whole frame waits for the next quantum
+  bool poisoned = false;  // framing is lost: answer, flush, close
+  std::optional<DisconnectReason> drop;
+  auto poison = [&](const util::Status& status) {
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    wire::EncodeResult(status, &bytes);
+    ++answered;
+    poisoned = true;
+  };
   // With both limits off the buckets admit unconditionally, so the gate
   // (and the clock read that feeds it) is skipped.
   const bool rate_limited =
       options_.conn_rate_limit > 0 || options_.global_rate_limit > 0;
-  // `closing` does not stop the loop: after a clean half-close (EOF with
-  // buffered frames) every complete frame already received is decoded and
-  // answered. The paths that must NOT decode further — poisoned framing
-  // and server drain — clear `in`, which stops the loop by emptiness.
-  while (!conn.dead && off < conn.in.size() &&
-         conn.pending.size() < PendingCap()) {
+  // `closing` does not stop the walk: after a clean half-close (EOF with
+  // buffered frames) and at server drain, every whole frame already
+  // received is answered.
+  while (off < conn.in.size()) {
     std::string_view rest = std::string_view(conn.in).substr(off);
     wire::FrameHeader header;
     auto peeked = wire::PeekFrameHeader(rest, &header);
     if (!peeked.ok()) {
-      // Framing is poisoned: one typed error frame, then close after
-      // flushing (closing + cleared input stops further reads).
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      std::string bytes;
-      wire::EncodeResult(peeked.status(), &bytes);
-      conn.closing = true;
-      conn.in.clear();
-      responses_sent_.fetch_add(1, std::memory_order_relaxed);
-      QueueWrite(id, conn, std::move(bytes));
-      return;
+      poison(peeked.status());
+      break;
     }
     if (*peeked == 0) {
       partial = true;  // header itself is incomplete
       break;
     }
-    if (header.payload_length > MaxFramePayload()) {
+    const bool oversize = header.payload_length > MaxFramePayload();
+    if (!oversize &&
+        rest.size() < wire::kHeaderSize + header.payload_length) {
+      partial = true;  // wait for the rest of the payload
+      break;
+    }
+    if (answered == options_.max_batch) {
+      more = true;
+      break;
+    }
+    if (oversize) {
       // Rejected from the header alone — before one payload byte is
       // buffered or a reservation made (DESIGN.md §15).
-      std::string bytes;
       wire::EncodeResult(
           util::Status::ResourceExhausted(
               "frame payload length " +
@@ -447,13 +445,8 @@ void Server::DecodeFrames(uint64_t id, Connection& conn) {
               " exceeds the server limit (" +
               std::to_string(MaxFramePayload()) + ")"),
           &bytes);
-      responses_sent_.fetch_add(1, std::memory_order_relaxed);
-      QueueWrite(id, conn, std::move(bytes));
-      if (!conn.dead) Disconnect(conn, DisconnectReason::kOversize);
-      return;
-    }
-    if (rest.size() < wire::kHeaderSize + header.payload_length) {
-      partial = true;  // wait for the rest of the payload
+      ++answered;
+      drop = DisconnectReason::kOversize;
       break;
     }
     // A whole frame is present. Rate-gate queries/appends before paying
@@ -470,19 +463,17 @@ void Server::DecodeFrames(uint64_t id, Connection& conn) {
         off += wire::kHeaderSize + header.payload_length;
         frames_received_.fetch_add(1, std::memory_order_relaxed);
         rate_limited_frames_.fetch_add(1, std::memory_order_relaxed);
+        wire::EncodeResult(util::Status::ResourceExhausted("rate limited"),
+                           &bytes);
+        ++answered;
         conn.rate_limited_streak++;
-        conn.pending.push_back(
-            PendingEntry{PendingEntry::Kind::kRateLimited, Query{}, {}});
         if (options_.rate_limit_disconnect_streak > 0 &&
             conn.rate_limited_streak >=
                 options_.rate_limit_disconnect_streak) {
-          // A sustained flood: answer everything queued in order, then
+          // A sustained flood: send what this quantum answered, then
           // drop the connection.
-          AnswerPending(id, conn, conn.pending.size());
-          if (!conn.dead) {
-            Disconnect(conn, DisconnectReason::kRateLimited);
-          }
-          return;
+          drop = DisconnectReason::kRateLimited;
+          break;
         }
         continue;
       }
@@ -492,63 +483,46 @@ void Server::DecodeFrames(uint64_t id, Connection& conn) {
     auto consumed = wire::ExtractFrame(rest, &frame);
     if (!consumed.ok() || *consumed == 0) {
       // Unreachable after the header peek; defend anyway.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      std::string bytes;
-      wire::EncodeResult(consumed.ok()
-                             ? util::Status::Internal("frame decode stalled")
-                             : consumed.status(),
-                         &bytes);
-      conn.closing = true;
-      conn.in.clear();
-      responses_sent_.fetch_add(1, std::memory_order_relaxed);
-      QueueWrite(id, conn, std::move(bytes));
-      return;
+      poison(consumed.ok() ? util::Status::Internal("frame decode stalled")
+                           : consumed.status());
+      break;
     }
     off += *consumed;
     frames_received_.fetch_add(1, std::memory_order_relaxed);
     if (frame.type == wire::FrameType::kQuery) {
       auto decoded = wire::DecodeQuery(frame);
       if (decoded.ok()) {
-        conn.pending.push_back(PendingEntry{PendingEntry::Kind::kQuery,
-                                            std::move(decoded->query), {}});
+        wire::EncodeResult(service_->QueryRecord(decoded->query), &bytes);
+        queries_dispatched_.fetch_add(1, std::memory_order_relaxed);
       } else {
-        // Well-formed frame, malformed query payload: a typed error
-        // response that must not overtake earlier queries — it rides the
-        // pending queue as a marker and is answered at head-of-line.
-        conn.pending.push_back(
-            PendingEntry{PendingEntry::Kind::kDecodeError, Query{}, {}});
+        // Well-formed frame, malformed query payload: a typed error in
+        // this frame's place; the connection lives on.
+        wire::EncodeResult(
+            util::Status::InvalidArgument("malformed query payload"),
+            &bytes);
       }
     } else if (frame.type == wire::FrameType::kInfoRequest) {
-      conn.pending.push_back(
-          PendingEntry{PendingEntry::Kind::kInfoRequest, Query{}, {}});
+      wire::EncodeInfo(MakeInfo(), &bytes);
     } else if (frame.type == wire::FrameType::kAppendRequest) {
-      auto record = wire::DecodeAppend(frame);
-      if (record.ok()) {
-        conn.pending.push_back(PendingEntry{PendingEntry::Kind::kAppend,
-                                            Query{}, std::move(*record)});
-      } else {
-        conn.pending.push_back(
-            PendingEntry{PendingEntry::Kind::kAppendError, Query{}, {}});
-      }
+      AnswerAppend(frame, &bytes);
     } else {
       // kResult/kError/kInfo from a client: protocol violation.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      std::string bytes;
-      wire::EncodeResult(
-          util::Status::InvalidArgument("unexpected client frame type"),
-          &bytes);
-      conn.closing = true;
-      conn.in.clear();
-      responses_sent_.fetch_add(1, std::memory_order_relaxed);
-      QueueWrite(id, conn, std::move(bytes));
-      return;
+      poison(util::Status::InvalidArgument("unexpected client frame type"));
+      break;
     }
+    ++answered;
   }
-  if (off > 0) conn.in.erase(0, off);
-  if (conn.dead) return;
+  if (poisoned) {
+    // Closing with cleared input: no further reads, no further answers.
+    conn.closing = true;
+    conn.in.clear();
+  } else if (off > 0) {
+    conn.in.erase(0, off);
+  }
   if (conn.closing && partial) {
-    // A truncated trailing frame at EOF can never complete (the peer is
-    // done writing): drop the fragment so the connection can drain shut.
+    // A truncated trailing frame at EOF or drain can never complete (no
+    // more bytes will be read): drop the fragment so the connection can
+    // drain shut.
     conn.in.clear();
     partial = false;
   }
@@ -559,103 +533,51 @@ void Server::DecodeFrames(uint64_t id, Connection& conn) {
     conn.window_start = Clock::now();
     conn.window_start_bytes = conn.bytes_read;
   }
-}
-
-void Server::MarkReady(uint64_t id, Connection& conn) {
-  if (conn.ready) return;
-  conn.ready = true;
-  ready_.push_back(id);
-}
-
-void Server::ServeReady() {
-  // Connections re-listed below land on the fresh ready_ and wait for the
-  // next turn: one quantum per connection per turn.
-  serving_.swap(ready_);
-  for (uint64_t id : serving_) {
-    auto it = conns_.find(id);
-    if (it == conns_.end()) continue;
-    Connection& conn = it->second;
-    conn.ready = false;
-    if (conn.dead) continue;
-    AnswerPending(id, conn, options_.max_batch);
-    if (conn.dead) continue;
-    // Answering made room in the pending queue: decode frames already
-    // buffered in `in` (level-triggered epoll only fires on new kernel
-    // bytes, so a paused connection resumes here, not on readiness).
-    DecodeFrames(id, conn);
-    if (conn.dead) continue;
-    if (!conn.pending.empty()) {
-      MarkReady(id, conn);
-    } else if (conn.closing && conn.in.empty() &&
-               conn.out_off >= conn.out.size()) {
-      MarkDead(conn);
-      continue;
-    }
-    UpdateConnState(id, conn);
+  if (answered > 0) {
+    responses_sent_.fetch_add(answered, std::memory_order_relaxed);
+    QueueWrite(id, conn, std::move(bytes));
   }
-  serving_.clear();
+  if (drop && !conn.dead) Disconnect(conn, *drop);
+  if (conn.dead) return;
+  if (more) {
+    MarkReady(id, conn);
+  } else if (conn.closing && conn.in.empty() &&
+             conn.out_off >= conn.out.size()) {
+    MarkDead(conn);  // nothing left to answer or flush: close now
+    return;
+  }
+  UpdateConnState(id, conn);
 }
 
-void Server::AnswerPending(uint64_t id, Connection& conn, size_t limit) {
-  std::string bytes;
-  size_t answered = 0;
-  for (; answered < limit && !conn.pending.empty(); ++answered) {
-    PendingEntry entry = std::move(conn.pending.front());
-    conn.pending.pop_front();
-    switch (entry.kind) {
-      case PendingEntry::Kind::kQuery:
-        wire::EncodeResult(service_->QueryRecord(entry.query), &bytes);
-        queries_dispatched_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case PendingEntry::Kind::kInfoRequest:
-        wire::EncodeInfo(MakeInfo(), &bytes);
-        break;
-      case PendingEntry::Kind::kAppend: {
-        // The ack (or typed error) keeps its place among the
-        // connection's responses.
-        if (builder_ == nullptr) {
-          wire::EncodeResult(
-              util::Status::Unavailable("live ingest disabled"), &bytes);
-          break;
-        }
-        auto submitted = builder_->Submit(std::move(entry.record));
-        if (!submitted.ok()) {
-          wire::EncodeResult(submitted.status(), &bytes);
-          break;
-        }
-        appends_accepted_.fetch_add(1, std::memory_order_relaxed);
-        wire::AppendAck ack;
-        ack.record_idx = *submitted;
-        ack.generation = service_->index_manager().generation();
-        // With a WAL behind the builder, Submit returned only after the
-        // fsync — tell the client this ack survives a crash.
-        ack.durable = builder_->durable();
-        ack.wal_sequence =
-            ack.durable ? builder_->WalSequenceFor(
-                              static_cast<data::RecordIdx>(*submitted))
-                        : 0;
-        wire::EncodeAppendAck(ack, &bytes);
-        break;
-      }
-      case PendingEntry::Kind::kAppendError:
-        wire::EncodeResult(
-            util::Status::InvalidArgument("malformed append payload"),
-            &bytes);
-        break;
-      case PendingEntry::Kind::kRateLimited:
-        wire::EncodeResult(
-            util::Status::ResourceExhausted("rate limited"), &bytes);
-        break;
-      case PendingEntry::Kind::kDecodeError:
-        wire::EncodeResult(
-            util::Status::InvalidArgument("malformed query payload"),
-            &bytes);
-        break;
-    }
+void Server::AnswerAppend(const wire::Frame& frame, std::string* out) {
+  auto record = wire::DecodeAppend(frame);
+  if (!record.ok()) {
+    wire::EncodeResult(
+        util::Status::InvalidArgument("malformed append payload"), out);
+    return;
   }
-  if (answered == 0) return;
-  responses_sent_.fetch_add(answered, std::memory_order_relaxed);
-  QueueWrite(id, conn, std::move(bytes));
+  if (builder_ == nullptr) {
+    wire::EncodeResult(util::Status::Unavailable("live ingest disabled"),
+                       out);
+    return;
+  }
+  auto submitted = builder_->Submit(std::move(*record));
+  if (!submitted.ok()) {
+    wire::EncodeResult(submitted.status(), out);
+    return;
+  }
+  appends_accepted_.fetch_add(1, std::memory_order_relaxed);
+  wire::AppendAck ack;
+  ack.record_idx = *submitted;
+  ack.generation = service_->index_manager().generation();
+  // With a WAL behind the builder, Submit returned only after the
+  // fsync — tell the client this ack survives a crash.
+  ack.durable = builder_->durable();
+  ack.wal_sequence =
+      ack.durable ? builder_->WalSequenceFor(
+                        static_cast<data::RecordIdx>(*submitted))
+                  : 0;
+  wire::EncodeAppendAck(ack, out);
 }
 
 void Server::QueueWrite(uint64_t id, Connection& conn, std::string bytes) {
@@ -696,21 +618,25 @@ void Server::HandleWritable(uint64_t id, Connection& conn) {
   if (conn.out_off == conn.out.size()) {
     conn.out.clear();
     conn.out_off = 0;
-    if (conn.closing && conn.in.empty() && conn.pending.empty()) {
+    if (conn.closing && conn.in.empty()) {
       MarkDead(conn);
       return;
     }
   }
-  UpdateConnState(id, conn);
+  // A listed connection gets its state updated after its quantum this
+  // turn; updating it here, before its frames are answered, would pause
+  // its reads for nothing.
+  if (!conn.ready) UpdateConnState(id, conn);
 }
 
 void Server::UpdateConnState(uint64_t id, Connection& conn) {
   if (conn.dead) return;
   bool stopping = stop_requested_.load(std::memory_order_acquire);
-  // The backpressure predicate: pause reads while the pending queue is
-  // full — the kernel socket buffer and TCP flow control take it from
-  // there.
-  bool pressure = conn.pending.size() >= PendingCap();
+  // The backpressure predicate: a connection still holding a whole
+  // unanswered frame after its quantum is on the ready list; its reads
+  // pause until it holds none — the kernel socket buffer and TCP flow
+  // control take it from there.
+  bool pressure = conn.ready;
   bool want_read = !conn.closing && !stopping && !pressure;
   bool want_write = conn.out_off < conn.out.size();
   bool was_armed = conn.reads_armed;
@@ -745,8 +671,7 @@ void Server::UpdateConnState(uint64_t id, Connection& conn) {
   // The connection's nearest defense deadline.
   Clock::time_point next = Clock::time_point::max();
   size_t backlog = conn.out.size() - conn.out_off;
-  bool quiescent =
-      conn.pending.empty() && backlog == 0 && conn.in.empty();
+  bool quiescent = backlog == 0 && conn.in.empty();
   if (options_.idle_timeout_ms > 0 && quiescent && !conn.closing) {
     next = std::min(next, conn.last_activity +
                               MillisDuration(options_.idle_timeout_ms));
@@ -781,8 +706,7 @@ Server::Clock::time_point Server::ExpireDeadlines() {
 void Server::OnConnDeadline(uint64_t id, Connection& conn) {
   Clock::time_point now = Clock::now();
   size_t backlog = conn.out.size() - conn.out_off;
-  bool quiescent =
-      conn.pending.empty() && backlog == 0 && conn.in.empty();
+  bool quiescent = backlog == 0 && conn.in.empty();
   if (options_.idle_timeout_ms > 0 && quiescent && !conn.closing &&
       now - conn.last_activity >=
           MillisDuration(options_.idle_timeout_ms)) {

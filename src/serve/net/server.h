@@ -4,14 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "data/record.h"
 #include "serve/ingest.h"
 #include "serve/resolution_service.h"
 #include "serve/wire.h"
@@ -24,13 +22,13 @@ namespace yver::serve::net {
 struct ServerOptions {
   /// TCP port on 127.0.0.1 (0 = kernel-assigned; read back via port()).
   uint16_t port = 0;
-  /// The per-turn fairness quantum: pending frames a connection gets
+  /// The per-turn fairness quantum: buffered frames a connection gets
   /// answered per event-loop turn, in one write (see Server).
   size_t max_batch = 64;
   /// Connections beyond this are accepted and immediately closed (the
   /// listen backlog would otherwise queue them invisibly).
   size_t max_connections = 1024;
-  /// Graceful-shutdown bound: already-decoded queries get this long to
+  /// Graceful-shutdown bound: whole frames already read get this long to
   /// be answered and flushed before connections are force-closed.
   double drain_timeout_ms = 5000;
 
@@ -50,20 +48,16 @@ struct ServerOptions {
   /// 0 = kernel default (auto-tuned).
   size_t so_sndbuf = 0;
   /// Per-connection cap on buffered unparsed input bytes. Backpressure
-  /// (the pending cap) already bounds this path, so the cap is a
-  /// belt-and-braces bound; exceeding it disconnects (reason: oversize).
-  /// 0 = unbounded.
+  /// (reads pause while whole frames wait) and the per-wakeup read cap
+  /// already bound this path near max(256 KiB, the frame-size cap) plus
+  /// one 64 KiB read, so the cap is a belt-and-braces bound; exceeding it
+  /// disconnects (reason: oversize). 0 = unbounded.
   size_t max_in_buffer = 64u << 20;
   /// Server-side cap on a declared frame payload length: a frame header
   /// declaring more is rejected — with a typed error frame, then a close —
   /// before a single payload byte is buffered (reason: oversize). 0 = the
   /// protocol maximum, wire::kMaxFramePayload.
   size_t max_frame_payload = 0;
-  /// Decoded-but-unanswered frames a connection may queue before the
-  /// loop deregisters EPOLLIN for it (backpressure; the kernel socket
-  /// buffer and TCP flow control push back on the peer from there).
-  /// 0 = 2 * max_batch.
-  size_t max_pending = 0;
   /// Disconnect a connection with nothing outstanding in either direction
   /// after this long without a byte of traffic (reason: idle). 0 = never.
   double idle_timeout_ms = 300000;
@@ -101,15 +95,8 @@ struct ServerStats {
   uint64_t responses_sent = 0;    // result/error/info frames fully written
   uint64_t protocol_errors = 0;   // malformed frames (connection poisoned)
   uint64_t socket_errors = 0;     // read/write failures (incl. injected)
-  // Connection-lifecycle defense (DESIGN.md §15):
-  uint64_t open_connections = 0;  // gauge: live (not yet reaped)
-  uint64_t paused_reads = 0;      // gauge: EPOLLIN deregistered for pressure
-  uint64_t disconnects_idle = 0;
-  uint64_t disconnects_slowloris = 0;
-  uint64_t disconnects_oversize = 0;
-  uint64_t disconnects_rate_limited = 0;
-  uint64_t disconnects_write_stall = 0;
-  uint64_t rate_limited_frames = 0;   // answered RESOURCE_EXHAUSTED
+  // Connection-lifecycle defense (DESIGN.md §15), as kInfo reports it.
+  wire::NetGauges net;
   uint64_t peak_out_buffer = 0;       // high-water mark of any conn's out
   uint64_t peak_in_buffer = 0;        // high-water mark of any conn's in
 };
@@ -118,32 +105,33 @@ struct ServerStats {
 /// event-loop thread owns every connection — per-connection read/write
 /// buffers with partial-read and short-write handling, wire framing, and
 /// strict in-order request/response pipelining — and answers every
-/// decoded query itself through ResolutionService::QueryRecord (and
-/// through it the service's deadlines). An answer costs well under a
-/// microsecond, far less than handing it to another thread and waking
-/// the loop again.
+/// query frame itself, in place in the input buffer, through
+/// ResolutionService::QueryRecord (and through it the service's
+/// deadlines). An answer costs well under a microsecond, far less than
+/// handing it to another thread and waking the loop again.
 ///
 /// Fairness: a connection gets at most `max_batch` frames answered per
-/// loop turn. One with more pending or buffered goes on a ready list, and
-/// while that list is non-empty the loop polls epoll without blocking, so
-/// every other connection is served between any two of its quanta.
+/// loop turn. One with whole frames still buffered goes on a ready list,
+/// and while that list is non-empty the loop polls epoll without
+/// blocking, so every other connection is served between any two of its
+/// quanta.
 ///
 /// Ordering contract: responses on a connection are sent in the order the
-/// queries arrived, one response frame per query frame — the pending
-/// queue is answered strictly from its head. This is what makes a
-/// replayed capture byte-identical run over run and wire answers
-/// byte-equal to the in-process API.
+/// frames arrived, one response frame per request frame — frames are
+/// answered one by one from the head of the input buffer, each where it
+/// lies. This is what makes a replayed capture byte-identical run over
+/// run and wire answers byte-equal to the in-process API.
 ///
 /// Connection lifecycle (DESIGN.md §15): reading → paused → draining →
-/// dead. Reads pause (EPOLLIN deregistered) while the pending queue is at
-/// its cap — TCP flow control then pushes back on the peer instead of the
-/// server buffering unboundedly. Each connection carries its nearest
+/// dead. Reads pause (EPOLLIN deregistered) while a connection still
+/// holds a whole unanswered frame after its quantum — TCP flow control
+/// then pushes back on the peer instead of the server buffering
+/// unboundedly. Each connection carries its nearest
 /// defense deadline (idle timeout, slow-loris progress window, write
 /// stall); the loop sleeps until the earliest one and checks them all
 /// after every turn; token buckets rate-limit query/append frames. Every defensive
 /// disconnect is typed (idle / slowloris / oversize / rate-limited /
-/// write-stall) and surfaced both in ServerStats and on the wire via the
-/// kInfo NetGauges.
+/// write-stall) and surfaced in ServerStats::net, the kInfo NetGauges.
 ///
 /// Failure model: a malformed frame gets a typed kError frame and a
 /// connection close (protocol errors poison framing); a query that fails
@@ -153,8 +141,9 @@ struct ServerStats {
 /// on network input.
 ///
 /// Shutdown() is graceful: stop accepting, stop reading, answer every
-/// already-decoded query, flush the write buffers, then close — bounded
-/// by ServerOptions::drain_timeout_ms.
+/// whole frame already read (a trailing partial frame is dropped), flush
+/// the write buffers, then close — bounded by
+/// ServerOptions::drain_timeout_ms.
 class Server {
  public:
   /// `builder`, when non-null, enables live ingest: kAppendRequest frames
@@ -209,32 +198,12 @@ class Server {
     bool TryTake(double rate, double burst, Clock::time_point now);
   };
 
-  /// One element of a connection's in-order pending queue. Besides real
-  /// queries it carries markers — a malformed query or append payload
-  /// (answers INVALID_ARGUMENT), an info request, a decoded append, and
-  /// a rate-limited frame (answers RESOURCE_EXHAUSTED) — which must hold
-  /// their place in line so responses never overtake earlier queries.
-  struct PendingEntry {
-    enum class Kind : uint8_t {
-      kQuery,
-      kDecodeError,
-      kInfoRequest,
-      kAppend,
-      kAppendError,
-      kRateLimited,
-    };
-    Kind kind = Kind::kQuery;
-    Query query;
-    data::Record record;  // kAppend only
-  };
-
   struct Connection {
     util::Socket sock;
-    std::string in;                         // unparsed wire bytes
-    std::deque<PendingEntry> pending;       // decoded, not yet answered
+    std::string in;                         // unanswered wire bytes
     std::string out;                        // encoded frames awaiting write
     size_t out_off = 0;                     // bytes of `out` already sent
-    bool ready = false;                     // on ready_ (pending to answer)
+    bool ready = false;                     // on ready_ (frames to answer)
     bool closing = false;                   // drain then close (EOF/protocol)
     bool want_write = false;                // EPOLLOUT currently armed
     bool reads_armed = true;                // EPOLLIN|EPOLLRDHUP armed
@@ -255,20 +224,22 @@ class Server {
 
   void Loop();
   void AcceptAll();
+  /// Reads what the socket holds (at most kInSoftCap per wakeup) and
+  /// lists the connection for this turn's ServeReady.
   void HandleReadable(uint64_t id, Connection& conn);
   void HandleWritable(uint64_t id, Connection& conn);
-  /// Decodes frames out of conn.in into the pending queue, stopping at
-  /// the pending cap (backpressure) — also the enforcement point for the
-  /// frame-size cap and the rate limits.
-  void DecodeFrames(uint64_t id, Connection& conn);
-  /// Puts a connection with pending frames on the ready list (once).
+  /// Puts a connection on the ready list (once).
   void MarkReady(uint64_t id, Connection& conn);
-  /// Gives every connection on the ready list one quantum of answers,
-  /// refills its queue from `in`, and re-lists it if frames remain.
+  /// Gives every connection on the ready list one quantum (ServeFrames).
   void ServeReady();
-  /// Answers up to `limit` frames from the head of the pending queue, in
-  /// order, and queues their encoded responses as one write.
-  void AnswerPending(uint64_t id, Connection& conn, size_t limit);
+  /// One quantum: answers up to `max_batch` whole frames from the head of
+  /// conn.in, in order and each in place, as one write; re-lists the
+  /// connection if a whole frame remains. Also the enforcement point for
+  /// the frame-size cap and the rate limits.
+  void ServeFrames(uint64_t id, Connection& conn);
+  /// Answers one kAppendRequest frame: submits the record to the live
+  /// builder and encodes its ack, or a typed error, into `out`.
+  void AnswerAppend(const wire::Frame& frame, std::string* out);
   /// Recomputes and applies the connection's epoll interest set (pause /
   /// resume reads, write interest) and its next deadline. The one place
   /// connection state maps to kernel + timer state; call after any state
@@ -293,7 +264,6 @@ class Server {
   void MarkDead(Connection& conn);
   void ReapDead();
   wire::ServerInfo MakeInfo() const;
-  size_t PendingCap() const;
   size_t MaxFramePayload() const;
 
   std::shared_ptr<ResolutionService> service_;

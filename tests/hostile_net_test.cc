@@ -131,7 +131,7 @@ TEST(HostileNetTest, IdleConnectionIsDisconnectedAndCounted) {
   EXPECT_EQ(info->net.disconnects_idle, 1u);
   EXPECT_EQ(info->net.open_connections, 1u);  // just the probe itself
   server.Shutdown();
-  EXPECT_EQ(server.stats().disconnects_idle, 1u);
+  EXPECT_EQ(server.stats().net.disconnects_idle, 1u);
 }
 
 TEST(HostileNetTest, TrafficKeepsReArmingTheIdleTimer) {
@@ -155,7 +155,7 @@ TEST(HostileNetTest, TrafficKeepsReArmingTheIdleTimer) {
     ASSERT_TRUE(answer.ok()) << "query " << i << ": "
                              << answer.status().ToString();
   }
-  EXPECT_EQ(server.stats().disconnects_idle, 0u);
+  EXPECT_EQ(server.stats().net.disconnects_idle, 0u);
 
   // Then silence: the last deadline still fires.
   auto next = conn->ReadFrameBytes(util::Deadline::AfterMillis(5000));
@@ -163,7 +163,7 @@ TEST(HostileNetTest, TrafficKeepsReArmingTheIdleTimer) {
   EXPECT_EQ(next.status().code(), StatusCode::kUnavailable)
       << next.status().ToString();
   server.Shutdown();
-  EXPECT_EQ(server.stats().disconnects_idle, 1u);
+  EXPECT_EQ(server.stats().net.disconnects_idle, 1u);
 }
 
 TEST(HostileNetTest, SlowlorisIsDisconnectedWithTypedReason) {
@@ -217,7 +217,7 @@ TEST(HostileNetTest, DribblePacedAboveMinRateIsServedNotDisconnected) {
   EXPECT_GT(report->responses_read, 0u);
   EXPECT_EQ(report->responses_read, report->ok_responses);
   net::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.disconnects_slowloris, 0u);
+  EXPECT_EQ(stats.net.disconnects_slowloris, 0u);
   server.Shutdown();
 }
 
@@ -233,14 +233,30 @@ TEST(HostileNetTest, RateLimitedQueriesGetTypedErrorsInOrder) {
   auto workload = MakeWorkload(10, 11);
   auto client = net::Client::Connect(server.port());
   ASSERT_TRUE(client.ok());
-  for (const Query& query : workload) {
-    ASSERT_TRUE(client->SendQuery(query).ok());
+  // One send carries the whole burst with an info request (exempt from
+  // the limiter) in its middle, so the server answers limited and
+  // admitted frames side by side: the info answer must come back in its
+  // own slot, between the limited answers around it.
+  constexpr size_t kInfoSlot = 5;
+  std::string burst;
+  for (size_t i = 0; i < workload.size(); ++i) {
+    if (i == kInfoSlot) wire::EncodeInfoRequest(&burst);
+    wire::EncodeQuery(workload[i], 0, &burst);
   }
+  ASSERT_TRUE(client->SendBytes(burst).ok());
   size_t ok = 0;
   size_t limited = 0;
   bool first_was_ok = false;
-  for (size_t i = 0; i < workload.size(); ++i) {
-    auto result = client->ReadResult(util::Deadline::AfterMillis(5000));
+  for (size_t i = 0; i <= workload.size(); ++i) {
+    auto bytes = client->ReadFrameBytes(util::Deadline::AfterMillis(5000));
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    wire::Frame frame;
+    ASSERT_TRUE(wire::ExtractFrame(*bytes, &frame).ok());
+    if (i == kInfoSlot) {
+      EXPECT_EQ(frame.type, wire::FrameType::kInfo) << "response " << i;
+      continue;
+    }
+    auto result = wire::DecodeResult(frame);
     if (result.ok()) {
       ++ok;
       if (i == 0) first_was_ok = true;
@@ -337,7 +353,7 @@ TEST(HostileNetTest, OversizeDeclaredFrameIsRejectedBeforeBuffering) {
   EXPECT_EQ(eof.status().code(), StatusCode::kUnavailable);
 
   net::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.disconnects_oversize, 1u);
+  EXPECT_EQ(stats.net.disconnects_oversize, 1u);
   EXPECT_LT(stats.peak_in_buffer, 1024u)
       << "the phantom payload must never be buffered";
   server.Shutdown();
@@ -366,7 +382,7 @@ TEST(HostileNetTest, NeverReadClientIsBoundedAndDropped) {
       << net::FormatAdversaryReport(attack.mode, *report);
 
   net::ServerStats stats = server.stats();
-  EXPECT_GE(stats.disconnects_write_stall, 2u);
+  EXPECT_GE(stats.net.disconnects_write_stall, 2u);
   // The memory bound: the response backlog never ran away past the cap
   // by more than one in-flight batch's worth of responses.
   EXPECT_LE(stats.peak_out_buffer, (64u << 10) + (64u << 10))
@@ -527,15 +543,15 @@ TEST(HostileNetTest, FleetStaysByteEqualToSerialBaselineUnderAttack) {
 
     // The defenses fired on the attackers and the memory bound held.
     net::ServerStats stats = server.stats();
-    EXPECT_GE(stats.disconnects_slowloris, 1u);
+    EXPECT_GE(stats.net.disconnects_slowloris, 1u);
     EXPECT_LE(stats.peak_out_buffer, (256u << 10) + (256u << 10));
-    // And the gauges tell the same story over the wire (v4 end-to-end).
+    // And the gauges tell the same story over the wire.
     auto probe = net::Client::Connect(server.port());
     ASSERT_TRUE(probe.ok());
     auto info = probe->Info(util::Deadline::AfterMillis(5000));
     ASSERT_TRUE(info.ok()) << info.status().ToString();
     EXPECT_EQ(info->net.disconnects_slowloris,
-              stats.disconnects_slowloris);
+              stats.net.disconnects_slowloris);
     server.Shutdown();
   }
 }

@@ -10,6 +10,7 @@
 // faults must only ever fragment or fail I/O — never corrupt an answer.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <array>
@@ -360,29 +361,48 @@ TEST(NetServerTest, ShutdownDrainsEveryReceivedQuery) {
   options.max_batch = 8;
   net::Server server(service, options);
   ASSERT_TRUE(server.Start().ok());
-  auto client = net::Client::Connect(server.port());
-  ASSERT_TRUE(client.ok());
+  auto sock = util::Socket::ConnectLoopback(server.port());
+  ASSERT_TRUE(sock.ok());
 
-  for (const Query& query : workload) {
-    ASSERT_TRUE(client->SendQuery(query).ok());
-  }
-  // Wait until the server has parsed every frame (the wire is async), so
-  // the drain contract — not a read race — is what's under test.
-  while (server.stats().frames_received < workload.size()) {
+  // The burst goes out in one raw send (no fault point on this thread)
+  // while latency spikes wait at the first two fault points the loop
+  // passes: its read of the burst, then its first answer. While the
+  // second lasts, the loop holds every frame of the burst and has
+  // answered none of it, so Shutdown lands with 200 whole frames read
+  // and at most one quantum (8) answered: the drain contract — every
+  // whole frame already read is answered — is what is under test, not a
+  // read race.
+  std::string burst;
+  for (const Query& query : workload) wire::EncodeQuery(query, 0, &burst);
+  util::FaultConfig stall;
+  stall.latency_probability = 1.0;
+  stall.latency_micros = 500000;
+  stall.max_injections = 2;
+  util::FaultInjector::Global().Arm(stall);
+  ASSERT_EQ(::send(sock->fd(), burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().peak_in_buffer < burst.size() &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
+  EXPECT_EQ(server.stats().peak_in_buffer, burst.size());
   server.Shutdown();
+  util::FaultInjector::Global().Disarm();
 
-  // Every received query was answered before the close, in order.
+  // Every frame read was answered before the close, in order.
   for (size_t i = 0; i < workload.size(); ++i) {
-    auto response = client->ReadFrameBytes();
-    ASSERT_TRUE(response.ok()) << "response " << i << ": "
-                               << response.status().ToString();
-    EXPECT_EQ(*response, expected[i]) << "response " << i;
+    std::string response(expected[i].size(), '\0');
+    ASSERT_TRUE(sock->ReadFull(response.data(), response.size(),
+                               util::Deadline::AfterMillis(10000))
+                    .ok())
+        << "response " << i;
+    EXPECT_EQ(response, expected[i]) << "response " << i;
   }
-  auto eof = client->ReadFrameBytes();
-  ASSERT_FALSE(eof.ok());
-  EXPECT_EQ(eof.status().code(), StatusCode::kUnavailable);
+  char byte = 0;
+  auto eof = sock->ReadSome(&byte, 1);
+  ASSERT_TRUE(eof.ok()) << eof.status().ToString();
+  EXPECT_TRUE(eof->eof);
 }
 
 TEST(NetServerTest, ClientEofGetsAllAnswersThenClose) {
@@ -443,18 +463,18 @@ TEST(NetServerTest, HalfCloseWhileBatchesAreInFlightDeliversEveryAnswer) {
   // A clean half-close is not an offense: no defense counter fires, and
   // the connection is reaped once the last answer is flushed.
   net::ServerStats stats = server.stats();
-  for (int i = 0; i < 500 && stats.open_connections > 0; ++i) {
+  for (int i = 0; i < 500 && stats.net.open_connections > 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     stats = server.stats();
   }
-  EXPECT_EQ(stats.open_connections, 0u);
+  EXPECT_EQ(stats.net.open_connections, 0u);
   EXPECT_EQ(stats.connections_closed, stats.connections_accepted);
   EXPECT_EQ(stats.protocol_errors, 0u);
-  EXPECT_EQ(stats.disconnects_idle, 0u);
-  EXPECT_EQ(stats.disconnects_slowloris, 0u);
-  EXPECT_EQ(stats.disconnects_oversize, 0u);
-  EXPECT_EQ(stats.disconnects_rate_limited, 0u);
-  EXPECT_EQ(stats.disconnects_write_stall, 0u);
+  EXPECT_EQ(stats.net.disconnects_idle, 0u);
+  EXPECT_EQ(stats.net.disconnects_slowloris, 0u);
+  EXPECT_EQ(stats.net.disconnects_oversize, 0u);
+  EXPECT_EQ(stats.net.disconnects_rate_limited, 0u);
+  EXPECT_EQ(stats.net.disconnects_write_stall, 0u);
   server.Shutdown();
 }
 
@@ -506,11 +526,11 @@ TEST(NetServerTest, AbruptCloseWithBatchesInFlightIsReapedWithoutHarm) {
   // Every vanished connection is eventually reaped; only the live client
   // remains, and nothing was booked as a framing offense.
   net::ServerStats stats = server.stats();
-  for (int i = 0; i < 500 && stats.open_connections > 1; ++i) {
+  for (int i = 0; i < 500 && stats.net.open_connections > 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     stats = server.stats();
   }
-  EXPECT_EQ(stats.open_connections, 1u);
+  EXPECT_EQ(stats.net.open_connections, 1u);
   EXPECT_EQ(stats.connections_accepted, 4u);
   EXPECT_EQ(stats.connections_closed, 3u);
   EXPECT_EQ(stats.protocol_errors, 0u);
@@ -607,17 +627,11 @@ TEST(NetServerTest, PipelinedFirehoseDoesNotStarveAnotherConnection) {
   firehose.join();
   EXPECT_EQ(firehose_read.load(), kFirehose);
   EXPECT_EQ(firehose_mismatches.load(), 0u);
+  // Backpressure bounds the input buffer: reads pause while whole frames
+  // wait, so `in` never holds more than one capped wakeup's reads (256
+  // KiB) plus the last 64 KiB chunk, though the burst is ~1.5 MB.
+  EXPECT_LT(server.stats().peak_in_buffer, (256u << 10) + (64u << 10));
   server.Shutdown();
-}
-
-/// A fault config whose single injection is a `micros` latency spike, so
-/// the first query computed after Arm stalls at serve.service.compute.
-util::FaultConfig StallFirstCompute(uint32_t micros) {
-  util::FaultConfig config;
-  config.latency_probability = 1.0;
-  config.latency_micros = micros;
-  config.max_injections = 1;
-  return config;
 }
 
 /// Arms `config` and starts an in-process QueryRecord on its own thread;
@@ -639,6 +653,16 @@ std::thread StartStalledInProcessQuery(ResolutionService& service,
     std::this_thread::yield();
   }
   return caller;
+}
+
+/// A fault config whose single injection is a `micros` latency spike, so
+/// the first query computed after Arm stalls at serve.service.compute.
+util::FaultConfig StallFirstCompute(uint32_t micros) {
+  util::FaultConfig config;
+  config.latency_probability = 1.0;
+  config.latency_micros = micros;
+  config.max_injections = 1;
+  return config;
 }
 
 TEST(NetServerTest, WireQueryIsAnsweredWhileAnInProcessQueryStalls) {
@@ -949,11 +973,11 @@ TEST(NetLiveIngestTest, DurableAcksCarryWalSequenceAndSurviveRestart) {
     auto client = net::Client::Connect(server.port());
     ASSERT_TRUE(client.ok());
 
-    // A v3 ack from a WAL-backed server means durable: the record is
+    // An ack from a WAL-backed server means durable: the record is
     // fsync'd under the reported sequence before the ack is sent.
     for (uint64_t i = 0; i < 3; ++i) {
       auto ack = client->Append(
-          MakeWireReport(10 + i, "w" + std::to_string(i), "al"));
+          MakeWireReport(10 + i, std::string("w") + std::to_string(i), "al"));
       ASSERT_TRUE(ack.ok()) << ack.status().ToString();
       EXPECT_EQ(ack->record_idx, 3 + i);
       EXPECT_TRUE(ack->durable);

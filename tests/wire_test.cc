@@ -655,7 +655,8 @@ TEST(WireCodecTest, AppendBitFlipsNeverCrashTheDecoder) {
 }
 
 // ---------------------------------------------------------------------------
-// Version evolution: v2 payload additions, v1 decode defaults
+// Payload fields: result generations, live-index and net gauges, and
+// header peeks
 
 TEST(WireCodecTest, ResultCarriesItsGeneration) {
   util::Rng rng(47);

@@ -307,7 +307,6 @@ ServeOptions ParseServeOptions(const Flags& flags, bool needs_corpus) {
   flags.Parse("max-in-buffer", &server.max_in_buffer);
   flags.Parse("sndbuf", &server.so_sndbuf);
   flags.Parse("max-frame-bytes", &server.max_frame_payload);
-  flags.Parse("max-pending", &server.max_pending);
   flags.Parse("write-stall-timeout-ms", &server.write_stall_timeout_ms);
   flags.Parse("rate-limit", &server.conn_rate_limit);
   flags.Parse("rate-burst", &server.conn_rate_burst);
@@ -383,7 +382,8 @@ constexpr const char kServeHelp[] =
     "  --port P              bind port (0 = kernel-assigned, default)\n"
     "  --port-file F         write the bound port to F once listening\n"
     "  --max-batch B         frames answered per connection per event-loop\n"
-    "                        turn, the fairness quantum (64)\n"
+    "                        turn, the fairness quantum; its reads pause\n"
+    "                        while more whole frames wait (64)\n"
     "  --max-connections N   accept cap; excess closed at once (1024)\n"
     "  --drain-timeout-ms D  graceful-shutdown bound (5000)\n"
     "\n"
@@ -401,8 +401,6 @@ constexpr const char kServeHelp[] =
     "                        past --max-out-buffer (0 = kernel default)\n"
     "  --max-frame-bytes N   reject frames declaring > N payload bytes\n"
     "                        before buffering any (0 = protocol max)\n"
-    "  --max-pending N       decoded-but-unanswered queries per\n"
-    "                        connection before reads pause (0 = 2*batch)\n"
     "  --write-stall-timeout-ms D  drop if no response byte drains for D\n"
     "                        while a backlog exists (30000; 0 = off)\n"
     "  --rate-limit Q        per-connection queries/sec token bucket;\n"
