@@ -115,7 +115,25 @@ data::RecordIdx IncrementalResolver::AddRecord(data::Record record) {
             [](const RankedMatch& a, const RankedMatch& b) {
               return a.confidence > b.confidence;
             });
+  retractable_ = true;
   return idx;
+}
+
+void IncrementalResolver::RetractLastRecord() {
+  YVER_CHECK_MSG(retractable_, "no AddRecord to retract");
+  retractable_ = false;
+  // AddRecord appended exactly last_matches_.size() matches to matches_.
+  matches_.resize(matches_.size() - last_matches_.size());
+  last_matches_.clear();
+  auto idx = static_cast<data::RecordIdx>(dataset_.size() - 1);
+  for (data::ItemId item : encoded_.bags.back()) {
+    YVER_CHECK(postings_[item].back() == idx);
+    postings_[item].pop_back();
+    encoded_.dictionary.DecrementFrequency(item);
+  }
+  encoded_.bags.pop_back();
+  extractor_->RemoveLastRecord();
+  dataset_.RemoveLast();
 }
 
 RankedResolution IncrementalResolver::Resolution() const {

@@ -66,6 +66,18 @@ class IncrementalResolver {
   /// Returns the record's index and appends any new matches.
   data::RecordIdx AddRecord(data::Record record);
 
+  /// Undoes the most recent AddRecord exactly: the record leaves the
+  /// dataset, its postings (it is the last entry of each), item bag,
+  /// comparison columns and matches go, and its items' frequencies drop
+  /// by one. Items and tokens it interned stay in their dictionaries;
+  /// neither the candidate rule nor any feature depends on id values, so
+  /// every later AddRecord finds the candidates, scores and matches a
+  /// resolver that never saw the record would. Afterwards last_matches()
+  /// is empty. CHECK-fails unless an AddRecord came since the last
+  /// retraction (the live builder retracts an append whose WAL write
+  /// failed after the record was applied).
+  void RetractLastRecord();
+
   /// The matches discovered for the most recent AddRecord call.
   const std::vector<RankedMatch>& last_matches() const {
     return last_matches_;
@@ -116,6 +128,9 @@ class IncrementalResolver {
   std::vector<std::vector<data::RecordIdx>> postings_;
   std::vector<RankedMatch> matches_;
   std::vector<RankedMatch> last_matches_;
+  // The last AddRecord has not been retracted (RetractLastRecord's
+  // precondition: only one call's effects are known exactly).
+  bool retractable_ = false;
   // SelectCandidates scratch: shared-item count per existing record (all
   // zero between calls) and the records with a non-zero count.
   std::vector<uint32_t> shared_counts_;

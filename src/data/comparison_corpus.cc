@@ -127,4 +127,17 @@ void ComparisonCorpus::SyncWithDataset() {
   }
 }
 
+void ComparisonCorpus::RemoveLastRecord() {
+  YVER_CHECK(num_records_ > 0);
+  --num_records_;
+  token_offsets_.resize(token_offsets_.size() - kNumAttributes);
+  token_ids_.resize(token_offsets_.back());
+  birth_parts_.pop_back();
+  geo_offsets_.resize(geo_offsets_.size() - kNumPlaceTypes);
+  geo_points_.resize(geo_offsets_.back());
+  gender_codes_.pop_back();
+  profession_codes_.pop_back();
+  source_ids_.pop_back();
+}
+
 }  // namespace yver::data

@@ -55,9 +55,9 @@ inline constexpr uint32_t kNoValueCode = UINT32_MAX;
 ///   - the build is deterministic: ids are assigned in record/entry order,
 ///     so two builds over the same EncodedDataset are identical;
 ///   - views are immutable once encoded: SyncWithDataset (the incremental
-///     streaming workload) only appends new records' columns, never
-///     rewrites an existing entry, and must not run concurrently with
-///     readers;
+///     streaming workload) only appends new records' columns, and
+///     RemoveLastRecord only drops the last record's; neither rewrites an
+///     existing entry, and neither may run concurrently with readers;
 ///   - per-pair consumption is allocation-free: every accessor returns a
 ///     span or a scalar into storage owned by the corpus.
 class ComparisonCorpus {
@@ -74,6 +74,13 @@ class ComparisonCorpus {
   /// appended records' item bags and dictionary entries must already be in
   /// place. Appends only; not thread-safe with concurrent readers.
   void SyncWithDataset();
+
+  /// Drops the columns of the last encoded record (the undo of the
+  /// SyncWithDataset that encoded it, when IncrementalResolver retracts
+  /// it). Tokens and exact codes it interned stay: no comparison depends
+  /// on id values, only on id equality and a shared order. Not
+  /// thread-safe with concurrent readers.
+  void RemoveLastRecord();
 
   size_t num_records() const { return num_records_; }
   size_t num_tokens() const { return token_strings_.size(); }

@@ -10,6 +10,11 @@ RecordIdx Dataset::Add(Record record) {
   return static_cast<RecordIdx>(records_.size() - 1);
 }
 
+void Dataset::RemoveLast() {
+  YVER_CHECK(!records_.empty());
+  records_.pop_back();
+}
+
 bool Dataset::IsGoldMatch(RecordIdx i, RecordIdx j) const {
   const Record& a = records_[i];
   const Record& b = records_[j];

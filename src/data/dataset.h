@@ -43,6 +43,10 @@ class Dataset {
   /// Appends a record, returning its index.
   RecordIdx Add(Record record);
 
+  /// Removes the last record (the undo of the last Add). The dataset must
+  /// not be empty.
+  void RemoveLast();
+
   size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }
 

@@ -65,6 +65,11 @@ class ItemDictionary {
   /// Adds one to the record frequency of an item (used by EncodeDataset).
   void IncrementFrequency(ItemId id) { ++items_[id].frequency; }
 
+  /// Takes one off the record frequency of an item (the undo of an
+  /// IncrementFrequency when a record is retracted). The item stays
+  /// interned.
+  void DecrementFrequency(ItemId id) { --items_[id].frequency; }
+
  private:
   struct ItemInfo {
     AttributeId attr;

@@ -68,6 +68,11 @@ class FeatureExtractor {
   /// with concurrent extraction.
   void SyncAppendedRecords() { corpus_->SyncWithDataset(); }
 
+  /// Drops the columnar views of the last record, which the caller is
+  /// removing from the underlying dataset (streaming retraction). Not
+  /// thread-safe with concurrent extraction.
+  void RemoveLastRecord() { corpus_->RemoveLastRecord(); }
+
   /// The columnar views this extractor compares over.
   const data::ComparisonCorpus& corpus() const { return *corpus_; }
 

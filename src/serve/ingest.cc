@@ -68,6 +68,7 @@ LiveIndexBuilder::LiveIndexBuilder(
   YVER_CHECK_MSG(resolver_ != nullptr, "LiveIndexBuilder needs a resolver");
   if (options_.publish_batch == 0) options_.publish_batch = 1;
   base_records_ = resolver_->dataset().size();
+  published_records_ = base_records_;
   if (options_.wal != nullptr) {
     YVER_CHECK_MSG(options_.wal_base_records <= base_records_,
                    "wal_base_records exceeds the seeded corpus");
@@ -84,10 +85,16 @@ util::StatusOr<data::RecordIdx> LiveIndexBuilder::Submit(
     data::Record record) {
   // Submitters serialize through submit_mu_, so with a WAL its sequence
   // order is exactly the queue's arrival order — the property that lets
-  // replay reassign the same corpus indices the acks promised. The fsync
-  // happens under submit_mu_ only; queries, stats, and the builder's drain
-  // never block on it.
+  // replay reassign the same corpus indices the acks promised. It also
+  // means at most one record is ever unacked: the newest. The fsync
+  // happens under submit_mu_ only; queries, stats, and the builder never
+  // block on it.
   std::lock_guard<std::mutex> submit_lock(submit_mu_);
+  // The index is assigned here, at enqueue: base corpus + arrival
+  // position. The builder applies strictly in queue order, so the record
+  // is guaranteed to land at exactly this index in every generation that
+  // contains it.
+  data::RecordIdx idx = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
@@ -96,39 +103,53 @@ util::StatusOr<data::RecordIdx> LiveIndexBuilder::Submit(
     if (queue_.size() >= options_.max_queue_depth) {
       return util::Status::ResourceExhausted("ingest queue is full");
     }
+    idx = static_cast<data::RecordIdx>(base_records_ + submitted_);
+    if (!durable()) {
+      ++submitted_;
+      queue_.push_back(std::move(record));
+      work_cv_.notify_one();
+      return idx;
+    }
+    // Durable: the builder gets a copy now and applies it while the log
+    // syncs, but publishes nothing that holds it until the ack below.
+    queue_.push_back(record);
+    work_cv_.notify_one();
   }
-  uint64_t sequence = 0;
-  if (options_.wal != nullptr) {
-    auto appended = options_.wal->Append(record);
-    if (!appended.ok()) return appended.status();
-    sequence = *appended;
-  }
+  auto appended = options_.wal->Append(record);
   std::lock_guard<std::mutex> lock(mu_);
-  if (stopping_) {
-    // Stop began during the append. A durable record will replay (and
-    // take this same index) on the next startup, but the caller still
-    // gets a typed refusal — an ack must mean "in the index soon", not
-    // "maybe after a restart".
-    return util::Status::Unavailable("live ingest is shutting down");
+  // Stop may have begun during the append. A durable record will replay
+  // (and take this same index) on the next startup, but the caller still
+  // gets a typed refusal — an ack must mean "in the index soon", not
+  // "maybe after a restart".
+  util::Status refused =
+      !appended.ok() ? appended.status()
+      : stopping_    ? util::Status::Unavailable("live ingest is shutting down")
+                     : util::Status::Ok();
+  if (refused.ok()) {
+    YVER_CHECK_MSG(WalSequenceFor(idx) == *appended,
+                   "wal sequence diverged from the corpus index");
+    ++submitted_;
+    work_cv_.notify_one();  // the builder may be waiting for this ack
+    return idx;
   }
-  // The index is assigned here, at enqueue: base corpus + arrival
-  // position. The builder applies strictly in queue order, so the record
-  // is guaranteed to land at exactly this index in every generation that
-  // contains it.
-  data::RecordIdx idx =
-      static_cast<data::RecordIdx>(base_records_ + submitted_);
-  YVER_CHECK_MSG(!durable() || WalSequenceFor(idx) == sequence,
-                 "wal sequence diverged from the corpus index");
-  ++submitted_;
-  queue_.push_back(std::move(record));
-  work_cv_.notify_one();
-  return idx;
+  // Not acked, so it must leave the builder. It is the newest record:
+  // still the back of the queue, or — when the queue is empty — already
+  // taken by the builder, which then undoes it before anything else.
+  if (!queue_.empty()) {
+    queue_.pop_back();
+    idle_cv_.notify_all();
+  } else {
+    retract_ = true;
+    work_cv_.notify_one();
+  }
+  return refused;
 }
 
 util::Status LiveIndexBuilder::WaitForIdle(const util::Deadline& deadline) {
   std::unique_lock<std::mutex> lock(mu_);
   auto idle = [this] {
-    return queue_.empty() && !dirty_ && applied_ == submitted_;
+    return queue_.empty() && !retract_ &&
+           published_records_ == base_records_ + submitted_;
   };
   if (deadline.is_infinite()) {
     idle_cv_.wait(lock, idle);
@@ -156,6 +177,7 @@ IngestStats LiveIndexBuilder::stats() const {
   IngestStats s;
   s.submitted = submitted_;
   s.applied = applied_;
+  s.retracted = retracted_;
   s.published = published_;
   s.publish_failures = publish_failures_;
   s.snapshots = snapshots_;
@@ -163,10 +185,32 @@ IngestStats LiveIndexBuilder::stats() const {
   return s;
 }
 
+std::shared_ptr<const ResolutionIndex> LiveIndexBuilder::NextGeneration()
+    const {
+  // Generations are immutable, so the next one is a new index: the last
+  // one this builder built, extended by the matches found since — a merge
+  // of the few new matches, not a re-sort of all of them. The first one is
+  // built whole, here rather than at startup, so an idle builder holds no
+  // second copy of the served index. It comes from the resolver alone,
+  // never from the service: what another writer installed there must not
+  // leak into this builder's generations.
+  size_t num_records = resolver_->dataset().size();
+  if (built_ == nullptr) {
+    return std::make_shared<const ResolutionIndex>(resolver_->Resolution(),
+                                                   num_records);
+  }
+  std::span<const core::RankedMatch> all(resolver_->matches());
+  if (num_records == built_->num_records() && all.size() == built_matches_) {
+    return built_;
+  }
+  return std::make_shared<const ResolutionIndex>(ResolutionIndex::Extend(
+      *built_, all.subspan(built_matches_), num_records));
+}
+
 void LiveIndexBuilder::Run() {
   for (;;) {
     std::vector<data::Record> batch;
-    bool need_publish = false;
+    bool retry = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       if (dirty_) {
@@ -185,53 +229,62 @@ void LiveIndexBuilder::Run() {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      need_publish = dirty_ || !batch.empty();
+      retry = dirty_;
     }
-    if (!need_publish) continue;
+    if (batch.empty() && !retry) continue;
     // Apply in arrival order — the whole determinism contract of live
     // ingest rests on this being the only order records ever enter the
-    // resolver in.
+    // resolver in. With a WAL, the last record of the batch may still be
+    // in its fsync; applying it and building the next generation overlap
+    // that wait.
     for (data::Record& record : batch) {
       resolver_->AddRecord(std::move(record));
     }
-    // Snapshot the cumulative resolution and try to install it.
-    // Generations are immutable, so the next one is a new index: the last
-    // one this builder built, extended by the matches found since — a
-    // merge of the few new matches, not a re-sort of all of them. It
-    // becomes the next base whether or not the publish succeeds, so a
-    // retry republishes it as is. The first one is built whole, here
-    // rather than at startup, so an idle builder holds no second copy of
-    // the served index. It comes from the resolver alone, never from the
-    // service: what another writer installed there must not leak into
-    // this builder's generations.
-    if (built_ == nullptr) {
-      built_ = std::make_shared<const ResolutionIndex>(
-          resolver_->Resolution(), resolver_->dataset().size());
-      built_matches_ = resolver_->num_matches();
-    } else if (!batch.empty()) {
-      std::span<const core::RankedMatch> added(resolver_->matches());
-      built_ = std::make_shared<const ResolutionIndex>(ResolutionIndex::Extend(
-          *built_, added.subspan(built_matches_),
-          resolver_->dataset().size()));
-      built_matches_ = added.size();
-    }
-    auto published = service_->PublishIndex(built_);
+    std::shared_ptr<const ResolutionIndex> next = NextGeneration();
+    bool retracted = false;
     {
-      std::lock_guard<std::mutex> lock(mu_);
+      // Publish only acked records. Every record but the last in the
+      // batch is acked already (one append is in flight at a time), so
+      // this waits for at most the last one's fsync, never the next's.
+      std::unique_lock<std::mutex> lock(mu_);
       applied_ += batch.size();
-      if (published.ok()) {
-        dirty_ = false;
-        ++published_;
-      } else {
-        // Resolver state is cumulative; the next round republishes
-        // everything applied so far. Nothing is lost.
-        dirty_ = true;
-        ++publish_failures_;
-      }
+      work_cv_.wait(lock, [this] {
+        return retract_ ||
+               base_records_ + submitted_ >= resolver_->dataset().size();
+      });
+      retracted = std::exchange(retract_, false);
+      if (retracted) ++retracted_;
     }
-    if (published.ok()) MaybeSnapshot();
+    if (retracted) {
+      resolver_->RetractLastRecord();
+      batch.pop_back();
+      if (!batch.empty() || retry) next = NextGeneration();
+    }
+    if (!batch.empty() || retry) Publish(std::move(next));
     idle_cv_.notify_all();
   }
+}
+
+void LiveIndexBuilder::Publish(std::shared_ptr<const ResolutionIndex> next) {
+  // The built generation becomes the next base whether or not the publish
+  // succeeds, so a retry republishes it as is.
+  built_ = std::move(next);
+  built_matches_ = resolver_->num_matches();
+  auto published = service_->PublishIndex(built_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (published.ok()) {
+      dirty_ = false;
+      ++published_;
+      published_records_ = built_->num_records();
+    } else {
+      // Resolver state is cumulative; the next round republishes
+      // everything applied so far. Nothing is lost.
+      dirty_ = true;
+      ++publish_failures_;
+    }
+  }
+  if (published.ok()) MaybeSnapshot();
 }
 
 void LiveIndexBuilder::MaybeSnapshot() {

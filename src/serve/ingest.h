@@ -31,6 +31,8 @@ struct IngestOptions {
   /// Durable ingest (DESIGN.md §14): when set, Submit appends the record
   /// to this log and returns only once it is fsync'd — the returned index
   /// (and the wire ack built from it) means *durable*, not *enqueued*.
+  /// The builder applies the record during the fsync but publishes it
+  /// only after the ack, so every visible record is durable too.
   /// Not owned; must outlive the builder.
   WriteAheadLog* wal = nullptr;
   /// Corpus records that are NOT in the WAL (the seed corpus the log's
@@ -72,8 +74,9 @@ util::StatusOr<WalRecovery> RecoverWal(const std::string& dir,
 
 /// Point-in-time ingest counters.
 struct IngestStats {
-  uint64_t submitted = 0;        // records accepted into the queue
+  uint64_t submitted = 0;        // records acked (with a WAL: fsync'd)
   uint64_t applied = 0;          // records run through the resolver
+  uint64_t retracted = 0;        // applied records undone: never acked
   uint64_t published = 0;        // successful index publishes
   uint64_t publish_failures = 0; // failed publishes (retried next round)
   uint64_t snapshots = 0;        // appended-suffix snapshots persisted
@@ -83,7 +86,8 @@ struct IngestStats {
 /// The live half of the archive (DESIGN.md §13): a single background
 /// builder thread that turns appended reports into published index
 /// generations. `Submit` assigns the record its corpus index at enqueue
-/// time (base corpus size + arrival position) and returns immediately;
+/// time (base corpus size + arrival position) and returns at once (with a
+/// WAL: once the record is fsync'd);
 /// the builder drains the queue in arrival order, feeds each record
 /// through core::IncrementalResolver (item interning, candidate
 /// generation, scoring — the paper's trickle-ingest path), extends the
@@ -102,6 +106,13 @@ struct IngestStats {
 /// dirty; the built snapshot stays the base, and the next round publishes
 /// it (extended by whatever was applied meanwhile), so a transiently
 /// failing publish delays visibility but never loses or reorders records.
+/// With a WAL, the builder applies a record while its append is still
+/// in flight and publishes only once every record it applied is acked.
+/// An append that fails, or that Stop overtakes, is not acked and leaves
+/// no trace: Submit pops the record if it is still queued, and otherwise
+/// the builder undoes it (IncrementalResolver::RetractLastRecord) before
+/// anything else. So the served index always equals a serial replay of
+/// the acked records, and no generation ever holds an unacked one.
 class LiveIndexBuilder {
  public:
   /// Takes ownership of a seeded resolver and starts the builder thread.
@@ -123,12 +134,15 @@ class LiveIndexBuilder {
   /// is whatever order they won the submit lock in — each caller's records
   /// keep their relative order.
   ///
-  /// With a WAL configured, Submit persists the record first (the call
-  /// blocks on its fsync) and only then lets the builder see it, so a
-  /// successful return means the record survives a crash. Submitters
-  /// serialize around the append: WAL order *is* arrival order,
-  /// which is what makes replay reproduce the exact corpus indices that
-  /// were acked.
+  /// With a WAL configured, Submit enqueues a copy of the record, then
+  /// appends it to the log and blocks on the fsync; a successful return
+  /// means the record survives a crash. The builder applies the copy
+  /// during the fsync, but no generation holds it before this ack. A
+  /// failed append (its typed status is returned) or one that Stop
+  /// overtook (UNAVAILABLE) takes the record out of the builder again,
+  /// and its index goes to the next submit. Submitters serialize around
+  /// the append: WAL order *is* arrival order, which is what makes replay
+  /// reproduce the exact corpus indices that were acked.
   util::StatusOr<data::RecordIdx> Submit(data::Record record);
 
   /// True when appends are written through a WAL (the ack means durable).
@@ -140,8 +154,9 @@ class LiveIndexBuilder {
     return static_cast<uint64_t>(idx) - options_.wal_base_records + 1;
   }
 
-  /// Blocks until everything submitted so far is applied AND published
-  /// (the service is serving a generation that contains it), or the
+  /// Blocks until everything acked so far is applied AND published
+  /// (the service is serving a generation that contains it) and no
+  /// refused record is left to retract, or the
   /// deadline expires (DEADLINE_EXCEEDED). Publish faults make this wait
   /// through the retry rounds.
   util::Status WaitForIdle(const util::Deadline& deadline = {});
@@ -160,6 +175,14 @@ class LiveIndexBuilder {
  private:
   void Run();
 
+  /// Builder-thread only: the generation over the resolver's current
+  /// state, extended from built_ (built_ itself when nothing changed).
+  std::shared_ptr<const ResolutionIndex> NextGeneration() const;
+
+  /// Builder-thread only: makes `next` the built generation, publishes
+  /// it, and snapshots when due.
+  void Publish(std::shared_ptr<const ResolutionIndex> next);
+
   /// Builder-thread only: persists the appended suffix of the corpus as a
   /// crash-atomic CSV and retires the WAL segments it covers.
   void MaybeSnapshot();
@@ -176,21 +199,28 @@ class LiveIndexBuilder {
   size_t base_records_ = 0;
   uint64_t last_snapshot_count_ = 0;  // appended records covered (builder thread)
 
-  /// Serializes submits: the WAL append (including its fsync) and the
-  /// enqueue happen under this lock so the log order equals the queue
-  /// order. The fsync wait happens here, not under mu_, so nothing else
-  /// that wants mu_ waits on the disk.
+  /// Serializes submits: the enqueue and the WAL append (including its
+  /// fsync) happen under this lock so the log order equals the queue
+  /// order and at most one record is unacked. The fsync wait happens
+  /// here, not under mu_, so nothing else that wants mu_ waits on the
+  /// disk.
   std::mutex submit_mu_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // builder wakes on submit/stop
+  std::condition_variable work_cv_;   // builder wakes on submit/ack/stop
   std::condition_variable idle_cv_;   // waiters wake on publish
   std::deque<data::Record> queue_;
   bool stopping_ = false;
   /// Applied-but-not-yet-published records exist (a publish failed).
   bool dirty_ = false;
-  uint64_t submitted_ = 0;
+  /// The unacked record's append failed after the builder took it; the
+  /// builder must retract it.
+  bool retract_ = false;
+  uint64_t submitted_ = 0;            // acked records
+  /// Corpus size of the last generation this builder published.
+  size_t published_records_ = 0;
   uint64_t applied_ = 0;
+  uint64_t retracted_ = 0;
   uint64_t published_ = 0;
   uint64_t publish_failures_ = 0;
   uint64_t snapshots_ = 0;

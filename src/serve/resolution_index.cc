@@ -72,15 +72,22 @@ class Reader {
 
 }  // namespace
 
+std::shared_ptr<const ResolutionIndex::Arena> ResolutionIndex::MakeArena(
+    std::vector<core::RankedMatch> matches, size_t num_records) {
+  auto arena = std::make_shared<Arena>();
+  arena->matches = std::move(matches);
+  arena->adjacency = core::MatchAdjacency(arena->matches, num_records);
+  return arena;
+}
+
 ResolutionIndex::ResolutionIndex(const core::RankedResolution& resolution,
                                  size_t num_records)
-    : num_records_(num_records),
-      arena_(resolution.matches()),
-      adjacency_(arena_, num_records) {
-  for (const auto& m : arena_) {
+    : num_records_(num_records) {
+  for (const auto& m : resolution.matches()) {
     YVER_CHECK_MSG(m.pair.b < num_records,
                    "match references record beyond the corpus");
   }
+  arena_ = MakeArena(resolution.matches(), num_records);
 }
 
 util::StatusOr<ResolutionIndex> ResolutionIndex::Build(
@@ -111,25 +118,33 @@ ResolutionIndex ResolutionIndex::Extend(
     size_t num_records) {
   YVER_CHECK_MSG(num_records >= base.num_records_,
                  "an extended index cannot shrink the corpus");
-  std::vector<core::RankedMatch> sorted(added.begin(), added.end());
-  std::stable_sort(sorted.begin(), sorted.end(), core::RankedBefore);
   ResolutionIndex next;
   next.num_records_ = num_records;
-  next.arena_.reserve(base.arena_.size() + sorted.size());
+  if (added.empty()) {
+    // Same arena; the new records are past the adjacency's offset table,
+    // where Neighbors() is empty, exactly as a rebuild would leave them.
+    next.arena_ = base.arena_;
+    return next;
+  }
+  std::vector<core::RankedMatch> sorted(added.begin(), added.end());
+  std::stable_sort(sorted.begin(), sorted.end(), core::RankedBefore);
+  const std::vector<core::RankedMatch>& from_arena = base.arena_->matches;
+  std::vector<core::RankedMatch> merged;
+  merged.reserve(from_arena.size() + sorted.size());
   // std::merge, with the long runs of base between insertion points
   // copied in bulk: each added match goes after every base match that is
   // not ranked strictly below it (upper_bound), so base wins ties.
-  auto from = base.arena_.begin();
+  auto from = from_arena.begin();
   for (const core::RankedMatch& m : sorted) {
     YVER_CHECK_MSG(m.pair.b < num_records,
                    "match references record beyond the corpus");
-    auto to = std::upper_bound(from, base.arena_.end(), m, core::RankedBefore);
-    next.arena_.insert(next.arena_.end(), from, to);
-    next.arena_.push_back(m);
+    auto to = std::upper_bound(from, from_arena.end(), m, core::RankedBefore);
+    merged.insert(merged.end(), from, to);
+    merged.push_back(m);
     from = to;
   }
-  next.arena_.insert(next.arena_.end(), from, base.arena_.end());
-  next.adjacency_ = core::MatchAdjacency(next.arena_, num_records);
+  merged.insert(merged.end(), from, from_arena.end());
+  next.arena_ = MakeArena(std::move(merged), num_records);
   return next;
 }
 
@@ -137,11 +152,12 @@ std::vector<core::RankedMatch> ResolutionIndex::ForRecord(data::RecordIdx r,
                                                           double certainty,
                                                           size_t k) const {
   std::vector<core::RankedMatch> out;
-  auto neighbors = adjacency_.Neighbors(r);
+  auto neighbors = Neighbors(r);
   if (neighbors.empty()) return out;
   out.reserve(std::min<size_t>(k == 0 ? 8 : k, neighbors.size()));
+  const std::vector<core::RankedMatch>& arena = arena_->matches;
   for (uint32_t idx : neighbors) {
-    const core::RankedMatch& m = arena_[idx];
+    const core::RankedMatch& m = arena[idx];
     if (!(m.confidence > certainty)) break;  // confidence-descending
     out.push_back(m);
     if (k != 0 && out.size() == k) break;
@@ -150,26 +166,29 @@ std::vector<core::RankedMatch> ResolutionIndex::ForRecord(data::RecordIdx r,
 }
 
 size_t ResolutionIndex::CountAbove(double certainty) const {
-  auto it = std::partition_point(arena_.begin(), arena_.end(),
+  const std::vector<core::RankedMatch>& arena = arena_->matches;
+  auto it = std::partition_point(arena.begin(), arena.end(),
                                  [certainty](const core::RankedMatch& m) {
                                    return m.confidence > certainty;
                                  });
-  return static_cast<size_t>(it - arena_.begin());
+  return static_cast<size_t>(it - arena.begin());
 }
 
 std::vector<core::RankedMatch> ResolutionIndex::AboveThreshold(
     double certainty) const {
   size_t n = CountAbove(certainty);
-  return std::vector<core::RankedMatch>(arena_.begin(), arena_.begin() + n);
+  const std::vector<core::RankedMatch>& arena = arena_->matches;
+  return std::vector<core::RankedMatch>(arena.begin(), arena.begin() + n);
 }
 
 std::vector<core::RankedMatch> ResolutionIndex::TopK(size_t k) const {
-  k = std::min(k, arena_.size());
-  return std::vector<core::RankedMatch>(arena_.begin(), arena_.begin() + k);
+  const std::vector<core::RankedMatch>& arena = arena_->matches;
+  k = std::min(k, arena.size());
+  return std::vector<core::RankedMatch>(arena.begin(), arena.begin() + k);
 }
 
 core::EntityClusters ResolutionIndex::ClustersAt(double certainty) const {
-  return core::EntityClusters(arena_, num_records_, certainty);
+  return core::EntityClusters(arena_->matches, num_records_, certainty);
 }
 
 std::vector<data::RecordIdx> ResolutionIndex::EntityOf(
@@ -178,12 +197,13 @@ std::vector<data::RecordIdx> ResolutionIndex::EntityOf(
   // handful of reports, so membership is a scan of the walk so far; one
   // that outgrows kScanLimit switches to a bitmap over the corpus.
   constexpr size_t kScanLimit = 32;
+  const std::vector<core::RankedMatch>& arena = arena_->matches;
   std::vector<data::RecordIdx> members{r};
   std::vector<bool> seen;
   for (size_t i = 0; i < members.size(); ++i) {
     data::RecordIdx from = members[i];
-    for (uint32_t idx : adjacency_.Neighbors(from)) {
-      const core::RankedMatch& m = arena_[idx];
+    for (uint32_t idx : Neighbors(from)) {
+      const core::RankedMatch& m = arena[idx];
       // The same test EntityClusters applies, so a NaN certainty also
       // admits every match.
       if (m.confidence <= certainty) break;  // confidence-descending
@@ -213,8 +233,8 @@ uint64_t ResolutionIndex::Checksum() const {
   Fnv1a fnv;
   auto put = [&fnv](auto v) { fnv.Update(&v, sizeof(v)); };
   put(static_cast<uint64_t>(num_records_));
-  put(static_cast<uint64_t>(arena_.size()));
-  for (const auto& m : arena_) {
+  put(static_cast<uint64_t>(arena_->matches.size()));
+  for (const auto& m : arena_->matches) {
     put(static_cast<uint32_t>(m.pair.a));
     put(static_cast<uint32_t>(m.pair.b));
     put(m.confidence);
@@ -233,7 +253,7 @@ util::Status ResolutionIndex::Save(const std::string& path) const {
       util::FaultInjector::Global().InjectIo(util::FaultPoint::kIndexSave);
   if (!injected.ok()) return injected;
   std::string bytes;
-  bytes.reserve(sizeof(kMagic) + 16 + arena_.size() * 24 + 8);
+  bytes.reserve(sizeof(kMagic) + 16 + arena_->matches.size() * 24 + 8);
   bytes.append(kMagic, sizeof(kMagic));
   Fnv1a fnv;
   auto put = [&bytes, &fnv](auto v) {
@@ -241,8 +261,8 @@ util::Status ResolutionIndex::Save(const std::string& path) const {
     fnv.Update(&v, sizeof(v));
   };
   put(static_cast<uint64_t>(num_records_));
-  put(static_cast<uint64_t>(arena_.size()));
-  for (const auto& m : arena_) {
+  put(static_cast<uint64_t>(arena_->matches.size()));
+  for (const auto& m : arena_->matches) {
     put(static_cast<uint32_t>(m.pair.a));
     put(static_cast<uint32_t>(m.pair.b));
     put(m.confidence);
@@ -270,9 +290,8 @@ util::StatusOr<ResolutionIndex> ResolutionIndex::Load(
   if (!r.Get(&num_records) || !r.Get(&num_matches)) {
     return util::Status::DataLoss(path + ": truncated header");
   }
-  ResolutionIndex index;
-  index.num_records_ = static_cast<size_t>(num_records);
-  index.arena_.reserve(static_cast<size_t>(
+  std::vector<core::RankedMatch> arena;
+  arena.reserve(static_cast<size_t>(
       std::min<uint64_t>(num_matches, 1u << 20)));  // distrust huge counts
   double prev_confidence = std::numeric_limits<double>::infinity();
   for (uint64_t i = 0; i < num_matches; ++i) {
@@ -296,7 +315,7 @@ util::StatusOr<ResolutionIndex> ResolutionIndex::Load(
     m.pair = data::RecordPair(a, b);
     m.confidence = confidence;
     m.block_score = block_score;
-    index.arena_.push_back(m);
+    arena.push_back(m);
   }
   uint64_t expected = r.digest();
   uint64_t stored = 0;
@@ -304,7 +323,9 @@ util::StatusOr<ResolutionIndex> ResolutionIndex::Load(
       stored != expected) {
     return util::Status::DataLoss(path + ": checksum mismatch");
   }
-  index.adjacency_ = core::MatchAdjacency(index.arena_, index.num_records_);
+  ResolutionIndex index;
+  index.num_records_ = static_cast<size_t>(num_records);
+  index.arena_ = MakeArena(std::move(arena), index.num_records_);
   return index;
 }
 

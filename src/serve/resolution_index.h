@@ -2,6 +2,7 @@
 #define YVER_SERVE_RESOLUTION_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -52,6 +53,9 @@ class ResolutionIndex {
   /// arena `stable_sort(base matches ++ added)` gives, so the result
   /// equals — Checksum() and all — ResolutionIndex(RankedResolution(all
   /// matches), num_records), at O(M + k log k) instead of O(M log M).
+  /// With `added` empty the result shares base's arena and adjacency and
+  /// only its corpus grows: O(1), and exact, because records past the
+  /// adjacency's offset table have no neighbors either way.
   /// Trusted like the constructor: CHECK-fails when an added match
   /// references a record beyond num_records.
   static ResolutionIndex Extend(const ResolutionIndex& base,
@@ -61,15 +65,17 @@ class ResolutionIndex {
   /// Records in the indexed corpus.
   size_t num_records() const { return num_records_; }
   /// Total matches in the arena.
-  size_t num_matches() const { return arena_.size(); }
-  bool empty() const { return arena_.empty(); }
+  size_t num_matches() const { return arena_->matches.size(); }
+  bool empty() const { return arena_->matches.empty(); }
 
   /// The match arena, best first (RankedResolution ordering contract).
-  const std::vector<core::RankedMatch>& matches() const { return arena_; }
+  const std::vector<core::RankedMatch>& matches() const {
+    return arena_->matches;
+  }
 
   /// Arena indices of record r's matches, confidence-descending.
   std::span<const uint32_t> Neighbors(data::RecordIdx r) const {
-    return adjacency_.Neighbors(r);
+    return arena_->adjacency.Neighbors(r);
   }
 
   /// Record r's matches with confidence > certainty, best first, truncated
@@ -131,9 +137,20 @@ class ResolutionIndex {
       const util::Deadline& deadline = util::Deadline());
 
  private:
+  /// The sorted matches and the record-keyed adjacency into them. Never
+  /// mutated once built, so generations that differ only in their corpus
+  /// size share one (Extend with no added matches).
+  struct Arena {
+    std::vector<core::RankedMatch> matches;
+    core::MatchAdjacency adjacency;
+  };
+
+  /// Builds the adjacency over `matches` and wraps both.
+  static std::shared_ptr<const Arena> MakeArena(
+      std::vector<core::RankedMatch> matches, size_t num_records);
+
   size_t num_records_ = 0;
-  std::vector<core::RankedMatch> arena_;
-  core::MatchAdjacency adjacency_;
+  std::shared_ptr<const Arena> arena_ = MakeArena({}, 0);  // never null
 };
 
 }  // namespace yver::serve

@@ -78,6 +78,7 @@ FaultKind FaultInjector::Evaluate(FaultPoint point) {
   if (!armed()) return FaultKind::kNone;
   size_t p = static_cast<size_t>(point);
   uint64_t ordinal = ordinals_[p].fetch_add(1, std::memory_order_relaxed);
+  if (((config_.points >> p) & 1u) == 0) return FaultKind::kNone;
   double u = ToUnitDouble(
       Mix(config_.seed ^ (0x100000001b3ULL * (p + 1)) ^ ordinal));
   FaultKind kind = FaultKind::kNone;

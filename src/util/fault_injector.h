@@ -32,6 +32,7 @@ enum class FaultPoint : uint8_t {
 
 constexpr size_t kNumFaultPoints =
     static_cast<size_t>(FaultPoint::kNumPoints);
+static_assert(kNumFaultPoints <= 32, "FaultConfig::points is 32 bits");
 
 /// Stable name of a point ("serve.index_load.open", ...), used in injected
 /// Status messages and the DESIGN.md catalog.
@@ -59,6 +60,9 @@ struct FaultConfig {
   /// Total faults the injector may fire while armed; 0 = unbounded. Keeps
   /// chaos runs time-bounded when latency spikes are in the mix.
   uint64_t max_injections = 0;
+  /// The points that may fault (bit i = FaultPoint i); hits at the others
+  /// are still counted. Default: every point.
+  uint32_t points = ~0u;
 };
 
 /// Process-global deterministic fault-injection registry.

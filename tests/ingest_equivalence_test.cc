@@ -11,6 +11,7 @@
 #include <limits>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/incremental.h"
@@ -134,20 +135,123 @@ TEST(IncrementalCandidateEquivalenceTest, BlockScoreFallbackDefaultCut) {
 }
 
 // ---------------------------------------------------------------------------
+// IncrementalResolver::RetractLastRecord
+
+// Exposes the dictionary's growth: postings are sized to it.
+class ItemCountingResolver : public IncrementalResolver {
+ public:
+  using IncrementalResolver::IncrementalResolver;
+  size_t num_items() const { return postings().size(); }
+};
+
+// A retracted append must leave no trace a later append can see: after
+// adding a record that interns new items and tokens and finds matches,
+// and retracting it, every later append's last_matches(), the whole
+// matches() list and the index built over them equal those of a resolver
+// that never saw the record — although the retracting one keeps the
+// record's items and tokens interned.
+void StreamAfterRetraction(bool with_model) {
+  const Corpus& corpus = SharedCorpus();
+  ASSERT_GE(corpus.arrivals.size(), 100u);
+  RankedResolution seed =
+      with_model ? corpus.resolved.resolution : RankedResolution();
+  ml::AdTree model = with_model ? corpus.resolved.model : ml::AdTree();
+  ItemCountingResolver retracting(corpus.initial, seed, model,
+                                  corpus.gazetteer.MakeGeoResolver());
+  IncrementalResolver fresh(corpus.initial, seed, model,
+                            corpus.gazetteer.MakeGeoResolver());
+
+  // Arrivals with two never-seen values each, retracted one after another
+  // until one of them has found matches to take back.
+  size_t items_before = retracting.num_items();
+  data::RecordIdx doomed_idx = 0;
+  bool matched = false;
+  for (size_t i = 0; i < 20 && !matched; ++i) {
+    data::Record doomed = corpus.arrivals[i];
+    doomed.Add(data::AttributeId::kFirstName, "Zebulonxq" + std::to_string(i));
+    doomed.Add(data::AttributeId::kBirthCity, "Qwertyville");
+    doomed_idx = retracting.AddRecord(doomed);
+    matched = !retracting.last_matches().empty();
+    retracting.RetractLastRecord();
+  }
+  ASSERT_TRUE(matched) << "no retracted record found matches to take back";
+  ASSERT_GT(retracting.num_items(), items_before) << "no item was interned";
+  EXPECT_TRUE(retracting.last_matches().empty());
+  EXPECT_EQ(retracting.dataset().size(), fresh.dataset().size());
+  EXPECT_EQ(retracting.matches(), fresh.matches());
+
+  size_t appends_with_matches = 0;
+  for (size_t i = 0; i < corpus.arrivals.size(); ++i) {
+    data::RecordIdx a = retracting.AddRecord(corpus.arrivals[i]);
+    data::RecordIdx b = fresh.AddRecord(corpus.arrivals[i]);
+    ASSERT_EQ(a, b);
+    if (i == 0) {
+      EXPECT_EQ(a, doomed_idx);
+    }
+    ASSERT_EQ(retracting.last_matches(), fresh.last_matches()) << "append " << i;
+    ASSERT_EQ(retracting.matches(), fresh.matches()) << "append " << i;
+    ASSERT_EQ(ResolutionIndex(retracting.Resolution(),
+                              retracting.dataset().size())
+                  .Checksum(),
+              ResolutionIndex(fresh.Resolution(), fresh.dataset().size())
+                  .Checksum())
+        << "append " << i;
+    if (!fresh.last_matches().empty()) ++appends_with_matches;
+  }
+  EXPECT_GT(appends_with_matches, corpus.arrivals.size() / 2);
+  // The record's items stayed interned; only its effects went.
+  EXPECT_GT(retracting.num_items(), items_before);
+}
+
+TEST(IncrementalRetractionTest, TrainedModelMatchesAResolverThatNeverSawIt) {
+  StreamAfterRetraction(/*with_model=*/true);
+}
+
+TEST(IncrementalRetractionTest, BlockScoreFallbackMatchesAResolverThatNeverSawIt) {
+  StreamAfterRetraction(/*with_model=*/false);
+}
+
+TEST(IncrementalRetractionDeathTest, RetractNeedsAnAddSinceTheLastRetract) {
+  data::Dataset initial;
+  data::Record record;
+  record.Add(data::AttributeId::kFirstName, "chaim");
+  initial.Add(record);
+  IncrementalResolver resolver(initial, RankedResolution(), ml::AdTree());
+  EXPECT_DEATH(resolver.RetractLastRecord(), "no AddRecord to retract");
+  resolver.AddRecord(record);
+  resolver.RetractLastRecord();
+  EXPECT_DEATH(resolver.RetractLastRecord(), "no AddRecord to retract");
+}
+
+// ---------------------------------------------------------------------------
 // ResolutionIndex::Extend
 
 // Extend must agree with a full rebuild on everything a query can see:
-// the arena (and so Checksum) and every record's adjacency list.
+// the arena (and so Checksum), and every record's adjacency list, matches
+// and entity.
 void ExpectSameIndex(const ResolutionIndex& extended,
                      const ResolutionIndex& rebuilt) {
   ASSERT_EQ(extended.num_records(), rebuilt.num_records());
   ASSERT_EQ(extended.matches(), rebuilt.matches());
   ASSERT_EQ(extended.Checksum(), rebuilt.Checksum());
   for (size_t r = 0; r < rebuilt.num_records(); ++r) {
-    auto want = rebuilt.Neighbors(static_cast<data::RecordIdx>(r));
-    auto got = extended.Neighbors(static_cast<data::RecordIdx>(r));
+    auto record = static_cast<data::RecordIdx>(r);
+    auto want = rebuilt.Neighbors(record);
+    auto got = extended.Neighbors(record);
     ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(), got.end()))
         << "record " << r;
+    for (double certainty : {0.0, 0.5}) {
+      ASSERT_EQ(extended.ForRecord(record, certainty),
+                rebuilt.ForRecord(record, certainty))
+          << "record " << r << " at " << certainty;
+    }
+    // Entities: block-score chains link most of the corpus at low
+    // certainties, so walk them at a high one, on every record the last
+    // step could have touched and a stride of the rest.
+    if (r % 16 == 0 || r + 8 >= rebuilt.num_records()) {
+      ASSERT_EQ(extended.EntityOf(record, 0.9), rebuilt.EntityOf(record, 0.9))
+          << "record " << r;
+    }
   }
 }
 
@@ -183,6 +287,40 @@ TEST(ResolutionIndexExtendTest, ChainOverBlockScoreAppendsMatchesRebuild) {
   std::set<double> distinct;
   for (const RankedMatch& m : resolver.matches()) distinct.insert(m.confidence);
   EXPECT_GT(resolver.num_matches(), 4 * distinct.size());
+}
+
+// One append per step through the trained model, as the live builder
+// publishes: about half the appends find no match, and those extensions
+// share their base's arena instead of rebuilding it. Every step, matching
+// or not, must equal a full rebuild.
+TEST(ResolutionIndexExtendTest, ChainOfMatchlessAndMatchingAppendsMatchesRebuild) {
+  const Corpus& corpus = SharedCorpus();
+  IncrementalResolver resolver(corpus.initial, corpus.resolved.resolution,
+                               corpus.resolved.model,
+                               corpus.gazetteer.MakeGeoResolver());
+  ResolutionIndex index(resolver.Resolution(), resolver.dataset().size());
+  size_t built = resolver.num_matches();
+  size_t matchless = 0;
+  size_t matching = 0;
+  for (const data::Record& arrival : corpus.arrivals) {
+    resolver.AddRecord(arrival);
+    std::span<const RankedMatch> all(resolver.matches());
+    ResolutionIndex next = ResolutionIndex::Extend(
+        index, all.subspan(built), resolver.dataset().size());
+    if (all.size() == built) {
+      ++matchless;
+      EXPECT_EQ(&next.matches(), &index.matches())
+          << "a match-less extension copied its base's arena";
+    } else {
+      ++matching;
+    }
+    index = std::move(next);
+    built = all.size();
+    ExpectSameIndex(index, Rebuild(resolver.matches(),
+                                   resolver.dataset().size()));
+  }
+  EXPECT_GT(matchless, corpus.arrivals.size() / 10);
+  EXPECT_GT(matching, corpus.arrivals.size() / 10);
 }
 
 TEST(ResolutionIndexExtendTest, GrowsTheCorpusWithoutMatches) {

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -640,6 +641,226 @@ TEST(WalIngestTest, SubmitAfterStopIsUnavailableAndNotLogged) {
   EXPECT_EQ((*wal)->stats().appends, 0u);
 }
 
+// Reports that share names and towns with each other and with the seed
+// corpus, so where each one lands changes the matches.
+std::vector<data::Record> AppendStream(size_t n) {
+  static const char* const kFirst[] = {"chaim", "sara", "dvora", "moshe"};
+  static const char* const kTown[] = {"vilna", "lodz", "warsaw"};
+  std::vector<data::Record> records;
+  for (size_t i = 0; i < n; ++i) {
+    records.push_back(MakeReport(7000 + i, kFirst[i % 4],
+                                 i % 3 == 0 ? "levi" : "cohen",
+                                 kTown[(i / 2) % 3]));
+  }
+  return records;
+}
+
+// FaultConfig::points bit of one point.
+constexpr uint32_t Bit(FaultPoint point) {
+  return 1u << static_cast<unsigned>(point);
+}
+
+// Serial replay of `acked` over the seed corpus: the checksum of the
+// index after each prefix, indexed by prefix length.
+std::vector<uint64_t> SerialPrefixChecksums(
+    const std::vector<data::Record>& acked) {
+  core::IncrementalResolver serial(MakeSeedCorpus(), core::RankedResolution(),
+                                   ml::AdTree());
+  std::vector<uint64_t> checksums;
+  for (size_t n = 0;; ++n) {
+    checksums.push_back(
+        ResolutionIndex(serial.Resolution(), serial.dataset().size())
+            .Checksum());
+    if (n == acked.size()) break;
+    serial.AddRecord(acked[n]);
+  }
+  return checksums;
+}
+
+// The builder applies a record while its fsync is in flight, but no
+// generation holds it until Submit has acked it: while the fsync is held
+// (a latency fault at serve.wal.fsync only), the record is applied yet
+// the served corpus excludes it and a query for its index is out of range.
+TEST(WalIngestTest, AppliedDuringTheFsyncButVisibleOnlyOnceAcked) {
+  std::string dir = FreshDir("wal_ingest_held_fsync");
+  std::vector<WalRecoveredRecord> recovered;
+  auto wal = OpenWal(dir, &recovered);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  LiveServing live = MakeWalServing(wal->get());
+  FaultConfig config;
+  config.latency_probability = 1.0;
+  config.latency_micros = 1000000;
+  config.max_injections = 1;
+  config.points = Bit(FaultPoint::kWalFsync);
+  ScopedFaultInjection arm(config);
+
+  util::StatusOr<data::RecordIdx> submitted =
+      util::Status::Unavailable("not submitted");
+  std::thread submitter([&] {
+    submitted = live.builder->Submit(MakeReport(9, "chaim", "levi", "vilna"));
+  });
+  util::Deadline deadline = util::Deadline::AfterMillis(30000);
+  while (live.builder->stats().applied < 1 && !deadline.HasExpired()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(live.builder->stats().applied, 1u);
+  EXPECT_EQ(live.service->PinIndex()->num_records(), 4u);
+  Query query;
+  query.record = 4;
+  auto early = live.service->QueryRecord(query);
+  EXPECT_EQ(early.status().code(), StatusCode::kOutOfRange);
+  // The checks above ran before the ack; otherwise they proved nothing.
+  EXPECT_EQ(live.builder->stats().submitted, 0u)
+      << "the fsync stall ended before the checks ran";
+  submitter.join();
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  EXPECT_EQ(*submitted, 4u);
+  EXPECT_EQ(FaultInjector::Global().injections(FaultPoint::kWalFsync), 1u);
+
+  ASSERT_TRUE(live.builder->WaitForIdle().ok());
+  EXPECT_EQ(live.service->PinIndex()->num_records(), 5u);
+  auto answered = live.service->QueryRecord(query);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_FALSE(answered->matches.empty());
+}
+
+// Stop overtaking an append in its fsync: the record is durable (it will
+// replay on restart) but not acked, so Submit refuses it and the builder,
+// which applied it during the fsync, retracts it before it exits.
+TEST(WalIngestTest, StopDuringTheFsyncRetractsTheAppliedRecord) {
+  std::string dir = FreshDir("wal_ingest_stop_in_fsync");
+  std::vector<WalRecoveredRecord> recovered;
+  auto wal = OpenWal(dir, &recovered);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  LiveServing live = MakeWalServing(wal->get());
+  FaultConfig config;
+  config.latency_probability = 1.0;
+  config.latency_micros = 300000;
+  config.max_injections = 1;
+  config.points = Bit(FaultPoint::kWalFsync);
+  ScopedFaultInjection arm(config);
+
+  util::StatusOr<data::RecordIdx> submitted = data::RecordIdx{0};
+  std::thread submitter([&] {
+    submitted = live.builder->Submit(MakeReport(9, "chaim", "levi", "vilna"));
+  });
+  util::Deadline deadline = util::Deadline::AfterMillis(30000);
+  while (live.builder->stats().applied < 1 && !deadline.HasExpired()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(live.builder->stats().submitted, 0u)
+      << "the fsync stall ended before Stop began";
+  live.builder->Stop();
+  submitter.join();
+  ASSERT_FALSE(submitted.ok());
+  EXPECT_EQ(submitted.status().code(), StatusCode::kUnavailable);
+  IngestStats stats = live.builder->stats();
+  EXPECT_EQ(stats.applied, 1u);
+  EXPECT_EQ(stats.retracted, 1u);
+  EXPECT_EQ(stats.submitted, 0u);
+  EXPECT_EQ(stats.published, 0u);
+  EXPECT_EQ(live.service->PinIndex()->num_records(), 4u);
+  EXPECT_EQ((*wal)->durable_sequence(), 1u);
+}
+
+// Appends that fail after the builder applied the record are retracted
+// from the resolver: every generation a reader pins equals the serial
+// replay of an acked prefix, the final one that of every ack, and the
+// retraction path really ran (3 ms stalls at serve.wal.append give the
+// builder time to take the record before serve.wal.fsync fails it).
+// Faults at serve.index.publish as well make batches: records queue up
+// behind a stalled or failed publish, so a retraction can hit the last
+// record of a batch whose others stay.
+void ExpectFailedAppendsRetracted(const std::string& name,
+                                  size_t publish_batch, uint32_t points) {
+  std::string dir = FreshDir(name);
+  std::vector<WalRecoveredRecord> recovered;
+  auto wal = OpenWal(dir, &recovered);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  IngestOptions options;
+  options.publish_batch = publish_batch;
+  LiveServing live = MakeWalServing(wal->get(), options);
+
+  struct Seen {
+    size_t num_records;
+    uint64_t checksum;
+    uint64_t acked;  // Submit acks counted after the pin
+  };
+  std::vector<Seen> seen;
+  std::atomic<bool> done{false};
+  std::thread watcher([&] {
+    uint64_t last_generation = 0;
+    while (!done.load()) {
+      auto pinned = live.service->PinIndex();
+      if (pinned.generation() != last_generation) {
+        last_generation = pinned.generation();
+        seen.push_back({pinned->num_records(), pinned->Checksum(),
+                        live.builder->stats().submitted});
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+
+  std::vector<data::Record> acked;
+  size_t refused = 0;
+  {
+    FaultConfig config;
+    config.seed = 7;
+    config.io_error_probability = 0.3;
+    config.latency_probability = 0.7;
+    config.latency_micros = 3000;
+    config.points = points;
+    ScopedFaultInjection arm(config);
+    for (data::Record& record : AppendStream(60)) {
+      auto idx = live.builder->Submit(record);
+      if (!idx.ok()) {
+        EXPECT_EQ(idx.status().code(), StatusCode::kUnavailable);
+        ++refused;
+        continue;
+      }
+      EXPECT_EQ(*idx, 4 + acked.size());
+      acked.push_back(std::move(record));
+    }
+    util::Status idle =
+        live.builder->WaitForIdle(util::Deadline::AfterMillis(30000));
+    done = true;
+    watcher.join();
+    ASSERT_TRUE(idle.ok()) << idle.ToString();
+  }
+
+  IngestStats stats = live.builder->stats();
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(stats.retracted, 0u) << "no failure reached an applied record";
+  EXPECT_LE(stats.retracted, refused);
+  EXPECT_EQ(stats.submitted, acked.size());
+  EXPECT_EQ(stats.applied - stats.retracted, acked.size());
+  EXPECT_EQ((*wal)->durable_sequence(), acked.size());
+
+  std::vector<uint64_t> serial = SerialPrefixChecksums(acked);
+  EXPECT_EQ(live.service->PinIndex()->Checksum(), serial.back());
+  ASSERT_FALSE(seen.empty());
+  for (const Seen& generation : seen) {
+    ASSERT_GE(generation.num_records, 4u);
+    size_t n = generation.num_records - 4;
+    ASSERT_LE(n, generation.acked) << "a generation held an unacked record";
+    EXPECT_EQ(generation.checksum, serial[n])
+        << "the generation over " << n << " appends is not their replay";
+  }
+}
+
+TEST(WalIngestTest, FsyncFailuresAfterApplyAreRetracted) {
+  ExpectFailedAppendsRetracted(
+      "wal_ingest_retract", 1,
+      Bit(FaultPoint::kWalAppend) | Bit(FaultPoint::kWalFsync));
+}
+
+TEST(WalIngestTest, FsyncFailuresInBatchesBehindPublishFaultsAreRetracted) {
+  ExpectFailedAppendsRetracted(
+      "wal_ingest_retract_batched", 4,
+      Bit(FaultPoint::kWalAppend) | Bit(FaultPoint::kWalFsync) |
+          Bit(FaultPoint::kIndexPublish));
+}
+
 // Snapshots bound replay: every snapshot_every applied records the
 // builder persists the appended suffix crash-atomically and retires the
 // covered WAL segments; a restart loads the snapshot, skips the covered
@@ -695,20 +916,6 @@ TEST(WalIngestTest, SnapshotRetiresSegmentsAndRestartReplays) {
 // case checks the recovered corpus against the reference — the seed corpus
 // plus the acked records applied one at a time, in ack order, through a
 // fresh resolver — by book id order and by index checksum.
-
-// Reports that share names and towns with each other and with the seed
-// corpus, so where each one lands changes the matches.
-std::vector<data::Record> AppendStream(size_t n) {
-  static const char* const kFirst[] = {"chaim", "sara", "dvora", "moshe"};
-  static const char* const kTown[] = {"vilna", "lodz", "warsaw"};
-  std::vector<data::Record> records;
-  for (size_t i = 0; i < n; ++i) {
-    records.push_back(MakeReport(7000 + i, kFirst[i % 4],
-                                 i % 3 == 0 ? "levi" : "cohen",
-                                 kTown[(i / 2) % 3]));
-  }
-  return records;
-}
 
 struct RecoveryCheck {
   WalRecovery recovery;

@@ -843,7 +843,8 @@ int CmdServe(const ServeOptions& options) {
     auto metrics = service->metrics();
     std::printf("live ingest: %llu appended, %llu published generation(s) "
                 "(now serving generation %llu, %llu publish failure(s))\n",
-                static_cast<unsigned long long>(ingest_stats.applied),
+                static_cast<unsigned long long>(ingest_stats.applied -
+                                                ingest_stats.retracted),
                 static_cast<unsigned long long>(ingest_stats.published),
                 static_cast<unsigned long long>(metrics.generation),
                 static_cast<unsigned long long>(ingest_stats.publish_failures));
