@@ -78,6 +78,7 @@ expect_flag_rejected threads ./build/tools/yver_cli resolve --in missing.csv --o
 # A flag the command never reads (a removed knob, a typo) exits 2 too.
 expect_flag_rejected max-bach ./build/tools/yver_cli serve --in missing.csv --max-bach 3
 expect_flag_rejected max-pending ./build/tools/yver_cli serve --in missing.csv --max-pending 4
+expect_flag_rejected wal-snapshot-every ./build/tools/yver_cli serve --in missing.csv --wal-snapshot-every 8
 
 if [[ "$run_tsan" == 1 ]]; then
   echo "==> tier-1: ThreadSanitizer race check (serve layer + pipeline/blocking determinism)"
@@ -97,9 +98,9 @@ if [[ "$run_tsan" == 1 ]]; then
   # and ChaosTest.SwapUnderLoad* drives the full swap-under-load
   # consistency proof race-checked.
   # Wal* is the durability layer (DESIGN.md §14): the epoll loop thread
-  # appends while the builder thread calls Retire and any thread reads
-  # stats(), all under the log's one mutex, so the WAL unit and
-  # WAL-backed ingest suites run race-checked as well.
+  # appends while the builder thread applies the record during its fsync
+  # and any thread reads stats(), so the WAL unit and WAL-backed ingest
+  # suites run race-checked as well.
   # AdTree* covers the parallel ADTree trainer: each round's split-search
   # tasks run across the pool and write into per-task slots.
   # *VerticalMiner* and the blocking equivalence suites (the oracle
@@ -236,8 +237,9 @@ if [[ "$run_asan" == 1 ]]; then
   echo "==> tier-1: ASan+UBSan memory check (feature path + golden + determinism)"
   cmake -B build-asan -S . -DYVER_SANITIZE=address >/dev/null
   cmake --build build-asan -j "$(nproc)" --target yver_tests
-  # The live-update suites run memory-checked too: snapshot retirement
-  # (IndexManager*) is a lifetime protocol, the append codec (*Wire*) is
+  # The live-update suites run memory-checked too: IndexManager* drops
+  # each replaced generation when its last pin does (a mutex-guarded
+  # shared_ptr swap), the append codec (*Wire*) is
   # raw offset arithmetic over hostile bytes, and LiveIndexBuilder*/
   # ServicePublish* exercise the resolver-to-snapshot copy path.
   # Wal* adds the durability layer: torn-tail recovery and the bit-flip

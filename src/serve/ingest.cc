@@ -1,60 +1,29 @@
 #include "serve/ingest.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "data/csv_io.h"
-#include "data/dataset.h"
-#include "util/atomic_io.h"
 #include "util/check.h"
 
 namespace yver::serve {
 
-std::string WalSnapshotPath(const std::string& wal_dir) {
-  return wal_dir + "/snapshot-appends.csv";
-}
-
-util::StatusOr<WalRecovery> RecoverWal(const std::string& dir,
-                                       const WalOptions& options,
-                                       core::IncrementalResolver* resolver) {
-  WalRecovery recovery;
-  // Replay order is the determinism contract: snapshot rows first (they
-  // ARE the first appends, in arrival order), then every log record beyond
-  // what the snapshot covers.
-  std::string snapshot_path = WalSnapshotPath(dir);
-  if (::access(snapshot_path.c_str(), F_OK) == 0) {
-    auto snapshot = data::LoadDatasetCsvLenient(snapshot_path);
-    if (!snapshot.ok()) {
-      return util::Status(snapshot.status().code(),
-                          "wal snapshot " + snapshot_path + ": " +
-                              snapshot.status().message());
-    }
-    for (const data::Record& record : snapshot->records()) {
-      resolver->AddRecord(record);
-    }
-    recovery.snapshot_records = snapshot->size();
-  }
+util::StatusOr<std::unique_ptr<WriteAheadLog>> RecoverWal(
+    const std::string& dir, const WalOptions& options,
+    core::IncrementalResolver* resolver) {
   std::vector<WalRecoveredRecord> recovered;
-  auto opened = WriteAheadLog::Open(dir, options, &recovered);
-  if (!opened.ok()) {
-    return util::Status(opened.status().code(),
-                        "wal recovery in " + dir + ": " +
-                            opened.status().message());
+  auto wal = WriteAheadLog::Open(dir, options, &recovered);
+  if (!wal.ok()) {
+    return util::Status(wal.status().code(), "wal recovery in " + dir +
+                                                 ": " + wal.status().message());
   }
-  recovery.wal = std::move(opened).value();
+  // Sequence order is ack order: the determinism contract of replay.
   for (WalRecoveredRecord& record : recovered) {
-    // Sequences the snapshot covers are already in (their segments just
-    // have not been retired yet).
-    if (record.sequence <= recovery.snapshot_records) continue;
     resolver->AddRecord(std::move(record.record));
-    ++recovery.log_records;
   }
-  return recovery;
+  return wal;
 }
 
 LiveIndexBuilder::LiveIndexBuilder(
@@ -72,9 +41,6 @@ LiveIndexBuilder::LiveIndexBuilder(
   if (options_.wal != nullptr) {
     YVER_CHECK_MSG(options_.wal_base_records <= base_records_,
                    "wal_base_records exceeds the seeded corpus");
-    // Whatever was already replayed into the resolver counts as covered:
-    // the next snapshot triggers snapshot_every appends from *here*.
-    last_snapshot_count_ = base_records_ - options_.wal_base_records;
   }
   builder_ = std::thread([this] { Run(); });
 }
@@ -180,8 +146,6 @@ IngestStats LiveIndexBuilder::stats() const {
   s.retracted = retracted_;
   s.published = published_;
   s.publish_failures = publish_failures_;
-  s.snapshots = snapshots_;
-  s.snapshot_failures = snapshot_failures_;
   return s;
 }
 
@@ -271,53 +235,16 @@ void LiveIndexBuilder::Publish(std::shared_ptr<const ResolutionIndex> next) {
   built_ = std::move(next);
   built_matches_ = resolver_->num_matches();
   auto published = service_->PublishIndex(built_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (published.ok()) {
-      dirty_ = false;
-      ++published_;
-      published_records_ = built_->num_records();
-    } else {
-      // Resolver state is cumulative; the next round republishes
-      // everything applied so far. Nothing is lost.
-      dirty_ = true;
-      ++publish_failures_;
-    }
-  }
-  if (published.ok()) MaybeSnapshot();
-}
-
-void LiveIndexBuilder::MaybeSnapshot() {
-  if (options_.wal == nullptr || options_.snapshot_every == 0) return;
-  size_t appended = resolver_->dataset().size() - options_.wal_base_records;
-  if (appended < last_snapshot_count_ + options_.snapshot_every) return;
-  // Persist the appended suffix crash-atomically (stream the CSV to a tmp
-  // path, fsync, rename), then retire the WAL segments it covers. A crash
-  // between the rename and the Retire only leaves covered segments behind
-  // — startup skips their records (sequence <= snapshot size) and the
-  // next snapshot retires them.
-  data::Dataset suffix;
-  for (size_t i = options_.wal_base_records; i < resolver_->dataset().size();
-       ++i) {
-    suffix.Add(resolver_->dataset()[static_cast<data::RecordIdx>(i)]);
-  }
-  std::string path = WalSnapshotPath(options_.wal->dir());
-  std::string tmp = path + ".tmp";
-  util::Status persisted =
-      data::SaveDatasetCsv(suffix, tmp)
-          ? util::PromoteFileAtomic(tmp, path)
-          : util::Status::Unavailable("cannot write " + tmp);
-  if (persisted.ok()) {
-    persisted = options_.wal->Retire(static_cast<uint64_t>(appended));
-  }
   std::lock_guard<std::mutex> lock(mu_);
-  if (persisted.ok()) {
-    last_snapshot_count_ = appended;
-    ++snapshots_;
+  if (published.ok()) {
+    dirty_ = false;
+    ++published_;
+    published_records_ = built_->num_records();
   } else {
-    // Non-fatal: the WAL still holds everything; retry at the next
-    // publish boundary.
-    ++snapshot_failures_;
+    // Resolver state is cumulative; the next round republishes
+    // everything applied so far. Nothing is lost.
+    dirty_ = true;
+    ++publish_failures_;
   }
 }
 

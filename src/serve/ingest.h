@@ -39,38 +39,23 @@ struct IngestOptions {
   /// first record lands after): WAL sequence s occupies corpus index
   /// wal_base_records + s - 1. Only meaningful with `wal`.
   size_t wal_base_records = 0;
-  /// Every this many applied records the builder persists the appended
-  /// suffix as a crash-atomic CSV snapshot at WalSnapshotPath(wal->dir())
-  /// and retires WAL segments the snapshot covers (0 = never snapshot).
-  size_t snapshot_every = 0;
 };
 
-/// The appended-suffix snapshot a LiveIndexBuilder keeps inside the WAL
-/// directory `wal_dir`: a CSV of the first N appends, in arrival order,
-/// which covers WAL sequences 1..N.
-std::string WalSnapshotPath(const std::string& wal_dir);
-
-/// What RecoverWal replayed, plus the log it reopened for appending.
-struct WalRecovery {
-  std::unique_ptr<WriteAheadLog> wal;
-  size_t snapshot_records = 0;  // appends replayed from the snapshot CSV
-  size_t log_records = 0;       // appends replayed from the log past it
-};
-
-/// Crash recovery for durable live ingest (DESIGN.md §14). `resolver` must
-/// be seeded with exactly the corpus the log's first record lands after
-/// (the builder's IngestOptions::wal_base_records). Replays the snapshot
-/// CSV in `dir`, if there is one, and then every log record it does not
-/// cover (sequence > snapshot size) into `resolver`, in sequence order —
-/// the order the records were acked in. Afterwards the resolver holds the
-/// seed corpus plus the acked prefix at the corpus indices the acks
-/// promised, so an index built from it equals the one served before the
-/// crash. Returns the reopened log, ready to back IngestOptions::wal.
-/// Errors are typed: the snapshot's load status, or WriteAheadLog::Open's
-/// (DATA_LOSS on mid-log corruption, UNAVAILABLE on I/O failure).
-util::StatusOr<WalRecovery> RecoverWal(const std::string& dir,
-                                       const WalOptions& options,
-                                       core::IncrementalResolver* resolver);
+/// Crash recovery for durable live ingest (DESIGN.md §14), and the only
+/// restart path: the WAL is the one durable record of appends. `resolver`
+/// must be seeded with exactly the corpus the log's first record lands
+/// after (the builder's IngestOptions::wal_base_records). Replays every
+/// log record into `resolver` in sequence order — the order the records
+/// were acked in — so afterwards the resolver holds the seed corpus plus
+/// the acked prefix at the corpus indices the acks promised, and an index
+/// built from it equals the one served before the crash. Returns the
+/// reopened log, ready to back IngestOptions::wal; its
+/// stats().recovered_records is the replayed count. Errors are
+/// WriteAheadLog::Open's, typed (DATA_LOSS on corruption or a missing
+/// segment, UNAVAILABLE on I/O failure).
+util::StatusOr<std::unique_ptr<WriteAheadLog>> RecoverWal(
+    const std::string& dir, const WalOptions& options,
+    core::IncrementalResolver* resolver);
 
 /// Point-in-time ingest counters.
 struct IngestStats {
@@ -79,8 +64,6 @@ struct IngestStats {
   uint64_t retracted = 0;        // applied records undone: never acked
   uint64_t published = 0;        // successful index publishes
   uint64_t publish_failures = 0; // failed publishes (retried next round)
-  uint64_t snapshots = 0;        // appended-suffix snapshots persisted
-  uint64_t snapshot_failures = 0;// failed snapshot writes (retried later)
 };
 
 /// The live half of the archive (DESIGN.md §13): a single background
@@ -179,13 +162,9 @@ class LiveIndexBuilder {
   /// state, extended from built_ (built_ itself when nothing changed).
   std::shared_ptr<const ResolutionIndex> NextGeneration() const;
 
-  /// Builder-thread only: makes `next` the built generation, publishes
-  /// it, and snapshots when due.
+  /// Builder-thread only: makes `next` the built generation and
+  /// publishes it.
   void Publish(std::shared_ptr<const ResolutionIndex> next);
-
-  /// Builder-thread only: persists the appended suffix of the corpus as a
-  /// crash-atomic CSV and retires the WAL segments it covers.
-  void MaybeSnapshot();
 
   std::shared_ptr<ResolutionService> service_;
   std::unique_ptr<core::IncrementalResolver> resolver_;  // builder thread only
@@ -197,7 +176,6 @@ class LiveIndexBuilder {
   size_t built_matches_ = 0;
   IngestOptions options_;
   size_t base_records_ = 0;
-  uint64_t last_snapshot_count_ = 0;  // appended records covered (builder thread)
 
   /// Serializes submits: the enqueue and the WAL append (including its
   /// fsync) happen under this lock so the log order equals the queue
@@ -223,8 +201,6 @@ class LiveIndexBuilder {
   uint64_t retracted_ = 0;
   uint64_t published_ = 0;
   uint64_t publish_failures_ = 0;
-  uint64_t snapshots_ = 0;
-  uint64_t snapshot_failures_ = 0;
 
   std::thread builder_;
 };

@@ -78,6 +78,12 @@ std::string SegmentName(uint64_t first_sequence) {
   return buf;
 }
 
+// A segment file Open found: its first sequence (from the name) and path.
+struct Segment {
+  uint64_t first_sequence = 0;
+  std::string path;
+};
+
 util::Status Errno(const std::string& what) {
   return util::Status::Unavailable(what + ": " + std::strerror(errno));
 }
@@ -141,6 +147,7 @@ util::StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
   std::unique_ptr<WriteAheadLog> wal(new WriteAheadLog(dir, options));
 
   // Enumerate segments, oldest first.
+  std::vector<Segment> segments;
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) return Errno("opendir " + dir);
   while (struct dirent* ent = ::readdir(d)) {
@@ -150,22 +157,24 @@ util::StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
                     &consumed) == 1 &&
         static_cast<size_t>(consumed) == std::strlen(ent->d_name) &&
         first > 0) {
-      wal->segments_.push_back(Segment{first, dir + "/" + ent->d_name});
+      segments.push_back(Segment{first, dir + "/" + ent->d_name});
     }
   }
   ::closedir(d);
-  std::sort(wal->segments_.begin(), wal->segments_.end(),
+  std::sort(segments.begin(), segments.end(),
             [](const Segment& a, const Segment& b) {
               return a.first_sequence < b.first_sequence;
             });
 
   auto& injector = util::FaultInjector::Global();
-  uint64_t next_expected =
-      wal->segments_.empty() ? 1 : wal->segments_.front().first_sequence;
+  // Segments are never deleted, so the log starts at sequence 1: a first
+  // segment that starts later fails the header check below as DATA_LOSS.
+  uint64_t next_expected = 1;
+  wal->segments_ = segments.size();
 
-  for (size_t s = 0; s < wal->segments_.size(); ++s) {
-    const Segment& seg = wal->segments_[s];
-    bool last_segment = (s + 1 == wal->segments_.size());
+  for (size_t s = 0; s < segments.size(); ++s) {
+    const Segment& seg = segments[s];
+    bool last_segment = (s + 1 == segments.size());
     int fd = ::open(seg.path.c_str(), O_RDONLY);
     if (fd < 0) return Errno("open " + seg.path);
     std::string bytes;
@@ -321,7 +330,7 @@ util::StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     }
   }
 
-  if (wal->segments_.empty()) {
+  if (segments.empty()) {
     util::Status created = wal->RotateLocked(1);
     if (!created.ok()) return created;
     util::Status synced = FsyncDir(dir);
@@ -356,7 +365,7 @@ util::Status WriteAheadLog::RotateLocked(uint64_t first_sequence) {
   }
   fd_ = fd;
   active_size_ = kSegmentHeaderSize;
-  segments_.push_back(Segment{first_sequence, std::move(path)});
+  ++segments_;
   return util::Status::Ok();
 }
 
@@ -411,25 +420,6 @@ util::StatusOr<uint64_t> WriteAheadLog::Append(const data::Record& record) {
   return sequence;
 }
 
-util::Status WriteAheadLog::Retire(uint64_t through_sequence) {
-  std::lock_guard<std::mutex> lock(mu_);
-  bool removed = false;
-  // A segment is covered iff every sequence it holds is <= through; its
-  // last sequence is the next segment's first minus one. The newest
-  // segment always stays: it carries the sequence counter across
-  // restarts.
-  while (segments_.size() > 1 &&
-         segments_[1].first_sequence <= through_sequence + 1) {
-    if (::unlink(segments_.front().path.c_str()) != 0 && errno != ENOENT) {
-      return Errno("unlink " + segments_.front().path);
-    }
-    segments_.erase(segments_.begin());
-    removed = true;
-  }
-  if (removed) return FsyncDir(dir_);
-  return util::Status::Ok();
-}
-
 uint64_t WriteAheadLog::durable_sequence() const {
   std::lock_guard<std::mutex> lock(mu_);
   return durable_sequence_;
@@ -441,7 +431,7 @@ WalStats WriteAheadLog::stats() const {
   s.appends = appends_;
   s.fsyncs = fsyncs_;
   s.rotations = rotations_;
-  s.segments = segments_.size();
+  s.segments = segments_;
   s.durable_sequence = durable_sequence_;
   s.recovered_records = recovered_records_;
   s.truncated_tail_bytes = truncated_tail_bytes_;

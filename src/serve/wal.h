@@ -15,8 +15,8 @@ namespace yver::serve {
 /// Tuning knobs for a WriteAheadLog.
 struct WalOptions {
   /// A segment that has grown past this many bytes is sealed and the next
-  /// append opens a fresh one. Small values exercise rotation; production
-  /// wants megabytes so retirement reclaims space in coarse units.
+  /// append opens a fresh one. Segments are never deleted, so this bounds
+  /// each file's size, not the log's; small values exercise rotation.
   size_t segment_bytes = 4u << 20;
 };
 
@@ -46,7 +46,9 @@ struct WalRecoveredRecord {
 /// mid-write) but refusing mid-file corruption with a typed DATA_LOSS.
 ///
 /// On-disk layout: the directory holds segment files named
-/// `wal-<first_sequence 016x>.yvw`. Each segment is
+/// `wal-<first_sequence 016x>.yvw`, rotated at WalOptions::segment_bytes
+/// and never deleted — the log is the one durable record of appended
+/// reports, and restart replays all of it. Each segment is
 ///
 ///   8 bytes  magic "YVERWAL1"
 ///   u64      first_sequence (little-endian; must match the name)
@@ -69,22 +71,26 @@ struct WalRecoveredRecord {
 /// ack for; those are always a contiguous suffix of the durable stream,
 /// so the acked records are always a prefix of what recovery returns.
 ///
-/// Recovery contract (`Open`): records are replayed in sequence order and
-/// sequences must be contiguous across segments. A record that fails its
-/// checksum (or is incomplete) at the very tail of the *last* segment is
-/// a torn write: the tail is truncated and the log reopens for appending.
-/// The same damage anywhere else — mid-file, in a non-final segment, or
-/// with valid bytes after it — is corruption, not a crash artifact, and
-/// Open fails with DATA_LOSS rather than silently dropping acked records.
+/// Recovery contract (`Open`): records are replayed in sequence order,
+/// the first segment starts at sequence 1 and sequences must be contiguous
+/// across segments. Segments are never deleted, so a log that starts later
+/// or skips a sequence has lost acked records: DATA_LOSS. A record that
+/// fails its checksum (or is incomplete) at the very tail of the *last*
+/// segment is a torn write: the tail is truncated and the log reopens for
+/// appending. The same damage anywhere else — mid-file, in a non-final
+/// segment, or with valid bytes after it — is corruption, not a crash
+/// artifact, and Open fails with DATA_LOSS rather than silently dropping
+/// acked records.
 ///
-/// Thread-safe: concurrent Appends serialize on the lock; Retire and stats
-/// may race with appends.
+/// Thread-safe: concurrent Appends serialize on the lock; stats may race
+/// with appends.
 class WriteAheadLog {
  public:
   /// Opens (creating the directory and first segment if needed) and
   /// replays the log: `*recovered` receives every surviving record in
-  /// sequence order. Typed DATA_LOSS on mid-file corruption, UNAVAILABLE
-  /// on I/O errors (including injected serve.wal.replay faults).
+  /// sequence order. Typed DATA_LOSS on mid-file corruption or a missing
+  /// segment, UNAVAILABLE on I/O errors (including injected
+  /// serve.wal.replay faults).
   static util::StatusOr<std::unique_ptr<WriteAheadLog>> Open(
       const std::string& dir, const WalOptions& options,
       std::vector<WalRecoveredRecord>* recovered);
@@ -100,25 +106,12 @@ class WriteAheadLog {
   /// on-disk bytes always equal the acked records exactly.
   util::StatusOr<uint64_t> Append(const data::Record& record);
 
-  /// Deletes segments whose every record has sequence <= through_sequence
-  /// (they are covered by a persisted snapshot). The newest segment is
-  /// never deleted, even when fully covered: it carries the sequence
-  /// counter across restarts.
-  util::Status Retire(uint64_t through_sequence);
-
   /// Highest sequence known durable (0 before the first append).
   uint64_t durable_sequence() const;
 
   WalStats stats() const;
 
-  const std::string& dir() const { return dir_; }
-
  private:
-  struct Segment {
-    uint64_t first_sequence = 0;
-    std::string path;
-  };
-
   WriteAheadLog(std::string dir, WalOptions options);
 
   util::Status RotateLocked(uint64_t first_sequence);
@@ -127,7 +120,7 @@ class WriteAheadLog {
   WalOptions options_;
 
   mutable std::mutex mu_;
-  std::vector<Segment> segments_;  // oldest first; back() is active
+  uint64_t segments_ = 0;          // segment files; the newest is active
   int fd_ = -1;                    // active segment, O_APPEND-less plain fd
   uint64_t active_size_ = 0;       // bytes in the active segment
   uint64_t durable_sequence_ = 0;  // highest fsync'd sequence

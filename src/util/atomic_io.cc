@@ -66,18 +66,4 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
   return FsyncPath(ParentDir(path), O_RDONLY | O_DIRECTORY);
 }
 
-Status PromoteFileAtomic(const std::string& tmp, const std::string& path) {
-  Status synced = FsyncPath(tmp, O_RDONLY);
-  if (!synced.ok()) {
-    ::unlink(tmp.c_str());
-    return synced;
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    Status failed = Errno("rename " + tmp + " -> " + path);
-    ::unlink(tmp.c_str());
-    return failed;
-  }
-  return FsyncPath(ParentDir(path), O_RDONLY | O_DIRECTORY);
-}
-
 }  // namespace yver::util

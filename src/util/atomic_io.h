@@ -16,12 +16,6 @@ namespace yver::util {
 /// is unlinked best-effort).
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
 
-/// Promotes an already-written temporary file to `path`: fsyncs `tmp`,
-/// rename()s it over `path`, and fsyncs the parent directory. For writers
-/// (CSV savers, ...) that stream through their own API into a tmp path
-/// first. Typed UNAVAILABLE on failure.
-Status PromoteFileAtomic(const std::string& tmp, const std::string& path);
-
 }  // namespace yver::util
 
 #endif  // YVER_UTIL_ATOMIC_IO_H_

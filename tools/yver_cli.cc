@@ -15,7 +15,7 @@
 //                        [--max-batch B]
 //                        [--live] [--model model.adt] [--publish-batch N]
 //                        [--ingest-queue N] [--wal-dir D]
-//                        [--wal-segment-bytes N] [--wal-snapshot-every N]
+//                        [--wal-segment-bytes N]
 //   yver_cli append      --port P --in new.csv [--count N] [--wait-ms D]
 //                        [--verify] [--verify-from I]
 //   yver_cli loadgen     --port P [--connections C] [--queries N] [--qps Q]
@@ -318,10 +318,6 @@ ServeOptions ParseServeOptions(const Flags& flags, bool needs_corpus) {
   options.model_path = flags.Get("model");
   flags.Parse("publish-batch", &options.ingest.publish_batch);
   flags.Parse("ingest-queue", &options.ingest.max_queue_depth);
-  // The CLI snapshots a WAL-backed server by default; the library does
-  // not (snapshot_every = 0).
-  options.ingest.snapshot_every = 256;
-  flags.Parse("wal-snapshot-every", &options.ingest.snapshot_every);
   options.wal_dir = flags.Get("wal-dir");
   flags.Parse("wal-segment-bytes", &options.wal.segment_bytes);
 
@@ -453,8 +449,6 @@ constexpr const char kServeHelp[] =
     "                        previously ack'd record is served again\n"
     "                        (without it, acks mean enqueued, not durable)\n"
     "  --wal-segment-bytes N rotate log segments at N bytes (4 MiB)\n"
-    "  --wal-snapshot-every N  snapshot the appended records to CSV and\n"
-    "                        retire covered segments every N appends (256)\n"
     "\n"
     "append client (append):\n"
     "  --in F                CSV of records to append (required)\n"
@@ -738,7 +732,7 @@ int CmdServe(const ServeOptions& options) {
   // serve::RecoverWal first replays the durable history into the resolver
   // before the first query is admitted, so every previously ack'd record
   // is served again (DESIGN.md §14).
-  serve::WalRecovery recovery;
+  std::unique_ptr<serve::WriteAheadLog> wal;
   std::shared_ptr<serve::LiveIndexBuilder> builder;
   std::unique_ptr<core::IncrementalResolver> resolver;
   serve::IngestOptions ingest = options.ingest;
@@ -766,8 +760,8 @@ int CmdServe(const ServeOptions& options) {
         std::fprintf(stderr, "%s\n", recovered.status().ToString().c_str());
         return 1;
       }
-      recovery = std::move(recovered).value();
-      ingest.wal = recovery.wal.get();
+      wal = std::move(recovered).value();
+      ingest.wal = wal.get();
       ingest.wal_base_records = dataset.size();
     }
     if (resolver->dataset().size() > dataset.size()) {
@@ -812,14 +806,13 @@ int CmdServe(const ServeOptions& options) {
                 std::max<size_t>(ingest.publish_batch, 1),
                 ingest.max_queue_depth);
   }
-  if (recovery.wal) {
-    std::printf(
-        "wal: recovered %zu record(s) (%zu from snapshot, %zu from log) "
-        "from %s; durable sequence %llu\n",
-        recovery.snapshot_records + recovery.log_records,
-        recovery.snapshot_records, recovery.log_records,
-        options.wal_dir.c_str(),
-        static_cast<unsigned long long>(recovery.wal->durable_sequence()));
+  if (wal) {
+    auto wal_stats = wal->stats();
+    std::printf("wal: recovered %llu record(s) from %s; "
+                "durable sequence %llu\n",
+                static_cast<unsigned long long>(wal_stats.recovered_records),
+                options.wal_dir.c_str(),
+                static_cast<unsigned long long>(wal_stats.durable_sequence));
   }
   std::fflush(stdout);
 
@@ -849,17 +842,14 @@ int CmdServe(const ServeOptions& options) {
                 static_cast<unsigned long long>(metrics.generation),
                 static_cast<unsigned long long>(ingest_stats.publish_failures));
   }
-  if (recovery.wal) {
-    auto wal_stats = recovery.wal->stats();
+  if (wal) {
+    auto wal_stats = wal->stats();
     std::printf("wal: %llu append(s), %llu fsync(s), %llu "
-                "rotation(s), %llu segment(s) on disk, %llu snapshot(s)\n",
+                "rotation(s), %llu segment(s) on disk\n",
                 static_cast<unsigned long long>(wal_stats.appends),
                 static_cast<unsigned long long>(wal_stats.fsyncs),
                 static_cast<unsigned long long>(wal_stats.rotations),
-                static_cast<unsigned long long>(wal_stats.segments),
-                builder ? static_cast<unsigned long long>(
-                              builder->stats().snapshots)
-                        : 0ULL);
+                static_cast<unsigned long long>(wal_stats.segments));
   }
   return 0;
 }
