@@ -18,12 +18,14 @@
 // after every append. It prints, and with --out writes as JSON
 // (BENCH_ingest.json), the exact p50/p99 of each cost on each side.
 //
-//   bench_ingest [--out file]
+//   bench_ingest [--persons N] [--out file]
 //
-// The one-time offline resolve that seeds both resolvers uses every
+// --persons sets the archive's size (default 12000 persons, ~22K reports;
+// 55000 gives ~100K). The one-time offline resolve that seeds both resolvers uses every
 // hardware thread; the timed loop is single-threaded.
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -48,21 +50,36 @@ namespace {
 
 using namespace yver;
 
-constexpr size_t kPersons = 12000;  // ~22K reports
 constexpr size_t kAppends = 1000;
 
-// The only flag is --out FILE; exits 2 on anything else.
-std::string ParseOut(int argc, char** argv) {
+struct Flags {
+  size_t persons = 12000;  // ~22K reports
   std::string out;
+};
+
+// --persons N (a positive count) and --out FILE; exits 2 on anything else.
+Flags ParseFlags(int argc, char** argv) {
+  Flags flags;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_ingest [--out file]\n");
-      std::exit(2);
+      flags.out = argv[++i];
+      continue;
     }
+    if (std::strcmp(argv[i], "--persons") == 0 && i + 1 < argc) {
+      const char* text = argv[++i];
+      char* end = nullptr;
+      errno = 0;
+      unsigned long long n = std::strtoull(text, &end, 10);
+      if (errno == 0 && end != text && *end == '\0' && text[0] != '-' &&
+          n > 0) {
+        flags.persons = static_cast<size_t>(n);
+        continue;
+      }
+    }
+    std::fprintf(stderr, "usage: bench_ingest [--persons N] [--out file]\n");
+    std::exit(2);
   }
-  return out;
+  return flags;
 }
 
 int64_t NowNs() {
@@ -106,13 +123,14 @@ struct Side {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = ParseOut(argc, argv);
+  Flags flags = ParseFlags(argc, argv);
+  const std::string& out_path = flags.out;
 
   // The archive and the held-out stream, as perfbench's offline_resolve
   // builds them: the sample corpus, and the same generator on another
   // seed for the reports that arrive later.
   synth::GeneratorConfig config;
-  config.num_persons = kPersons;
+  config.num_persons = flags.persons;
   config.include_mv = true;
   auto archive = synth::Generate(config);
   config.seed ^= 0x9e3779b97f4a7c15ULL;
@@ -219,6 +237,7 @@ int main(int argc, char** argv) {
         << "  \"bench\": \"ingest\",\n"
         << "  \"host_hardware_threads\": " << util::ResolveNumThreads(0)
         << ",\n"
+        << "  \"persons\": " << flags.persons << ",\n"
         << "  \"corpus_records\": " << archive.dataset.size() << ",\n"
         << "  \"seed_matches\": " << resolved.resolution.size() << ",\n"
         << "  \"appends\": " << kAppends << ",\n"

@@ -13,7 +13,8 @@ IncrementalResolver::IncrementalResolver(
     : options_(options),
       model_(std::move(model)),
       geo_resolver_(std::move(geo_resolver)),
-      dataset_(initial) {
+      dataset_(initial),
+      used_features_(features::MaskOf(model_.UsedFeatures())) {
   encoded_ = data::EncodeDataset(dataset_, geo_resolver_);
   encoded_.dataset = &dataset_;
   extractor_ = std::make_unique<features::FeatureExtractor>(encoded_);
@@ -33,10 +34,42 @@ void IncrementalResolver::SelectCandidates(const data::ItemBag& bag,
   if (shared_counts_.size() < dataset_.size()) {
     shared_counts_.resize(dataset_.size(), 0);
   }
+  // Shortest postings first. A record that lists 0..i-1 do not reach is
+  // in at most the m - i lists left, so it shares at most m - i items.
+  // List i and every later one only raise the counts of records already
+  // touched, and never add one, once such a record can no longer be kept:
+  // when m - i < min_shared_items, or when max_candidates touched records
+  // already share more than m - i items and so outrank it (at_least_[c],
+  // c >= 2, counts the touched records sharing at least c). Both bounds
+  // only tighten as i grows.
+  by_length_.assign(bag.begin(), bag.end());
+  std::sort(by_length_.begin(), by_length_.end(),
+            [this](data::ItemId x, data::ItemId y) {
+              return postings_[x].size() < postings_[y].size();
+            });
+  const size_t m = by_length_.size();
+  at_least_.assign(m + 2, 0);
   touched_.clear();
-  for (data::ItemId item : bag) {
-    for (data::RecordIdx other : postings_[item]) {
-      if (shared_counts_[other]++ == 0) touched_.push_back(other);
+  size_t i = 0;
+  for (; i < m; ++i) {
+    size_t left = m - i;
+    if (left < options_.min_shared_items ||
+        at_least_[left + 1] >= options_.max_candidates) {
+      break;
+    }
+    for (data::RecordIdx other : postings_[by_length_[i]]) {
+      uint32_t count = ++shared_counts_[other];
+      if (count == 1) {
+        touched_.push_back(other);
+      } else {
+        ++at_least_[count];
+      }
+    }
+  }
+  for (; i < m && !touched_.empty(); ++i) {
+    for (data::RecordIdx other : postings_[by_length_[i]]) {
+      uint32_t& count = shared_counts_[other];
+      count += count != 0;
     }
   }
   for (data::RecordIdx other : touched_) {
@@ -100,8 +133,9 @@ data::RecordIdx IncrementalResolver::AddRecord(data::Record record) {
     if (model_.empty()) {
       score = block_score;
     } else {
-      features::FeatureVector fv = extractor_->Extract(other, idx);
-      score = model_.Score(fv);
+      extractor_->ExtractInto(other, idx, &scratch_, &features_,
+                              used_features_);
+      score = model_.Score(features_);
     }
     if (score <= 0.0) continue;
     RankedMatch match;

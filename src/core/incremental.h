@@ -35,7 +35,19 @@ namespace yver::core {
 /// gathered. They are gathered in a dense per-record counter sized to
 /// the corpus plus a list of the records it touched: a record's count
 /// is read and reset through that list, so a call allocates nothing and
-/// clears nothing beyond the records its items actually reach.
+/// clears nothing beyond the records its items actually reach. The
+/// items' postings are walked shortest first, and a list stops adding
+/// records once no record it could add can be kept: one that only the
+/// lists still to walk reach shares at most as many items as there are
+/// such lists, which is too few once that number is below
+/// `min_shared_items` (so at least the `min_shared_items - 1` longest
+/// lists never add one), or once `max_candidates` touched records
+/// already share more. The remaining lists only raise the counts of
+/// records already touched, so every kept candidate's count is exact and
+/// the kept candidates and their order are those of a full walk,
+/// whichever way ties in length are ordered. Candidates are scored on
+/// the features the model reads (features::FeatureMask), which give
+/// AdTree::Score the same value as a full extraction.
 class IncrementalResolver {
  public:
   struct Options {
@@ -135,7 +147,16 @@ class IncrementalResolver {
   // zero between calls) and the records with a non-zero count.
   std::vector<uint32_t> shared_counts_;
   std::vector<data::RecordIdx> touched_;
+  // SelectCandidates scratch: the new record's items, shortest posting
+  // first, and at_least_[c], the touched records sharing c or more items.
+  std::vector<data::ItemId> by_length_;
+  std::vector<size_t> at_least_;
   std::vector<Candidate> candidates_;
+  // The features model_ reads (AdTree::UsedFeatures), the only ones
+  // AddRecord extracts, into one reused vector.
+  features::FeatureMask used_features_;
+  features::FeatureExtractor::Scratch scratch_;
+  features::FeatureVector features_;
 };
 
 }  // namespace yver::core

@@ -125,15 +125,19 @@ PipelineResult UncertainErPipeline::Run(const PipelineConfig& config,
     // blocks are extracted and scored into index-addressed slots, and the
     // surviving matches are appended by one serial scan per block — so the
     // ranked list is byte-identical to the serial path (no score-order
-    // races). The block size bounds the feature-matrix working set.
+    // races). The block size bounds the feature-matrix working set. Only
+    // the features the model reads are extracted; the rest stay missing,
+    // which the model never looks at, so the scores are unchanged.
     constexpr size_t kScoreBlock = 1 << 16;
+    const features::FeatureMask used =
+        features::MaskOf(result.model.UsedFeatures());
     std::vector<data::RecordPair> pairs = PairsOf(result.candidates);
     for (size_t begin = 0; begin < pairs.size(); begin += kScoreBlock) {
       size_t end = std::min(pairs.size(), begin + kScoreBlock);
       timer.Reset();
       std::vector<features::FeatureVector> features = extractor_->ExtractBatch(
           std::span<const data::RecordPair>(pairs).subspan(begin, end - begin),
-          pool);
+          pool, used);
       result.timings.extract_seconds += timer.ElapsedSeconds();
       timer.Reset();
       std::vector<double> scores = result.model.ScoreBatch(features, pool);

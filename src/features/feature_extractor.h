@@ -1,6 +1,7 @@
 #ifndef YVER_FEATURES_FEATURE_EXTRACTOR_H_
 #define YVER_FEATURES_FEATURE_EXTRACTOR_H_
 
+#include <bitset>
 #include <memory>
 #include <span>
 #include <vector>
@@ -12,6 +13,25 @@
 #include "util/thread_pool.h"
 
 namespace yver::features {
+
+/// Which schema features an extraction computes: bit i is feature i.
+/// A deployed ADTree reads only the features its splitters test (7 or 8
+/// of the 48 on the sample corpora), so a scorer passes the mask of its
+/// model and skips the rest, the q-gram name Jaccards above all. Masked-in
+/// values are bit-identical to a full extraction, including those that
+/// reuse another feature's comparison (41..43 reuse the date distances of
+/// 15..17, and 44..47 the place-part comparisons of 18..33), because the
+/// shared comparison runs when any feature that needs it is masked in.
+/// Masked-out features are left missing (NaN), which is exactly what
+/// AdTree::Score never reads for a model whose UsedFeatures() the mask
+/// covers.
+using FeatureMask = std::bitset<kNumFeatures>;
+
+/// Every feature: a full extraction.
+inline constexpr FeatureMask kAllFeatures{~0ULL};
+
+/// The mask with exactly `features` set.
+FeatureMask MaskOf(std::span<const size_t> features);
 
 /// Computes the 48-feature vector of §5.1 for candidate record pairs.
 /// Features over attributes absent from either record are emitted as
@@ -50,17 +70,20 @@ class FeatureExtractor {
   /// Extracts the feature vector of a pair.
   FeatureVector Extract(data::RecordIdx a, data::RecordIdx b) const;
 
-  /// Extracts into `out`, reusing its storage. Produces exactly the same
-  /// values as Extract.
+  /// Extracts into `out`, reusing its storage. Every feature in `mask`
+  /// gets exactly the value Extract gives it; every other feature is
+  /// missing.
   void ExtractInto(data::RecordIdx a, data::RecordIdx b, Scratch* scratch,
-                   FeatureVector* out) const;
+                   FeatureVector* out,
+                   const FeatureMask& mask = kAllFeatures) const;
 
-  /// Extracts all `pairs` in order. With a pool, chunks are extracted in
-  /// parallel with one Scratch per chunk; result[i] is always the vector
-  /// of pairs[i] regardless of thread count.
+  /// Extracts all `pairs` in order, each as ExtractInto under `mask`. With
+  /// a pool, chunks are extracted in parallel with one Scratch per chunk;
+  /// result[i] is always the vector of pairs[i] regardless of thread count.
   std::vector<FeatureVector> ExtractBatch(
       std::span<const data::RecordPair> pairs,
-      util::ThreadPool* pool = nullptr) const;
+      util::ThreadPool* pool = nullptr,
+      const FeatureMask& mask = kAllFeatures) const;
 
   /// Encodes columnar views for records appended to the underlying dataset
   /// after construction (streaming workloads). Must be called before

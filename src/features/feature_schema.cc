@@ -62,7 +62,7 @@ FeatureSchema::FeatureSchema() {
         {std::string("same") + type + "Place", FeatureKind::kNominal, 2});
   }
   defs_.push_back({"bagJaccard", FeatureKind::kNumeric, 0});
-  YVER_CHECK(defs_.size() == 48);
+  YVER_CHECK(defs_.size() == kNumFeatures);
 }
 
 const FeatureSchema& FeatureSchema::Get() {

@@ -2,6 +2,7 @@
 #define YVER_FEATURES_FEATURE_SCHEMA_H_
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -28,6 +29,9 @@ struct FeatureDef {
   FeatureKind kind = FeatureKind::kNumeric;
   int num_nominal_values = 0;  // nominal only
 };
+
+/// Number of features in the schema.
+inline constexpr size_t kNumFeatures = 48;
 
 /// The fixed 48-feature schema of §5.1 (see FeatureExtractor for the
 /// construction): indices are stable across the library.

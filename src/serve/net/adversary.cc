@@ -1,5 +1,6 @@
 #include "serve/net/adversary.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <chrono>
@@ -81,6 +82,23 @@ void BookResponse(const std::string& frame, ConnOutcome& out) {
 /// True when a read/write status says the server ended the connection.
 bool IsServerClose(const util::Status& status) {
   return status.code() == util::StatusCode::kUnavailable;
+}
+
+/// Waits up to `timeout_ms` for room to write on `fd`. True when the
+/// server has closed or reset the connection meanwhile: POLLERR, POLLHUP
+/// or POLLRDHUP, or a pending SO_ERROR. A client whose writes block learns
+/// of a close from neither a failed send nor, with its receive buffer full
+/// of unread answers, a read.
+bool PeerClosedWhileBlocked(int fd, int timeout_ms) {
+  pollfd p{fd, static_cast<short>(POLLOUT | POLLRDHUP), 0};
+  if (::poll(&p, 1, timeout_ms) > 0 &&
+      (p.revents & (POLLERR | POLLHUP | POLLRDHUP)) != 0) {
+    return true;
+  }
+  int error = 0;
+  socklen_t len = sizeof(error);
+  return ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &len) == 0 &&
+         error != 0;
 }
 
 /// A valid header declaring a 4 KiB query payload that will never fully
@@ -199,7 +217,10 @@ ConnOutcome RunNeverRead(const AdversaryOptions& options,
       return out;
     }
     if (wrote->would_block || wrote->bytes == 0) {
-      std::this_thread::sleep_for(MillisDuration(5));
+      if (PeerClosedWhileBlocked(sock->fd(), /*timeout_ms=*/5)) {
+        out.server_closed = true;
+        return out;
+      }
       continue;
     }
     off += wrote->bytes;

@@ -150,6 +150,11 @@ void Server::Shutdown() {
 
 ServerStats Server::stats() const {
   ServerStats s;
+  // Open connections first, with acquire: the loop counts a connection
+  // accepted or closed before it releases the change of this gauge, so
+  // a snapshot that sees a connection gone also sees it counted closed
+  // (never open 0 with closed 0 after the last close).
+  s.net.open_connections = open_connections_.load(std::memory_order_acquire);
   s.connections_accepted = accepted_.load(std::memory_order_relaxed);
   s.connections_closed = closed_.load(std::memory_order_relaxed);
   s.frames_received = frames_received_.load(std::memory_order_relaxed);
@@ -158,7 +163,6 @@ ServerStats Server::stats() const {
   s.responses_sent = responses_sent_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.socket_errors = socket_errors_.load(std::memory_order_relaxed);
-  s.net.open_connections = open_connections_.load(std::memory_order_relaxed);
   s.net.paused_reads = paused_reads_.load(std::memory_order_relaxed);
   s.net.disconnects_idle = disconnects_idle_.load(std::memory_order_relaxed);
   s.net.disconnects_slowloris =
@@ -326,7 +330,7 @@ void Server::AcceptAll() {
     conn.last_write_progress = now;
     auto [it, inserted] = conns_.emplace(id, std::move(conn));
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    open_connections_.fetch_add(1, std::memory_order_relaxed);
+    open_connections_.fetch_add(1, std::memory_order_release);
     UpdateConnState(id, it->second);  // arms the idle timer
   }
 }
@@ -771,8 +775,9 @@ void Server::MarkDead(Connection& conn) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.sock.fd(), nullptr);
   conn.sock.Close();
   conn.dead = true;
+  // closed_ before the gauge, which releases it to stats().
   closed_.fetch_add(1, std::memory_order_relaxed);
-  open_connections_.fetch_sub(1, std::memory_order_relaxed);
+  open_connections_.fetch_sub(1, std::memory_order_release);
 }
 
 void Server::ReapDead() {

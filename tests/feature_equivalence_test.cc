@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.h"
 #include "data/comparison_corpus.h"
 #include "data/item_dictionary.h"
 #include "features/feature_extractor.h"
@@ -16,6 +17,7 @@
 #include "support/reference_extractor.h"
 #include "synth/gazetteer.h"
 #include "synth/generator.h"
+#include "synth/tag_oracle.h"
 #include "util/rng.h"
 
 namespace yver::features {
@@ -201,6 +203,110 @@ TEST(FeatureEquivalenceTest, BatchMatchesReferenceScalar) {
     reference.ExtractInto(pairs[i].a, pairs[i].b, &scratch, &expected);
     ExpectByteIdentical(expected, batch[i], "pair index " + std::to_string(i));
   }
+}
+
+// Masked extraction (FeatureMask): every masked-in feature is bit-equal
+// to a full extraction and every masked-out one is missing, for the masks
+// of trained models, for random masks, and for masks that keep only the
+// features that reuse another group's comparison (41..43 reuse the date
+// distances of 15..17, 44..47 the place-part comparisons of 18..33).
+void ExpectMaskedMatchesFull(const FeatureExtractor& extractor,
+                             std::span<const data::RecordPair> pairs,
+                             const FeatureMask& mask,
+                             const std::string& context) {
+  FeatureExtractor::Scratch scratch;
+  FeatureVector masked;
+  util::ThreadPool pool(3);
+  std::vector<FeatureVector> batch = extractor.ExtractBatch(pairs, &pool, mask);
+  ASSERT_EQ(batch.size(), pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    FeatureVector full = extractor.Extract(pairs[i].a, pairs[i].b);
+    extractor.ExtractInto(pairs[i].a, pairs[i].b, &scratch, &masked, mask);
+    ExpectByteIdentical(masked, batch[i],
+                        context + ": batch, pair index " + std::to_string(i));
+    ASSERT_EQ(masked.values.size(), kNumFeatures);
+    for (size_t f = 0; f < kNumFeatures; ++f) {
+      if (mask.test(f)) {
+        ASSERT_EQ(0, std::memcmp(&full.values[f], &masked.values[f],
+                                 sizeof(double)))
+            << context << ": feature " << f << ", pair index " << i;
+      } else {
+        ASSERT_TRUE(masked.IsMissing(f))
+            << context << ": masked-out feature " << f << ", pair index "
+            << i;
+      }
+    }
+  }
+}
+
+TEST(MaskedExtractionTest, MaskedInFeaturesEqualAFullExtraction) {
+  auto config = synth::ItalyConfig();
+  config.num_persons = 400;
+  config.include_mv = true;
+  config.seed = 17;
+  auto generated = synth::Generate(config);
+  synth::Gazetteer gazetteer;
+  core::UncertainErPipeline pipeline(generated.dataset,
+                                     gazetteer.MakeGeoResolver());
+  const FeatureExtractor& extractor = pipeline.extractor();
+
+  // Random pairs, plus the blocked candidates, where names, dates and
+  // places agree often enough to reach every branch of each feature.
+  util::Rng rng(4242);
+  const auto n = static_cast<int>(generated.dataset.size());
+  std::vector<data::RecordPair> pairs;
+  for (int i = 0; i < 1500; ++i) {
+    auto a = static_cast<data::RecordIdx>(rng.UniformInt(0, n - 1));
+    auto b = static_cast<data::RecordIdx>(rng.UniformInt(0, n - 1));
+    if (a != b) pairs.emplace_back(a, b);
+  }
+
+  std::vector<std::pair<std::string, FeatureMask>> masks;
+  synth::TagOracle oracle(&generated.dataset);
+  auto tagger = [&](data::RecordIdx a, data::RecordIdx b) {
+    return oracle.Tag(a, b);
+  };
+  for (size_t rounds : {10, 25}) {
+    core::PipelineConfig pipeline_config = core::RecommendedConfig();
+    pipeline_config.trainer.num_rounds = rounds;
+    core::PipelineResult resolved = pipeline.Run(pipeline_config, tagger);
+    ASSERT_FALSE(resolved.model.empty());
+    FeatureMask used = MaskOf(resolved.model.UsedFeatures());
+    EXPECT_GE(used.count(), 3u);
+    EXPECT_LT(used.count(), kNumFeatures / 2);
+    masks.emplace_back("model of " + std::to_string(rounds) + " rounds", used);
+    for (size_t i = 0; i < resolved.candidates.size() && i < 1500; ++i) {
+      pairs.push_back(resolved.candidates[i].pair);
+    }
+  }
+  FeatureMask date_sims;
+  for (size_t f = 40; f < 43; ++f) date_sims.set(f);
+  masks.emplace_back("only 41..43", date_sims);
+  FeatureMask whole_places;
+  for (size_t f = 43; f < 47; ++f) whole_places.set(f);
+  masks.emplace_back("only 44..47", whole_places);
+  masks.emplace_back("none", FeatureMask());
+  masks.emplace_back("all", kAllFeatures);
+  for (int m = 0; m < 12; ++m) {
+    FeatureMask random;
+    for (size_t f = 0; f < kNumFeatures; ++f) {
+      if (rng.UniformInt(0, 3) == 0) random.set(f);
+    }
+    masks.emplace_back("random mask " + std::to_string(m), random);
+  }
+  for (const auto& [name, mask] : masks) {
+    ExpectMaskedMatchesFull(extractor, pairs, mask, name);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(MaskedExtractionTest, FullMaskIsTheDefault) {
+  EXPECT_TRUE(kAllFeatures.all());
+  EXPECT_EQ(kAllFeatures.size(), FeatureSchema::Get().size());
+  const size_t used[] = {0, 7, 47};
+  FeatureMask mask = MaskOf(used);
+  EXPECT_EQ(mask.count(), 3u);
+  EXPECT_TRUE(mask.test(0) && mask.test(7) && mask.test(47));
 }
 
 TEST(FeatureEquivalenceTest, CorpusViewsAreConsistent) {

@@ -238,7 +238,9 @@ TEST(EncodeDatasetTest, PruneMostFrequentRemovesHeavyItems) {
   for (int i = 0; i < 100; ++i) {
     Record r;
     r.Add(AttributeId::kGender, "M");  // appears everywhere
-    r.Add(AttributeId::kFirstName, "N" + std::to_string(i));
+    std::string name = "N";
+    name += std::to_string(i);
+    r.Add(AttributeId::kFirstName, name);
     ds.Add(std::move(r));
   }
   auto encoded = data::EncodeDataset(ds);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <span>
@@ -17,6 +18,7 @@
 #include "core/incremental.h"
 #include "core/pipeline.h"
 #include "core/ranked_resolution.h"
+#include "features/feature_extractor.h"
 #include "serve/resolution_index.h"
 #include "support/reference_incremental_candidates.h"
 #include "synth/gazetteer.h"
@@ -69,13 +71,17 @@ const Corpus& SharedCorpus() {
   return *corpus;
 }
 
-// The production rule, plus a count of the appends whose max_candidates
-// cut fell inside a run of equal shared-item counts: the case where the
-// record-index tie-break decides which candidates are scored.
+// The production rule, plus probes of what it was asked: a count of the
+// appends whose max_candidates cut fell inside a run of equal shared-item
+// counts (the case where the record-index tie-break decides which
+// candidates are scored), and a count of those where the new record's two
+// longest postings were equally long (the case where which of them the
+// rule walks count-only is up to the order ties take).
 class TieProbeResolver : public IncrementalResolver {
  public:
   using IncrementalResolver::IncrementalResolver;
   size_t cuts_inside_ties = 0;
+  size_t longest_postings_tied = 0;
 
  protected:
   void SelectCandidates(const data::ItemBag& bag,
@@ -88,50 +94,185 @@ class TieProbeResolver : public IncrementalResolver {
         all[out->size()].first == out->back().first) {
       ++cuts_inside_ties;
     }
+    std::vector<size_t> lengths;
+    for (data::ItemId item : bag) lengths.push_back(postings()[item].size());
+    std::sort(lengths.rbegin(), lengths.rend());
+    if (lengths.size() >= 2 && lengths[0] > 0 && lengths[0] == lengths[1]) {
+      ++longest_postings_tied;
+    }
   }
 };
 
-void StreamThroughBothRules(bool with_model, size_t max_candidates) {
+// What one stream through both rules saw.
+struct StreamCounts {
+  size_t appends_with_matches = 0;
+  size_t cuts_inside_ties = 0;
+  size_t longest_postings_tied = 0;
+};
+
+// Streams `arrivals` into the production rule and the reference rule
+// over the same seed, asserting equal matches after every append.
+StreamCounts StreamThroughBothRules(const data::Dataset& initial,
+                                    const RankedResolution& seed,
+                                    const ml::AdTree& model,
+                                    const data::GeoResolver& geo,
+                                    const std::vector<data::Record>& arrivals,
+                                    const IncrementalResolver::Options& options) {
+  TieProbeResolver production(initial, seed, model, geo, options);
+  core::ReferenceCandidateResolver reference(initial, seed, model, geo,
+                                             options);
+  StreamCounts counts;
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    data::RecordIdx a = production.AddRecord(arrivals[i]);
+    data::RecordIdx b = reference.AddRecord(arrivals[i]);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(production.last_matches(), reference.last_matches())
+        << "append " << i;
+    EXPECT_EQ(production.matches(), reference.matches()) << "append " << i;
+    if (production.matches() != reference.matches()) break;
+    if (!production.last_matches().empty()) ++counts.appends_with_matches;
+  }
+  counts.cuts_inside_ties = production.cuts_inside_ties;
+  counts.longest_postings_tied = production.longest_postings_tied;
+  return counts;
+}
+
+void StreamSharedCorpusThroughBothRules(bool with_model, size_t max_candidates,
+                                        size_t min_shared_items = 2) {
   const Corpus& corpus = SharedCorpus();
   ASSERT_GE(corpus.arrivals.size(), 200u);
   IncrementalResolver::Options options;
   options.max_candidates = max_candidates;
+  options.min_shared_items = min_shared_items;
   RankedResolution seed =
       with_model ? corpus.resolved.resolution : RankedResolution();
   ml::AdTree model = with_model ? corpus.resolved.model : ml::AdTree();
   ASSERT_EQ(model.empty(), !with_model);
-  TieProbeResolver production(corpus.initial, seed, model,
-                              corpus.gazetteer.MakeGeoResolver(), options);
-  core::ReferenceCandidateResolver reference(
+  StreamCounts counts = StreamThroughBothRules(
       corpus.initial, seed, model, corpus.gazetteer.MakeGeoResolver(),
-      options);
-  size_t appends_with_matches = 0;
-  for (size_t i = 0; i < corpus.arrivals.size(); ++i) {
-    data::RecordIdx a = production.AddRecord(corpus.arrivals[i]);
-    data::RecordIdx b = reference.AddRecord(corpus.arrivals[i]);
-    ASSERT_EQ(a, b);
-    ASSERT_EQ(production.last_matches(), reference.last_matches())
-        << "append " << i;
-    ASSERT_EQ(production.matches(), reference.matches()) << "append " << i;
-    if (!production.last_matches().empty()) ++appends_with_matches;
-  }
+      corpus.arrivals, options);
   // The comparison must have had something to compare, including cuts
   // that only the (count, idx) tie-break decides.
-  EXPECT_GT(appends_with_matches, corpus.arrivals.size() / 2);
-  EXPECT_GT(production.cuts_inside_ties, corpus.arrivals.size() / 10);
+  EXPECT_GT(counts.appends_with_matches, corpus.arrivals.size() / 2);
+  EXPECT_GT(counts.cuts_inside_ties, corpus.arrivals.size() / 10);
 }
 
 TEST(IncrementalCandidateEquivalenceTest, TrainedModelSmallCut) {
-  StreamThroughBothRules(/*with_model=*/true, /*max_candidates=*/4);
+  StreamSharedCorpusThroughBothRules(/*with_model=*/true,
+                                     /*max_candidates=*/4);
 }
 
 TEST(IncrementalCandidateEquivalenceTest, BlockScoreFallbackSmallCut) {
-  StreamThroughBothRules(/*with_model=*/false, /*max_candidates=*/4);
+  StreamSharedCorpusThroughBothRules(/*with_model=*/false,
+                                     /*max_candidates=*/4);
 }
 
 TEST(IncrementalCandidateEquivalenceTest, BlockScoreFallbackDefaultCut) {
-  StreamThroughBothRules(/*with_model=*/false,
-                         IncrementalResolver::Options().max_candidates);
+  StreamSharedCorpusThroughBothRules(
+      /*with_model=*/false, IncrementalResolver::Options().max_candidates);
+}
+
+// min_shared_items 1 walks every posting in full; 3 walks the two longest
+// count-only.
+TEST(IncrementalCandidateEquivalenceTest, TrainedModelOneSharedItem) {
+  StreamSharedCorpusThroughBothRules(/*with_model=*/true,
+                                     /*max_candidates=*/4,
+                                     /*min_shared_items=*/1);
+}
+
+TEST(IncrementalCandidateEquivalenceTest, TrainedModelThreeSharedItems) {
+  StreamSharedCorpusThroughBothRules(/*with_model=*/true,
+                                     /*max_candidates=*/4,
+                                     /*min_shared_items=*/3);
+}
+
+TEST(IncrementalCandidateEquivalenceTest, BlockScoreFallbackThreeSharedItems) {
+  StreamSharedCorpusThroughBothRules(
+      /*with_model=*/false, IncrementalResolver::Options().max_candidates,
+      /*min_shared_items=*/3);
+}
+
+// Every record carries the same two values, so the two longest postings of
+// every append are equally long, and a record they alone reach shares two
+// items: exactly min_shared_items at 2, one short of it at 3.
+TEST(IncrementalCandidateEquivalenceTest, LongestPostingsTiedInLength) {
+  util::Rng rng(71);
+  auto make_record = [&rng] {
+    data::Record record;
+    record.source_id = static_cast<uint32_t>(rng.UniformInt(1, 9));
+    record.Add(data::AttributeId::kGender, "M");
+    record.Add(data::AttributeId::kBirthCountry, "Italia");
+    record.Add(data::AttributeId::kFirstName,
+               std::string("f") + std::to_string(rng.UniformInt(0, 30)));
+    record.Add(data::AttributeId::kLastName,
+               std::string("l") + std::to_string(rng.UniformInt(0, 60)));
+    if (rng.UniformInt(0, 1) == 0) {
+      record.Add(data::AttributeId::kBirthCity,
+                 std::string("c") + std::to_string(rng.UniformInt(0, 12)));
+    }
+    record.Add(data::AttributeId::kBirthYear,
+               std::to_string(rng.UniformInt(1900, 1940)));
+    return record;
+  };
+  data::Dataset initial;
+  for (int i = 0; i < 500; ++i) initial.Add(make_record());
+  std::vector<data::Record> arrivals;
+  for (int i = 0; i < 150; ++i) arrivals.push_back(make_record());
+
+  for (size_t min_shared : {1, 2, 3}) {
+    for (size_t max_candidates : {4, 64}) {
+      SCOPED_TRACE("min_shared_items " + std::to_string(min_shared) +
+                   ", max_candidates " + std::to_string(max_candidates));
+      IncrementalResolver::Options options;
+      options.min_shared_items = min_shared;
+      options.max_candidates = max_candidates;
+      StreamCounts counts =
+          StreamThroughBothRules(initial, RankedResolution(), ml::AdTree(),
+                                 data::GeoResolver(), arrivals, options);
+      EXPECT_EQ(counts.longest_postings_tied, arrivals.size());
+      EXPECT_EQ(counts.appends_with_matches, arrivals.size());
+      EXPECT_GT(counts.cuts_inside_ties, arrivals.size() / 10);
+    }
+  }
+}
+
+// Scoring extracts only the features the model reads; every confidence it
+// found must still equal the model's score of a full extraction of the
+// pair, also for the appends that follow a retraction.
+TEST(IncrementalScoringTest, ConfidenceEqualsTheScoreOfAFullExtraction) {
+  const Corpus& corpus = SharedCorpus();
+  const ml::AdTree& model = corpus.resolved.model;
+  ASSERT_FALSE(model.empty());
+  ASSERT_LT(model.UsedFeatures().size(), features::kNumFeatures);
+  IncrementalResolver resolver(corpus.initial, corpus.resolved.resolution,
+                               model, corpus.gazetteer.MakeGeoResolver());
+  size_t seeded = resolver.num_matches();
+  size_t retracted = 0;
+  for (size_t i = 0; i < corpus.arrivals.size(); ++i) {
+    if (i % 7 == 3) {
+      // A record found again later, applied and then taken back.
+      resolver.AddRecord(corpus.arrivals[(i * 5) % corpus.arrivals.size()]);
+      if (!resolver.last_matches().empty()) ++retracted;
+      resolver.RetractLastRecord();
+    }
+    resolver.AddRecord(corpus.arrivals[i]);
+  }
+  EXPECT_GT(retracted, 5u);
+
+  // Feature values depend on the two records only, not on the ids the
+  // resolver's dictionaries gave their values, so one extractor over the
+  // final corpus reproduces every pair's full extraction.
+  data::EncodedDataset encoded =
+      data::EncodeDataset(resolver.dataset(), corpus.gazetteer.MakeGeoResolver());
+  features::FeatureExtractor full(encoded);
+  ASSERT_GT(resolver.num_matches(), seeded + corpus.arrivals.size() / 2);
+  for (size_t m = seeded; m < resolver.num_matches(); ++m) {
+    const RankedMatch& match = resolver.matches()[m];
+    double want = model.Score(full.Extract(match.pair.a, match.pair.b));
+    ASSERT_EQ(0, std::memcmp(&want, &match.confidence, sizeof(double)))
+        << "match " << m << " (" << match.pair.a << ", " << match.pair.b
+        << "): " << match.confidence << " vs " << want;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -501,7 +501,8 @@ TEST(LiveIndexBuilderTest, BatchedPublishesCoalesceGenerations) {
   LiveServing live = MakeLiveServing(options);
   std::vector<data::Record> appended;
   for (uint64_t i = 0; i < 8; ++i) {
-    appended.push_back(MakeReport(300 + i, "m" + std::to_string(i), "n", "o"));
+    appended.push_back(
+        MakeReport(300 + i, std::string("m") + std::to_string(i), "n", "o"));
     ASSERT_TRUE(live.builder->Submit(appended.back()).ok());
   }
   ASSERT_TRUE(live.builder->WaitForIdle().ok());
